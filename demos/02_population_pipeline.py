@@ -17,6 +17,7 @@ import os
 import tempfile
 
 from neurotopo import measure_all
+from neurotopo.artifacts import write_csv, write_text
 from neurotopo.datagen import write_synthetic_benchmark
 from neurotopo.descriptors import layer_mean, scatter_points
 from neurotopo.model import load_model
@@ -54,14 +55,10 @@ def main():
 
         points = scatter_points(tables, "s")
         csv_path = os.path.join(OUT, "strength_scatter.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("network_id,x,y,test_acc\n")
-            for p in points:
-                fh.write(f"{p.network_id},{p.x!r},{p.y!r},{p.test_acc!r}\n")
+        write_csv(csv_path, ["network_id", "x", "y", "test_acc"], points)
         svg_path = os.path.join(OUT, "strength_scatter.svg")
-        with open(svg_path, "w") as fh:
-            fh.write(svg_scatter(points, "layer-mean strength vs accuracy",
-                                 "layer-1 mean s", "layer-2 mean s"))
+        write_text(svg_path, svg_scatter(points, "layer-mean strength vs accuracy",
+                                         "layer-1 mean s", "layer-2 mean s"))
         print(f"\nwrote {csv_path}")
         print(f"wrote {svg_path}")
         print("higher-accuracy networks tend toward less inhibitory hidden layers;")

@@ -9,14 +9,13 @@ histograms.  Type indices are 1-based throughout, matching the usual
 psi_1..psi_k numbering of cluster tables.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import read_csv_rows, read_json, write_csv, write_json
 from .descriptors import FeatureMatrix, NeuronDescriptor
 from .errors import FormatError, StructuralError
 
@@ -46,8 +45,15 @@ class Vocabulary:
         c = np.asarray(self.centroids, dtype=np.float64)
         if self.k < 2 or c.shape != (self.k, len(self.measures)):
             raise StructuralError(f"need k >= 2 centroids of length {len(self.measures)}")
+        if not np.all(np.isfinite(c)):
+            raise StructuralError("centroids contain non-finite values")
+        norm = np.asarray(self.normalizers, dtype=np.float64)
+        if norm.shape != (len(self.measures),) or not np.all(np.isfinite(norm) & (norm > 0.0)):
+            raise StructuralError(
+                f"normalizers must be {len(self.measures)} finite positive values, got {norm.tolist()}"
+            )
         object.__setattr__(self, "centroids", c)
-        object.__setattr__(self, "normalizers", np.asarray(self.normalizers, dtype=np.float64))
+        object.__setattr__(self, "normalizers", norm)
 
 
 @dataclass(frozen=True)
@@ -329,17 +335,11 @@ def save_vocabulary(vocab: Vocabulary, path):
         "generator": vocab.generator,
         "benchmark_id": vocab.benchmark_id,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path)
     try:
         return Vocabulary(
             centroids=np.asarray(doc["centroids"], dtype=np.float64),
@@ -357,35 +357,27 @@ def load_vocabulary(path) -> Vocabulary:
 
 def write_occurrence_csv(vocab, rows, path):
     """Occurrence CSV: network_id,test_acc,f1..fk (one row per network)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network_id", "test_acc"] + [f"f{i}" for i in range(1, vocab.k + 1)])
-        for rec in rows:
-            acc = "NaN" if math.isnan(rec.test_acc) else repr(rec.test_acc)
-            writer.writerow([rec.network_id, acc] + [repr(float(f)) for f in rec.occurrence])
+    write_csv(
+        path,
+        ["network_id", "test_acc"] + [f"f{i}" for i in range(1, vocab.k + 1)],
+        ([rec.network_id, rec.test_acc, *rec.occurrence] for rec in rows),
+    )
 
 
 def read_occurrence_csv(path):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, lines = read_csv_rows(path)
+    if header[:2] != ["network_id", "test_acc"] or len(header) < 3:
+        raise FormatError(f"{path}: header must be network_id,test_acc,f1..fk")
+    records = []
+    for lineno, row in lines:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty occurrence CSV")
-        if header[:2] != ["network_id", "test_acc"] or len(header) < 3:
-            raise FormatError(f"{path}: header must be network_id,test_acc,f1..fk")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                records.append(
-                    PopulationRecord(
-                        network_id=row[0],
-                        test_acc=float(row[1]),
-                        occurrence=np.array([float(x) for x in row[2:]]),
-                    )
+            records.append(
+                PopulationRecord(
+                    network_id=row[0],
+                    test_acc=float(row[1]),
+                    occurrence=np.array([float(x) for x in row[2:]]),
                 )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return records

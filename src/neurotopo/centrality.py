@@ -17,7 +17,6 @@ values are NaN, never silent zeros.  ``measure_all`` runs a selection of
 measures on a layered network and keeps the hidden-neuron rows only.
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from .artifacts import read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
 from .model import (
     VIEW_ORIGINAL,
@@ -371,68 +371,61 @@ def measure_all(
     )
 
 
-def _fmt(x):
-    if math.isnan(x):
-        return "NaN"
-    return repr(float(x))
-
-
 def write_measures_csv(tables, path):
     """Write measure tables as CSV: network_id,layer,neuron,<measure columns>.
 
-    All tables must share the same measure list; undefined values serialize
-    as the literal NaN.
+    All tables must share the same measure list and carry distinct network
+    ids; undefined values serialize as the literal NaN.
     """
     tables = list(tables)
     if not tables:
         raise StructuralError("no measure tables to write")
     measures = tables[0].measures
+    seen = set()
     for t in tables:
         if t.measures != measures:
             raise StructuralError("measure tables disagree on their measure columns")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(CSV_FIXED_COLUMNS) + list(measures))
-        for t in tables:
-            for i in range(t.values.shape[0]):
-                row = [t.network_id, int(t.layer[i]), int(t.neuron[i])]
-                row += [_fmt(v) for v in t.values[i]]
-                writer.writerow(row)
+        if t.network_id in seen:
+            raise StructuralError(f"network id {t.network_id!r} appears in more than one table")
+        seen.add(t.network_id)
+    write_csv(
+        path,
+        list(CSV_FIXED_COLUMNS) + list(measures),
+        (
+            [t.network_id, layer, neuron, *values]
+            for t in tables
+            for layer, neuron, values in zip(t.layer.tolist(), t.neuron.tolist(), t.values.tolist())
+        ),
+    )
 
 
 def read_measures_csv(path, accuracies=None):
     """Read a measures CSV back into per-network tables (input order kept).
 
-    accuracies, when given, maps network_id to test accuracy.
+    Each network's rows must be contiguous.  accuracies, when given, maps
+    network_id to test accuracy.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, lines = read_csv_rows(path)
+    if tuple(header[:3]) != CSV_FIXED_COLUMNS:
+        raise FormatError(f"{path}: header must start with {','.join(CSV_FIXED_COLUMNS)}")
+    measures = tuple(header[3:])
+    unknown = [m for m in measures if m not in MEASURES]
+    if not measures or unknown:
+        raise FormatError(f"{path}: unknown measure columns {unknown}")
+    if not lines:
+        raise FormatError(f"{path}: no measure rows")
+    rows = {}
+    for lineno, row in lines:
+        nid = row[0]
+        if nid in rows and nid != last:
+            raise FormatError(f"{path}:{lineno}: rows of network {nid!r} are not contiguous")
+        last = nid
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty measures CSV")
-        if tuple(header[:3]) != CSV_FIXED_COLUMNS:
-            raise FormatError(f"{path}: header must start with {','.join(CSV_FIXED_COLUMNS)}")
-        measures = tuple(header[3:])
-        unknown = [m for m in measures if m not in MEASURES]
-        if not measures or unknown:
-            raise FormatError(f"{path}: unknown measure columns {unknown}")
-        order = []
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 + len(measures):
-                raise FormatError(f"{path}:{lineno}: expected {3 + len(measures)} fields")
-            nid = row[0]
-            if nid not in rows:
-                rows[nid] = []
-                order.append(nid)
-            try:
-                rows[nid].append((int(row[1]), int(row[2]), [float(x) for x in row[3:]]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            rows.setdefault(nid, []).append((int(row[1]), int(row[2]), [float(x) for x in row[3:]]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     tables = []
-    for nid in order:
-        recs = rows[nid]
+    for nid, recs in rows.items():
         acc = math.nan
         if accuracies is not None and nid in accuracies:
             acc = float(accuracies[nid])

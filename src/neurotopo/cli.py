@@ -9,15 +9,15 @@ and sha256 hashes of written artifacts) next to its main output.
 import argparse
 import datetime
 import hashlib
-import json
-import math
 import os
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import bon, centrality, descriptors, plots, trainer
+from .artifacts import write_csv, write_json, write_text
 from .errors import (
     FormatError,
     NeurotopoError,
@@ -45,19 +45,19 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_record(anchor, command, params, artifacts):
+def _write_run_record(anchor, command, args, artifacts, **resolved):
     """run.json beside the main output: {anchor}/run.json for directories,
-    {anchor}.run.json for files."""
+    {anchor}.run.json for files.  Parameters are the parsed arguments, with
+    the values a command resolved from them (arch, measures, k) in place of
+    the raw ones."""
     record = {
         "command": command,
-        "parameters": params,
-        "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts if os.path.exists(p)},
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"} | resolved,
+        "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     path = os.path.join(anchor, "run.json") if os.path.isdir(anchor) else f"{anchor}.run.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, record, indent=1)
 
 
 def _find_idx_pair(data_dir, images_base, labels_base):
@@ -89,6 +89,14 @@ def cmd_train(args):
     arch = _parse_arch(args.arch)
     if args.count < 1:
         raise _UsageError("--count must be >= 1")
+    config = trainer.TrainingConfig(
+        arch=arch,
+        learning_rate=args.lr,
+        batch_size=args.batch,
+        epochs=args.epochs,
+        init_half_range=args.init_range,
+        seed=args.data_seed,
+    )
     train_images, train_labels = _find_idx_pair(
         args.data, "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
     )
@@ -101,14 +109,6 @@ def cmd_train(args):
         train_set = train_set.subset(args.train_limit)
     if args.test_limit:
         test_set = test_set.subset(args.test_limit)
-    config = trainer.TrainingConfig(
-        arch=arch,
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        init_half_range=args.init_range,
-        seed=args.data_seed,
-    )
     seeds = list(range(args.weight_seed_base, args.weight_seed_base + args.count))
     manifest = trainer.generate_population(
         train_set,
@@ -122,25 +122,7 @@ def cmd_train(args):
     artifacts = [os.path.join(args.out, "manifest.json")] + [
         os.path.join(args.out, e["model_path"]) for e in manifest if e["model_path"]
     ]
-    _write_run_record(
-        args.out,
-        "train",
-        {
-            "data": args.data,
-            "count": args.count,
-            "weight_seed_base": args.weight_seed_base,
-            "data_seed": args.data_seed,
-            "arch": list(arch),
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "batch": args.batch,
-            "init_range": args.init_range,
-            "dataset_id": args.dataset_id,
-            "train_limit": args.train_limit,
-            "test_limit": args.test_limit,
-        },
-        artifacts,
-    )
+    _write_run_record(args.out, "train", args, artifacts, arch=list(arch))
     failed = [e for e in manifest if e["status"].startswith("failed")]
     for e in failed:
         print(f"seed {e['seed']}: {e['status']}", file=sys.stderr)
@@ -180,19 +162,12 @@ def _parse_measures(text):
 
 def cmd_measure(args):
     measures = _parse_measures(args.measures)
-    tables = []
-    for path in _model_paths(args.models):
-        net = load_model(path)
-        tables.append(
-            centrality.measure_all(net, measures=measures, cfc_mode=args.cfc_mode)
-        )
+    tables = [
+        centrality.measure_all(load_model(path), measures=measures, cfc_mode=args.cfc_mode)
+        for path in _model_paths(args.models)
+    ]
     centrality.write_measures_csv(tables, args.out)
-    _write_run_record(
-        args.out,
-        "measure",
-        {"models": args.models, "measures": list(measures), "cfc_mode": args.cfc_mode},
-        [args.out],
-    )
+    _write_run_record(args.out, "measure", args, [args.out], measures=list(measures))
     print(f"measured {len(tables)} networks -> {args.out}")
     return EXIT_OK
 
@@ -200,16 +175,11 @@ def cmd_measure(args):
 def _load_accuracies(manifest_path):
     if manifest_path is None:
         return None
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{manifest_path}: not valid JSON ({exc})")
-    accs = {}
-    for entry in manifest:
-        if entry.get("test_acc") is not None:
-            accs[f"seed{entry['seed']}"] = float(entry["test_acc"])
-    return accs
+    return {
+        f"seed{e['seed']}": float(e["test_acc"])
+        for e in trainer.load_manifest(manifest_path)
+        if e["test_acc"] is not None
+    }
 
 
 def cmd_vocab_build(args):
@@ -226,10 +196,7 @@ def cmd_vocab_build(args):
         note = " (low confidence)" if result.low_confidence else ""
         print(f"elbow scan chose k*={k}{note}")
         curve_out = args.curve_out or f"{args.out}.curve.csv"
-        with open(curve_out, "w", encoding="utf-8") as fh:
-            fh.write("k,inertia\n")
-            for kk, inertia in zip(result.ks, result.inertias):
-                fh.write(f"{int(kk)},{repr(float(inertia))}\n")
+        write_csv(curve_out, ["k", "inertia"], zip(result.ks, result.inertias))
     else:
         k = args.k
     vocab = bon.kmeans(
@@ -237,20 +204,7 @@ def cmd_vocab_build(args):
     )
     bon.save_vocabulary(vocab, args.out)
     artifacts = [args.out] + ([curve_out] if curve_out else [])
-    _write_run_record(
-        args.out,
-        "vocab build",
-        {
-            "measures_csv": args.measures_csv,
-            "measures": list(measures),
-            "k": int(k),
-            "elbow": list(args.elbow) if args.elbow else None,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "benchmark_id": args.benchmark_id,
-        },
-        artifacts,
-    )
+    _write_run_record(args.out, "vocab build", args, artifacts, measures=list(measures), k=int(k))
     print(f"vocabulary with k={k} -> {args.out}")
     return EXIT_OK
 
@@ -259,41 +213,20 @@ def cmd_vocab_assign(args):
     vocab = bon.load_vocabulary(args.vocab)
     accs = _load_accuracies(args.manifest)
     tables = centrality.read_measures_csv(args.measures_csv, accuracies=accs)
-    records = []
-    for t in tables:
-        records.append(
-            bon.PopulationRecord(
-                network_id=t.network_id,
-                test_acc=t.test_acc,
-                occurrence=bon.occurrence(vocab, t),
-            )
-        )
+    records = [bon.PopulationRecord(t.network_id, t.test_acc, bon.occurrence(vocab, t)) for t in tables]
     bon.write_occurrence_csv(vocab, records, args.out)
-    _write_run_record(
-        args.out,
-        "vocab assign",
-        {"vocab": args.vocab, "measures_csv": args.measures_csv, "manifest": args.manifest},
-        [args.out],
-    )
+    _write_run_record(args.out, "vocab assign", args, [args.out])
     print(f"occurrence histograms for {len(records)} networks -> {args.out}")
     return EXIT_OK
-
-
-def _population_csv(path):
-    if os.path.isdir(path):
-        candidate = os.path.join(path, "measures.csv")
-        if not os.path.exists(candidate):
-            raise FileNotFoundError(f"{path}: no measures.csv in population directory")
-        return candidate
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{path}: population measures CSV does not exist")
-    return path
 
 
 def cmd_compare(args):
     vocab_a = bon.load_vocabulary(args.vocab_a)
     vocab_b = bon.load_vocabulary(args.vocab_b)
-    tables = centrality.read_measures_csv(_population_csv(args.population))
+    population = args.population
+    if os.path.isdir(population):
+        population = os.path.join(population, "measures.csv")
+    tables = centrality.read_measures_csv(population)
     result = bon.cross_benchmark_jsd(vocab_a, vocab_b, tables)
     doc = {
         "vocab_a": args.vocab_a,
@@ -303,21 +236,10 @@ def cmd_compare(args):
         "jsd_std": result.std,
         "per_network": result.per_network,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    _write_run_record(
-        args.out,
-        "compare",
-        {"vocab_a": args.vocab_a, "vocab_b": args.vocab_b, "population": args.population},
-        [args.out],
-    )
+    write_json(args.out, doc, indent=1)
+    _write_run_record(args.out, "compare", args, [args.out])
     print(f"JSD mean {result.mean:.4f} (std {result.std:.4f}) over {doc['count']} networks")
     return EXIT_OK
-
-
-def _fmt_float(x):
-    return "NaN" if math.isnan(x) else repr(float(x))
 
 
 def cmd_plot(args):
@@ -327,19 +249,11 @@ def cmd_plot(args):
         accs = _load_accuracies(args.manifest)
         tables = centrality.read_measures_csv(args.measures_csv, accuracies=accs)
         points = descriptors.scatter_points(tables, args.measure)
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("network_id,x,y,test_acc\n")
-            for p in points:
-                fh.write(f"{p.network_id},{_fmt_float(p.x)},{_fmt_float(p.y)},{_fmt_float(p.test_acc)}\n")
-        if args.out_svg:
-            svg = plots.svg_scatter(
-                points,
-                f"layer means of {args.measure}",
-                f"layer-1 mean {args.measure}",
-                f"layer-2 mean {args.measure}",
-            )
-            with open(args.out_svg, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+        header, rows = ["network_id", "x", "y", "test_acc"], points
+        m = args.measure
+        svg = partial(
+            plots.svg_scatter, points, f"layer means of {m}", f"layer-1 mean {m}", f"layer-2 mean {m}"
+        )
     elif args.what == "hist":
         if not args.occurrence_csv:
             raise _UsageError("hist needs --occurrence-csv")
@@ -355,15 +269,9 @@ def cmd_plot(args):
                 for group in (worst, median, top)
             ]
         )
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("group,type,frequency\n")
-            for g, name in enumerate(names):
-                for j in range(freqs.shape[1]):
-                    fh.write(f"{name},{j + 1},{repr(float(freqs[g, j]))}\n")
-        if args.out_svg:
-            svg = plots.svg_group_bars(names, freqs, "neuron type occurrence by accuracy group")
-            with open(args.out_svg, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+        header = ["group", "type", "frequency"]
+        rows = ((name, j + 1, freqs[g, j]) for g, name in enumerate(names) for j in range(freqs.shape[1]))
+        svg = partial(plots.svg_group_bars, names, freqs, "neuron type occurrence by accuracy group")
     elif args.what == "corr":
         if not args.measures_csv:
             raise _UsageError("corr needs --measures-csv")
@@ -372,16 +280,14 @@ def cmd_plot(args):
         raw = np.vstack([t.values for t in tables])
         raw = raw[~np.isnan(raw).any(axis=1)]
         corr = descriptors.pearson_matrix(raw)
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("measure," + ",".join(measures) + "\n")
-            for i, m in enumerate(measures):
-                fh.write(m + "," + ",".join(_fmt_float(v) for v in corr[i]) + "\n")
-        if args.out_svg:
-            svg = plots.svg_heatmap(corr, measures, "measure correlation")
-            with open(args.out_svg, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+        header = ["measure", *measures]
+        rows = ([m, *corr[i]] for i, m in enumerate(measures))
+        svg = partial(plots.svg_heatmap, corr, measures, "measure correlation")
+    write_csv(args.out_csv, header, rows)
+    if args.out_svg:
+        write_text(args.out_svg, svg())
     artifacts = [p for p in (args.out_csv, args.out_svg) if p]
-    _write_run_record(args.out_csv, f"plot {args.what}", vars(args) | {"func": None}, artifacts)
+    _write_run_record(args.out_csv, f"plot {args.what}", args, artifacts)
     print(f"plot data -> {args.out_csv}")
     return EXIT_OK
 
@@ -482,3 +388,7 @@ def main(argv=None):
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -134,15 +134,38 @@ def build_feature_matrix(tables, measures) -> FeatureMatrix:
         ids.append(np.full(t.values.shape[0], t.network_id, dtype=object))
         layers.append(t.layer)
         neurons.append(t.neuron)
-    raw = np.vstack(blocks)
-    network_ids = np.concatenate(ids)
-    layer = np.concatenate(layers)
-    neuron = np.concatenate(neurons)
+    return _normalized(
+        np.vstack(blocks),
+        measures,
+        np.concatenate(ids),
+        np.concatenate(layers),
+        np.concatenate(neurons),
+    )
+
+
+def feature_matrix_from_values(values, measures, network_ids=None):
+    """Wrap a raw (rows, m) value array as a normalized FeatureMatrix."""
+    raw = np.asarray(values, dtype=np.float64)
+    if raw.ndim != 2 or raw.shape[1] != len(measures):
+        raise StructuralError(f"value array must be 2-D with {len(measures)} columns")
+    rows = raw.shape[0]
+    if network_ids is None:
+        network_ids = np.full(rows, "", dtype=object)
+    return _normalized(
+        raw,
+        tuple(measures),
+        np.asarray(network_ids, dtype=object),
+        np.zeros(rows, dtype=np.int64),
+        np.arange(rows, dtype=np.int64),
+    )
+
+
+def _normalized(raw, measures, network_ids, layer, neuron):
+    """Drop rows with an undefined value and scale each column by its max |value|."""
     keep = ~np.isnan(raw).any(axis=1)
-    excluded = int(np.sum(~keep))
-    raw = raw[keep]
-    if raw.shape[0] == 0:
+    if not np.any(keep):
         raise StructuralError("every row carried an undefined value")
+    raw = raw[keep]
     normalizers = np.abs(raw).max(axis=0)
     zero = normalizers == 0.0
     if np.any(zero):
@@ -155,34 +178,7 @@ def build_feature_matrix(tables, measures) -> FeatureMatrix:
         network_ids=network_ids[keep],
         layer=layer[keep],
         neuron=neuron[keep],
-        excluded_rows=excluded,
-    )
-
-
-def feature_matrix_from_values(values, measures, network_ids=None):
-    """Wrap a raw (rows, m) value array as a normalized FeatureMatrix."""
-    raw = np.asarray(values, dtype=np.float64)
-    if raw.ndim != 2 or raw.shape[1] != len(measures):
-        raise StructuralError(f"value array must be 2-D with {len(measures)} columns")
-    keep = ~np.isnan(raw).any(axis=1)
-    excluded = int(np.sum(~keep))
-    raw = raw[keep]
-    if raw.shape[0] == 0:
-        raise StructuralError("every row carried an undefined value")
-    normalizers = np.abs(raw).max(axis=0)
-    normalizers = np.where(normalizers == 0.0, 1.0, normalizers)
-    if network_ids is None:
-        nids = np.full(raw.shape[0], "", dtype=object)
-    else:
-        nids = np.asarray(network_ids, dtype=object)[keep]
-    return FeatureMatrix(
-        data=raw / normalizers,
-        measures=tuple(measures),
-        normalizers=normalizers,
-        network_ids=nids,
-        layer=np.zeros(raw.shape[0], dtype=np.int64),
-        neuron=np.arange(raw.shape[0], dtype=np.int64),
-        excluded_rows=excluded,
+        excluded_rows=int(np.sum(~keep)),
     )
 
 

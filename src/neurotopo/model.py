@@ -7,13 +7,13 @@ graph; three view modes exist because different measures are defined on the
 signed graph, on the positive subgraph, or on its binarized form.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
+from .artifacts import read_json, write_json
 from .errors import FormatError, StructuralError
 
 MODEL_FORMAT = "nnx-json/1"
@@ -73,10 +73,6 @@ class LayeredNetwork:
     def depth(self):
         """Number of weight matrices d."""
         return len(self.arch) - 1
-
-    @property
-    def hidden_count(self):
-        return int(sum(self.arch[1:-1]))
 
     @property
     def synapse_count(self):
@@ -271,18 +267,12 @@ def save_model(net: LayeredNetwork, path) -> None:
         "weights": [w.reshape(-1).tolist() for w in net.weights],
         "meta": dict(net.meta),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> LayeredNetwork:
     """Read a network written by save_model, validating every field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level value must be an object")
     if doc.get("format") != MODEL_FORMAT:
@@ -299,10 +289,7 @@ def load_model(path) -> LayeredNetwork:
         if not isinstance(values, list) or len(values) != want:
             got = len(values) if isinstance(values, list) else type(values).__name__
             raise FormatError(f"{path}: weights[{a}]: expected {want} values, got {got}")
-        w = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(w)):
-            raise FormatError(f"{path}: weights[{a}]: non-finite values")
-        weights.append(w.reshape(arch[a], arch[a + 1]))
+        weights.append(np.asarray(values, dtype=np.float64).reshape(arch[a], arch[a + 1]))
     meta = doc.get("meta")
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta: must be an object")

@@ -9,7 +9,6 @@ seed (batch order) is shared, keeping populations comparable.
 """
 
 import gzip
-import json
 import math
 import os
 import struct
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import FormatError, NumericalError, StructuralError
 from .model import LayeredNetwork, load_model, save_model
 
@@ -43,12 +43,12 @@ class TrainingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "arch", tuple(int(x) for x in self.arch))
-        if self.learning_rate <= 0:
-            raise StructuralError("learning_rate must be positive")
+        for name in ("learning_rate", "init_half_range"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise StructuralError(f"{name} must be finite and positive, got {value}")
         if self.batch_size < 1:
             raise StructuralError("batch_size must be >= 1")
-        if self.init_half_range <= 0:
-            raise StructuralError("init_half_range must be positive")
         if self.epochs < 0:
             raise StructuralError("epochs must be >= 0")
 
@@ -95,13 +95,12 @@ def _read_exact(fh, count, path, what):
     return data
 
 
-def load_idx(images_path, labels_path, split="train", zscore=False) -> Dataset:
+def load_idx(images_path, labels_path, split="train") -> Dataset:
     """Load an IDX image/label file pair (plain or .gz) as a Dataset.
 
-    Pixels are scaled to [0, 1] by dividing by 255; pass zscore=True to
-    standardize each pixel column instead.  Every structural defect (magic,
-    dimensions, truncation, label range, count mismatch) is a FormatError
-    naming the file and offset.
+    Pixels are scaled to [0, 1] by dividing by 255.  Every structural defect
+    (magic, dimensions, truncation, label range, count mismatch) is a
+    FormatError naming the file and offset.
     """
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "header"))
@@ -126,13 +125,6 @@ def load_idx(images_path, labels_path, split="train", zscore=False) -> Dataset:
         raise FormatError(f"{labels_path}: label {int(labels[bad])} out of range at index {bad}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
     images /= 255.0
-    if zscore:
-        mu = images.mean(axis=0)
-        sd = images.std(axis=0)
-        images = (images - mu) / np.where(sd == 0.0, 1.0, sd)
-        # z-scored pixels leave [0, 1]; rescale into range to keep the invariant
-        lo, hi = images.min(), images.max()
-        images = (images - lo) / max(hi - lo, 1e-12)
     return Dataset(images=images, labels=labels.astype(np.int64), split=split)
 
 
@@ -259,21 +251,25 @@ def _pool_init(train_set, test_set, config, dataset_id):
     _POOL.update(train=train_set, test=test_set, config=config, dataset_id=dataset_id)
 
 
+def _manifest_entry(seed, model_path, meta, status):
+    """One manifest entry; a failed network (no meta) has no model and no accuracies."""
+    ok = meta is not None
+    return {
+        "seed": int(seed),
+        "model_path": os.path.basename(model_path) if ok else None,
+        "train_acc": float(meta["train_acc"]) if ok else None,
+        "test_acc": float(meta["test_acc"]) if ok else None,
+        "status": status,
+    }
+
+
 def _train_one(train_set, test_set, config, dataset_id, weight_seed, model_path):
     net = init_network(config.arch, weight_seed, config.init_half_range, dataset_id)
     net, _ = train(net, train_set, config)
-    test_acc = evaluate(net, test_set)
     meta = dict(net.meta)
-    meta["test_acc"] = test_acc
-    net = LayeredNetwork(arch=net.arch, weights=net.weights, meta=meta)
-    save_model(net, model_path)
-    return {
-        "seed": int(weight_seed),
-        "model_path": os.path.basename(model_path),
-        "train_acc": float(meta["train_acc"]),
-        "test_acc": float(test_acc),
-        "status": "trained",
-    }
+    meta["test_acc"] = evaluate(net, test_set)
+    save_model(LayeredNetwork(arch=net.arch, weights=net.weights, meta=meta), model_path)
+    return _manifest_entry(weight_seed, model_path, meta, "trained")
 
 
 def _train_one_pooled(job):
@@ -314,27 +310,14 @@ def generate_population(
         model_path = os.path.join(out_dir, f"model_seed{seed}.json")
         if os.path.exists(model_path):
             try:
-                net = load_model(model_path)
-                entries[seed] = {
-                    "seed": seed,
-                    "model_path": os.path.basename(model_path),
-                    "train_acc": float(net.meta["train_acc"]),
-                    "test_acc": float(net.meta["test_acc"]),
-                    "status": "cached",
-                }
+                entries[seed] = _manifest_entry(seed, model_path, load_model(model_path).meta, "cached")
                 continue
             except FormatError:
                 os.remove(model_path)
         todo.append((seed, model_path))
 
     def record_failure(seed, exc):
-        entries[seed] = {
-            "seed": seed,
-            "model_path": None,
-            "train_acc": None,
-            "test_acc": None,
-            "status": f"failed: {exc}",
-        }
+        entries[seed] = _manifest_entry(seed, None, None, f"failed: {exc}")
 
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(
@@ -356,21 +339,21 @@ def generate_population(
                 record_failure(seed, exc)
 
     manifest = [entries[s] for s in weight_seeds]
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)
     return manifest
 
 
-def load_manifest(out_dir):
-    path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise FormatError(f"{path}: missing population manifest")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(manifest, list):
-        raise FormatError(f"{path}: manifest must be a JSON list")
+def load_manifest(path):
+    """Read a population manifest: a JSON list of objects carrying seed and test_acc."""
+    manifest = read_json(path)
+    if not isinstance(manifest, list) or not all(
+        isinstance(e, dict)
+        and type(e.get("seed")) is int
+        and type(e.get("test_acc", "")) in (int, float, type(None))
+        for e in manifest
+    ):
+        raise FormatError(
+            f"{path}: manifest must be a JSON list of objects with an integer seed "
+            "and a numeric or null test_acc"
+        )
     return manifest

@@ -1,0 +1,102 @@
+"""The one on-disk text path: CSV dialect, strict JSON, atomic replacement."""
+
+import math
+
+import numpy as np
+import pytest
+
+from neurotopo.artifacts import (
+    format_float,
+    read_csv_rows,
+    read_json,
+    write_csv,
+    write_json,
+    write_text,
+)
+from neurotopo.errors import FormatError
+
+
+class TestWriters:
+    def test_float_spelling(self):
+        assert format_float(math.nan) == "NaN"
+        assert format_float(np.float64(0.1)) == "0.1"
+        assert format_float(np.float32(0.5)) == "0.5"
+        assert format_float(1) == "1.0"
+
+    def test_csv_dialect(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["id", "n", "x"], [("a,b", np.int64(3), np.float64(0.25)), ("c", 4, math.nan)])
+        assert path.read_bytes() == b'id,n,x\n"a,b",3,0.25\nc,4,NaN\n'
+        header, rows = read_csv_rows(path)
+        assert header == ["id", "n", "x"]
+        assert rows == [(2, ["a,b", "3", "0.25"]), (3, ["c", "4", "NaN"])]
+
+    def test_json_is_strict_and_newline_terminated(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json(path, {"b": [1, 0.5], "a": None}, indent=1)
+        assert path.read_text() == '{\n "b": [\n  1,\n  0.5\n ],\n "a": null\n}\n'
+        with pytest.raises(ValueError):
+            write_json(path, {"x": math.inf})
+        assert read_json(path) == {"b": [1, 0.5], "a": None}
+
+    def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_text(path, "old\n")
+
+        def rows():
+            yield ("fine",)
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, ["h"], rows())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_missing_directory_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_text(tmp_path / "nope" / "x.svg", "<svg/>")
+
+
+class TestReaders:
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"a": 1,\n "b": NaN}', "d.json:2: non-finite number NaN"),
+            ('{"s": "NaN Infinity",\n\n "b": [-Infinity]}', "d.json:3: non-finite number -Infinity"),
+            ('{"a": 1,\n "b": }', "d.json:2: not valid JSON"),
+            ("", "d.json:1: not valid JSON"),
+        ],
+    )
+    def test_json_rejections_name_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            read_json(path)
+        assert where in str(info.value)
+
+    def test_json_not_utf8(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b"\x89PNG")
+        with pytest.raises(FormatError, match="d.json: not UTF-8"):
+            read_json(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("", "t.csv: empty CSV"),
+            ("a,b\n1,2\n3\n", "t.csv:3: expected 2 fields, got 1"),
+            ("a,b\n1,2\n\n", "t.csv:3: expected 2 fields, got 0"),
+            ("a,b\n1,2,3\n", "t.csv:2: expected 2 fields, got 3"),
+        ],
+    )
+    def test_csv_rejections_name_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            read_csv_rows(path)
+        assert where in str(info.value)
+
+    def test_crlf_csv_still_reads(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\r\n1,NaN\r\n")
+        assert read_csv_rows(path) == (["a", "b"], [(2, ["1", "NaN"])])

@@ -323,6 +323,19 @@ class TestVocabularyIo:
         save_vocabulary(load_vocabulary(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "normalizers, centroids",
+        [
+            ([1.0], [[0.0, 0.0], [1.0, 1.0]]),
+            ([1.0, 0.0], [[0.0, 0.0], [1.0, 1.0]]),
+            ([1.0, math.inf], [[0.0, 0.0], [1.0, 1.0]]),
+            ([1.0, 1.0], [[0.0, math.nan], [1.0, 1.0]]),
+        ],
+    )
+    def test_malformed_vocabulary_rejected(self, normalizers, centroids):
+        with pytest.raises(StructuralError):
+            Vocabulary(np.array(centroids), ("s", "bc"), np.array(normalizers), 0.0, 2, 0)
+
     def test_document_key_set(self, tmp_path):
         import json
 
@@ -340,6 +353,7 @@ class TestVocabularyIo:
         rows = [
             PopulationRecord("a", 0.75, np.array([0.25, 0.75])),
             PopulationRecord("b", math.nan, np.array([1.0, 0.0])),
+            PopulationRecord("c", np.float64(0.5), np.array([0.5, 0.5])),
         ]
         path = tmp_path / "occ.csv"
         write_occurrence_csv(vocab, rows, path)
@@ -347,3 +361,4 @@ class TestVocabularyIo:
         assert back[0].network_id == "a"
         np.testing.assert_array_equal(back[0].occurrence, [0.25, 0.75])
         assert math.isnan(back[1].test_acc)
+        assert back[2].test_acc == 0.5

@@ -21,7 +21,7 @@ from neurotopo.centrality import (
     subgraph_centrality,
     write_measures_csv,
 )
-from neurotopo.errors import ResourceBudgetError, StructuralError
+from neurotopo.errors import FormatError, ResourceBudgetError, StructuralError
 from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
@@ -365,3 +365,15 @@ class TestMeasuresCsv:
         assert back[0].measures == ("s", "snn", "so")
         np.testing.assert_array_equal(back[0].layer, table.layer)
         np.testing.assert_array_equal(back[0].values, table.values)
+
+    def test_duplicate_network_ids_rejected(self, tmp_path):
+        net = init_network((3, 4, 2, 2), seed=2)
+        tables = [measure_all(net, measures=("s",)) for _ in range(2)]
+        with pytest.raises(StructuralError, match="seed2"):
+            write_measures_csv(tables, tmp_path / "measures.csv")
+
+    def test_split_network_rows_rejected(self, tmp_path):
+        path = tmp_path / "measures.csv"
+        path.write_text("network_id,layer,neuron,s\na,1,0,1.0\nb,1,0,2.0\na,1,1,3.0\n")
+        with pytest.raises(FormatError, match=r"measures.csv:4: .*'a'"):
+            read_measures_csv(path)

@@ -1,12 +1,20 @@
 """CLI exit codes, formats, idempotence, and the end-to-end desk pipeline."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neurotopo
+from neurotopo.centrality import measure_all, write_measures_csv
 from neurotopo.cli import main
 from neurotopo.datagen import write_synthetic_benchmark
+from neurotopo.trainer import init_network
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,17 @@ class TestTrainCommand:
         manifest = json.loads((trained_dir / "manifest.json").read_text())
         assert all(e["status"] == "cached" for e in manifest)
         assert (trained_dir / "model_seed0.json").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+         ("--init-range", "nan", "init_half_range")],
+    )
+    def test_non_finite_hyperparameter_exits_2(self, data_dir, tmp_path, capsys, flag, value, name):
+        code = main(["train", "--data", str(data_dir), "--count", "1", "--arch", "784,4,10",
+                     "--epochs", "1", flag, value, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert name in capsys.readouterr().err
 
     def test_bad_arch_exits_2(self, data_dir, tmp_path):
         code = main(["train", "--data", str(data_dir), "--count", "1", "--arch", "784,oops",
@@ -149,6 +168,34 @@ class TestVocabCommands:
         freqs = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         np.testing.assert_allclose(freqs.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "normalizers, centroid",
+        [("[1.0]", "[NaN, 0.0, 0.0]"), ("[1.0]", "[0.0, 0.0, 0.0]"), ("[1.0, 0.0, 1.0]", "[0.0, 0.0, 0.0]")],
+    )
+    def test_assign_malformed_vocabulary_exits_3(self, measures_csv, tmp_path, capsys, normalizers, centroid):
+        vocab = tmp_path / "bad_vocab.json"
+        vocab.write_text(
+            '{"measures": ["s", "bc", "sg"], "normalizers": %s, "k": 2, '
+            '"centroids": [%s, [1.0, 1.0, 1.0]], "inertia": 0.0, "seed": 0}' % (normalizers, centroid)
+        )
+        code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(measures_csv),
+                     "--out", str(tmp_path / "occ.csv")])
+        assert code == 3
+        assert "bad_vocab.json" in capsys.readouterr().err
+        assert not (tmp_path / "occ.csv").exists()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ['{"seed": 1}', '[{"seed": 1}]', '[{"seed": "x", "test_acc": 0.5}]', '[{"seed": 1, "test_acc": "high"}]'],
+    )
+    def test_malformed_manifest_exits_3(self, measures_csv, tmp_path, capsys, manifest):
+        path = tmp_path / "m.json"
+        path.write_text(manifest)
+        code = main(["plot", "--what", "scatter", "--measures-csv", str(measures_csv), "--measure", "s",
+                     "--manifest", str(path), "--out-csv", str(tmp_path / "scatter.csv")])
+        assert code == 3
+        assert "m.json" in capsys.readouterr().err
+
     def test_assign_measure_mismatch_exits_2(self, measures_csv, trained_dir, tmp_path):
         vocab = tmp_path / "vocab_full.json"
         sub = tmp_path / "sub.csv"
@@ -186,6 +233,18 @@ class TestPlotCommand:
         assert lines[0] == "network_id,x,y,test_acc"
         assert len(lines) == 4
         assert out_svg.read_text().startswith("<svg")
+
+    def test_scatter_quotes_network_ids(self, tmp_path):
+        table = measure_all(init_network((3, 4, 2, 2), seed=0), measures=("s",), network_id="net,1")
+        write_measures_csv([table], tmp_path / "m.csv")
+        out_csv = tmp_path / "scatter.csv"
+        code = main(["plot", "--what", "scatter", "--measures-csv", str(tmp_path / "m.csv"),
+                     "--measure", "s", "--out-csv", str(out_csv)])
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][0] == "net,1"
+        assert [len(r) for r in rows] == [4, 4]
 
     def test_corr(self, measures_csv, tmp_path):
         out_csv = tmp_path / "corr.csv"
@@ -238,3 +297,15 @@ class TestRunRecords:
             assert main(["measure", "--models", str(trained_dir), "--measures", "s,bc",
                          "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["neurotopo", "neurotopo.cli"])
+    def test_runs_as_module(self, module):
+        env = dict(os.environ, PYTHONPATH=str(Path(neurotopo.__file__).parents[1]))
+        run = [sys.executable, "-m", module]
+        helped = subprocess.run(run + ["--help"], env=env, capture_output=True, text=True, timeout=60)
+        assert helped.returncode == 0
+        assert "usage: neurotopo" in helped.stdout
+        bare = subprocess.run(run + ["measure"], env=env, capture_output=True, text=True, timeout=60)
+        assert bare.returncode == 2

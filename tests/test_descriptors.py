@@ -9,6 +9,7 @@ import pytest
 from neurotopo.centrality import NeuronMeasures
 from neurotopo.descriptors import (
     build_feature_matrix,
+    feature_matrix_from_values,
     layer_mean,
     pearson_matrix,
     redundancy_filter,
@@ -97,11 +98,21 @@ class TestFeatureMatrix:
         assert fm.normalizers[0] == 4.0
 
     def test_zero_column_left_unscaled(self, caplog):
-        t = table("a", [1, 1], [0.0, 0.0])
-        with caplog.at_level(logging.WARNING):
-            fm = build_feature_matrix([t], ("s",))
-        assert fm.normalizers[0] == 1.0
-        assert "all-zero" in caplog.text
+        measures = ("s", "bc")
+        raw = np.array([[0.0, 2.0], [math.nan, 1.0], [0.0, -4.0]])
+        built = []
+        for make in (
+            lambda: build_feature_matrix([table("a", [1, 1, 1], raw, measures)], measures),
+            lambda: feature_matrix_from_values(raw, measures),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                built.append(make())
+            assert "all-zero" in caplog.text
+        for fm in built:
+            np.testing.assert_array_equal(fm.data, [[0.0, 0.5], [0.0, -1.0]])
+            np.testing.assert_array_equal(fm.normalizers, [1.0, 4.0])
+            assert fm.excluded_rows == 1
 
     def test_undefined_rows_excluded(self):
         t = table("a", [1, 1, 1], [1.0, math.nan, 3.0])

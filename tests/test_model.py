@@ -164,6 +164,17 @@ class TestSerialization:
         assert doc["format"] == "nnx-json/1"
         assert len(doc["weights"][0]) == 6  # row-major flat list per matrix
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        net = init_network((3, 2, 2), seed=0)
+        path = tmp_path / "m.json"
+        save_model(net, path)
+        before = path.read_bytes()
+        bad = LayeredNetwork(arch=net.arch, weights=net.weights, meta=dict(net.meta, test_acc=float("nan")))
+        with pytest.raises(ValueError):
+            save_model(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_unknown_meta_keys_preserved(self, tmp_path):
         net = init_network((2, 2), seed=0)
         meta = dict(net.meta)
