@@ -30,6 +30,17 @@ def format_float(x):
     return "NaN" if math.isnan(x) else repr(x)
 
 
+def parse_float(cell):
+    """Value of a float cell, which must be ``NaN`` or the repr of a finite
+    float: what ``format_float`` writes.  Anything else is a ValueError."""
+    if cell == "NaN":
+        return math.nan
+    value = float(cell)
+    if not math.isfinite(value) or repr(value) != cell:
+        raise ValueError(f"{cell!r} is not NaN or the repr of a finite float")
+    return value
+
+
 def _cell(value):
     if isinstance(value, (float, np.floating)):
         return format_float(value)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import read_csv_rows, read_json, write_csv, write_json
+from .artifacts import parse_float, read_csv_rows, read_json, write_csv, write_json
 from .descriptors import FeatureMatrix, NeuronDescriptor
 from .errors import FormatError, StructuralError
 
@@ -360,7 +360,7 @@ def write_occurrence_csv(vocab, rows, path):
     write_csv(
         path,
         ["network_id", "test_acc"] + [f"f{i}" for i in range(1, vocab.k + 1)],
-        ([rec.network_id, rec.test_acc, *rec.occurrence] for rec in rows),
+        ([rec.network_id, float(rec.test_acc), *rec.occurrence] for rec in rows),
     )
 
 
@@ -374,8 +374,8 @@ def read_occurrence_csv(path):
             records.append(
                 PopulationRecord(
                     network_id=row[0],
-                    test_acc=float(row[1]),
-                    occurrence=np.array([float(x) for x in row[2:]]),
+                    test_acc=parse_float(row[1]),
+                    occurrence=np.array([parse_float(x) for x in row[2:]]),
                 )
             )
         except ValueError as exc:

@@ -14,7 +14,7 @@ Eight measures are provided, each bound to the graph view it is defined on:
 
 All functions return one value per view node, as a float64 vector.  Undefined
 values are NaN, never silent zeros.  ``measure_all`` runs a selection of
-measures on a layered network and keeps the hidden-neuron rows only.
+measures on a layered network and computes the hidden-neuron rows only.
 """
 
 import math
@@ -26,7 +26,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .artifacts import read_csv_rows, write_csv
+from .artifacts import parse_float, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
 from .model import (
     VIEW_ORIGINAL,
@@ -81,49 +81,46 @@ def avg_neighbor_strength(view):
     return out
 
 
-def balanced_transition_matrix(mask):
-    """Transition matrix of the unbiased walk on a binarized graph.
+def _laplacian_pinv_diagonal(view, w, what):
+    """diag(L⁺) for the Laplacian L of conductances ``w`` on a connected view.
 
-    Every node receives a self-loop topping its degree up to the maximum
-    degree, which makes the walk's stationary law uniform.  The return-time
-    standard deviation of this balanced walk is what the second-order
-    formula computes; without the balancing its radicand can go negative on
-    irregular graphs.
+    When the kernel of L is exactly the constants, (L + J/n)⁻¹ = L⁺ + J/n.
+    A singular L + J/n (signed weights can widen the kernel) or a non-finite
+    inverse raises NumericalError naming ``what``.
     """
-    a = mask.astype(np.float64)
-    deg = a.sum(axis=1)
-    d_max = deg.max()
-    if d_max == 0:
-        raise StructuralError("second-order centrality requires at least one edge")
-    p = a / d_max
-    p[np.diag_indices_from(p)] += 1.0 - deg / d_max
-    return p
+    n = view.node_count
+    ncomp, _ = connected_components(view.edge_mask.astype(np.int8), directed=False)
+    if ncomp != 1:
+        raise StructuralError(f"{what} requires a connected view")
+    try:
+        inv = np.linalg.inv(np.diag(w.sum(axis=1)) - w + 1.0 / n)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what}: L + J/n is singular ({exc})") from exc
+    if not np.all(np.isfinite(inv)):
+        raise NumericalError(f"{what}: the inverse of L + J/n is not finite")
+    return np.diag(inv) - 1.0 / n
 
 
 def second_order(view):
     """Standard deviation of return times of a perpetual unbiased random walk.
 
-    Works on the binarized view adjacency, degree-balanced with self-loops.
-    Mean first-passage times come from the fundamental matrix of the walk's
-    Markov chain (one exact linear solve); the diagonal is the stationary
-    return time, which equals the node count for the balanced walk.  No
-    simulation is involved.
+    Works on the binarized view adjacency, degree-balanced with self-loops so
+    that the walk's stationary law is uniform (without the balancing the
+    radicand can go negative on irregular graphs).  The walk's fundamental
+    matrix (I - P + J/n)⁻¹ has diagonal d_max·L⁺_ii + 1/n, since I - P =
+    L/d_max, and unit column sums; that gives the first-passage times.
     """
     n = view.node_count
     if n < 2:
         raise StructuralError("second-order centrality needs at least 2 nodes")
-    ncomp, _ = connected_components(view.edge_mask.astype(np.int8), directed=False)
-    if ncomp != 1:
-        raise StructuralError("second-order centrality requires a connected view")
-    p = balanced_transition_matrix(view.edge_mask)
-    z = np.linalg.inv(np.eye(n) - p + np.full((n, n), 1.0 / n))
-    # sum over j != i of first-passage times n*(z_ii - z_ji), plus return time n
-    col = n * (n * np.diag(z) - z.sum(axis=0) + 1.0)
-    radicand = 2.0 * col - n * (n + 1)
+    a = view.edge_mask.astype(np.float64)
+    lp = _laplacian_pinv_diagonal(view, a, f"so ({view.mode} view)")
+    # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
+    radicand = 2.0 * n * n * a.sum(axis=1).max() * lp - n * n + n
     bad = radicand < -SO_RADICAND_TOL
     if np.any(bad):
         raise NumericalError(
-            f"second-order radicand fell below -{SO_RADICAND_TOL:g} at node {int(np.argmax(bad))}"
+            f"so: radicand fell below -{SO_RADICAND_TOL:g} at node {int(np.argmax(bad))}"
         )
     return np.sqrt(np.clip(radicand, 0.0, None))
 
@@ -134,7 +131,7 @@ def subgraph_centrality(view):
     try:
         lam, u = scipy.linalg.eigh(a)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"sg: eigendecomposition failed: {exc}") from exc
     return (u * u) @ np.exp(lam)
 
 
@@ -169,9 +166,9 @@ def max_clique_count(view, max_cliques=10_000_000, time_budget=300.0):
         nonlocal best_size, counts, seen
         seen += 1
         if seen > max_cliques:
-            raise ResourceBudgetError(f"more than {max_cliques} maximal cliques")
+            raise ResourceBudgetError(f"mc: more than {max_cliques} maximal cliques")
         if not seen % 1024 and time.monotonic() > deadline:
-            raise ResourceBudgetError(f"clique enumeration exceeded {time_budget:g} s")
+            raise ResourceBudgetError(f"mc: clique enumeration exceeded {time_budget:g} s")
         if size > best_size:
             best_size = size
             counts[:] = 0
@@ -222,45 +219,38 @@ def bipartite_clustering(view):
     return out
 
 
-def harmonic(view):
+def harmonic(view, nodes=None):
     """Sum of reciprocal shortest-path distances, edge weights as lengths.
 
-    Unreachable pairs contribute zero, so disconnected views are fine.
+    Unreachable pairs contribute zero, so disconnected views are fine.  With
+    ``nodes`` (view positions), Dijkstra runs from those sources only.
     """
     if np.any(view.weights[view.edge_mask] <= 0.0):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
+    nodes = np.arange(view.node_count) if nodes is None else nodes
     graph = csr_matrix(np.where(view.edge_mask, view.weights, 0.0))
-    dist = dijkstra(graph, directed=False)
-    np.fill_diagonal(dist, np.inf)
+    dist = dijkstra(graph, directed=False, indices=nodes).reshape(len(nodes), -1)
+    dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)
-    return inv.sum(axis=0)
+    return inv.sum(axis=1)
 
 
 def current_flow_closeness(view, mode="raw"):
     """Closeness over effective resistances from the Laplacian pseudoinverse.
 
     mode "raw" (default) uses the signed weights directly as conductances;
-    "absolute" uses their magnitudes.  Non-finite results are flagged NaN.
+    "absolute" uses their magnitudes.  Non-finite results are flagged NaN; a
+    kernel wider than the constants raises NumericalError.
     """
     if mode not in ("raw", "absolute"):
         raise StructuralError(f"unknown cfc mode {mode!r}")
     n = view.node_count
-    ncomp, _ = connected_components(view.edge_mask.astype(np.int8), directed=False)
-    if ncomp != 1:
-        raise StructuralError("current-flow closeness requires a connected view")
     w = np.where(view.edge_mask, view.weights, 0.0)
-    if mode == "absolute":
-        w = np.abs(w)
-    lap = np.diag(w.sum(axis=1)) - w
-    try:
-        lp = np.linalg.pinv(lap, hermitian=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Laplacian pseudoinverse failed (mode={mode}): {exc}") from exc
-    d = np.diag(lp)
-    r_eff = d[:, np.newaxis] + d[np.newaxis, :] - 2.0 * lp
+    lp = _laplacian_pinv_diagonal(view, np.abs(w) if mode == "absolute" else w, f"cfc (mode={mode})")
+    # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (n - 1) / r_eff.sum(axis=1)
+        out = (n - 1) / (n * lp + lp.sum())
     out[~np.isfinite(out)] = np.nan
     return out
 
@@ -277,11 +267,82 @@ _MEASURE_FUNCS = {
 }
 
 
-def compute_measure(measure_id, view, **kwargs):
-    """Run one measure on a view it is bound to (no component handling)."""
+def _parity_sides(view):
+    """Even- and odd-layer positions of a view whose layer parity bipartitions
+    its edges; None for views without layer tags or with a same-parity edge."""
+    if view.layers is None:
+        return None
+    odd = view.layers % 2 == 1
+    if np.any(view.edge_mask & (odd[:, np.newaxis] == odd[np.newaxis, :])):
+        return None
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def _clustering_rows(view, nodes):
+    """bipartite_clustering at ``nodes``, from their rows of A·A in one pass."""
+    a = view.edge_mask.astype(np.float64)
+    deg = a.sum(axis=1)
+    common = a[nodes] @ a
+    common[np.arange(len(nodes)), nodes] = 0.0
+    cand = common >= 1.0
+    pc = np.divide(common, np.maximum(deg[nodes, np.newaxis], deg), out=np.zeros_like(common), where=cand)
+    count = cand.sum(axis=1)
+    return np.divide(pc.sum(axis=1), count, out=np.zeros(len(nodes)), where=count > 0)
+
+
+def _bipartite_subgraph_rows(view, nodes):
+    """Subgraph centrality from a thin SVD B = UΣVᵀ of the even×odd biadjacency.
+
+    exp(A) has diagonal blocks cosh(√(BBᵀ)) and cosh(√(BᵀB)), so sg_i is
+    1 + Σ_k U_ik² (cosh σ_k - 1), with V on the odd side (Estrada &
+    Rodríguez-Velázquez 2005).
+    """
+    sides = _parity_sides(view)
+    if sides is None:
+        return subgraph_centrality(view)[nodes]
+    even, odd = sides
+    b = view.edge_mask[np.ix_(even, odd)].astype(np.float64)
+    try:
+        u, sigma, vt = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD rarely fails to converge
+        raise NumericalError(f"sg: biadjacency SVD failed: {exc}") from exc
+    excess = 2.0 * np.sinh(sigma / 2.0) ** 2  # cosh σ - 1 without cancellation
+    out = np.ones(view.node_count)
+    out[even] += (u * u) @ excess
+    out[odd] += (vt * vt).T @ excess
+    return out[nodes]
+
+
+def _bipartite_clique_rows(view, nodes, **budgets):
+    """A bipartite graph has no triangles: with any edge, every maximum clique
+    is an edge and a node's count is its degree; without edges it is 1."""
+    if _parity_sides(view) is None:
+        return max_clique_count(view, **budgets)[nodes]
+    degree = view.edge_mask[nodes].sum(axis=1).astype(np.float64)
+    return degree if view.edge_mask.any() else np.ones(len(nodes))
+
+
+_ROW_FUNCS = {
+    "sg": _bipartite_subgraph_rows,
+    "mc": _bipartite_clique_rows,
+    "bc": _clustering_rows,
+    "hc": harmonic,
+}
+
+
+def compute_measure(measure_id, view, nodes=None, **kwargs):
+    """Run one measure on a view it is bound to (no component handling).
+
+    Returns the values at view positions ``nodes``, or at every node when
+    ``nodes`` is None.  hc, bc, sg and mc compute those rows only; sg and mc
+    use their bipartite rules when layer parity bipartitions the view's edges.
+    """
     if measure_id not in MEASURES:
         raise StructuralError(f"unknown measure {measure_id!r}; valid: {', '.join(MEASURE_ORDER)}")
-    return _MEASURE_FUNCS[measure_id](view, **kwargs)
+    nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    if measure_id in _ROW_FUNCS:
+        return _ROW_FUNCS[measure_id](view, nodes, **kwargs)
+    return _MEASURE_FUNCS[measure_id](view, **kwargs)[nodes]
 
 
 @dataclass(frozen=True)
@@ -311,6 +372,25 @@ class NeuronMeasures:
         return tuple(sorted(set(self.layer.tolist())))
 
 
+def nan_table(net: LayeredNetwork, measures=MEASURE_ORDER, network_id=None) -> NeuronMeasures:
+    """Hidden-neuron measure table, all NaN; the id defaults to seed<meta.seed>."""
+    layers = np.repeat(np.arange(len(net.arch)), net.arch)
+    hidden_ids = np.flatnonzero((layers >= 1) & (layers < net.depth))
+    offsets = np.concatenate([[0], np.cumsum(net.arch)])
+    if network_id is None:
+        seed = net.meta.get("seed")
+        network_id = f"seed{seed}" if seed is not None else "net"
+    acc = net.meta.get("test_acc", math.nan)
+    return NeuronMeasures(
+        network_id=str(network_id),
+        measures=tuple(measures),
+        layer=layers[hidden_ids],
+        neuron=hidden_ids - offsets[layers[hidden_ids]],
+        values=np.full((hidden_ids.size, len(measures)), np.nan),
+        test_acc=float(acc) if acc is not None else math.nan,
+    )
+
+
 def measure_all(
     net: LayeredNetwork,
     measures=MEASURE_ORDER,
@@ -321,54 +401,36 @@ def measure_all(
 ) -> NeuronMeasures:
     """Compute the requested measures for every hidden neuron of a network.
 
-    Each measure runs on its bound view.  Connectivity-requiring measures
-    (so, cfc) run on the largest connected component of their view; hidden
-    neurons outside that component come back NaN.
+    Each measure runs on its bound view, for the hidden rows only.  Measures
+    needing connectivity (so, cfc) run on the largest connected component of
+    their view; hidden neurons outside that component come back NaN.
     """
     measures = tuple(measures)
     for m in measures:
         if m not in MEASURES:
             raise StructuralError(f"unknown measure {m!r}; valid: {', '.join(MEASURE_ORDER)}")
+    table = nan_table(net, measures, network_id)
     graph = build_graph(net)
+    hidden_ids = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
     views = {}
-    full = {}
-    for m in measures:
+    extra = {"cfc": {"mode": cfc_mode},
+             "mc": {"max_cliques": clique_budget, "time_budget": clique_time_budget}}
+    for j, m in enumerate(measures):
         info = MEASURES[m]
         if info.view_mode not in views:
             views[info.view_mode] = threshold_view(graph, info.view_mode)
         view = views[info.view_mode]
-        kwargs = {}
-        if m == "cfc":
-            kwargs["mode"] = cfc_mode
-        elif m == "mc":
-            kwargs = {"max_cliques": clique_budget, "time_budget": clique_time_budget}
-        if info.needs_connected:
-            comp = largest_component(view)
-            vec = np.full(graph.node_count, np.nan)
-            if comp.view.node_count >= 2:
-                vec[comp.view.node_ids] = compute_measure(m, comp.view, **kwargs)
-            full[m] = vec
-        else:
-            full[m] = compute_measure(m, view, **kwargs)
-
-    hidden = (graph.layers >= 1) & (graph.layers <= net.depth - 1)
-    hidden_ids = np.flatnonzero(hidden)
-    layer = graph.layers[hidden_ids]
-    offsets = np.concatenate([[0], np.cumsum(net.arch)])
-    neuron = hidden_ids - offsets[layer]
-    values = np.column_stack([full[m][hidden_ids] for m in measures])
-    if network_id is None:
-        seed = net.meta.get("seed")
-        network_id = f"seed{seed}" if seed is not None else "net"
-    acc = net.meta.get("test_acc", math.nan)
-    return NeuronMeasures(
-        network_id=str(network_id),
-        measures=measures,
-        layer=layer,
-        neuron=neuron,
-        values=values,
-        test_acc=float(acc) if acc is not None else math.nan,
-    )
+        kwargs = extra.get(m, {})
+        if not info.needs_connected:
+            table.values[:, j] = compute_measure(m, view, nodes=hidden_ids, **kwargs)
+            continue
+        comp = largest_component(view).view
+        if comp.node_count >= 2:
+            # node ids ascend in both, so hidden rows and component positions align
+            inside = np.isin(hidden_ids, comp.node_ids)
+            nodes = np.flatnonzero(np.isin(comp.node_ids, hidden_ids))
+            table.values[inside, j] = compute_measure(m, comp, nodes=nodes, **kwargs)
+    return table
 
 
 def write_measures_csv(tables, path):
@@ -421,7 +483,7 @@ def read_measures_csv(path, accuracies=None):
             raise FormatError(f"{path}:{lineno}: rows of network {nid!r} are not contiguous")
         last = nid
         try:
-            rows.setdefault(nid, []).append((int(row[1]), int(row[2]), [float(x) for x in row[3:]]))
+            rows.setdefault(nid, []).append((int(row[1]), int(row[2]), [parse_float(x) for x in row[3:]]))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
     tables = []

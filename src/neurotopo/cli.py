@@ -45,17 +45,19 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_record(anchor, command, args, artifacts, **resolved):
+def _write_run_record(anchor, command, args, artifacts, failed=None, **resolved):
     """run.json beside the main output: {anchor}/run.json for directories,
     {anchor}.run.json for files.  Parameters are the parsed arguments, with
     the values a command resolved from them (arch, measures, k) in place of
-    the raw ones."""
+    the raw ones; ``failed`` lists the work items that failed."""
     record = {
         "command": command,
         "parameters": {k: v for k, v in vars(args).items() if k != "func"} | resolved,
         "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if failed is not None:
+        record["failed"] = failed
     path = os.path.join(anchor, "run.json") if os.path.isdir(anchor) else f"{anchor}.run.json"
     write_json(path, record, indent=1)
 
@@ -162,14 +164,26 @@ def _parse_measures(text):
 
 def cmd_measure(args):
     measures = _parse_measures(args.measures)
-    tables = [
-        centrality.measure_all(load_model(path), measures=measures, cfc_mode=args.cfc_mode)
-        for path in _model_paths(args.models)
-    ]
+    tables, failed, origin = [], [], {}
+    for path in _model_paths(args.models):
+        net = load_model(path)
+        table = centrality.nan_table(net, measures)
+        if table.network_id in origin:
+            raise StructuralError(
+                f"network id {table.network_id!r} appears in more than one table: "
+                f"{origin[table.network_id]} and {path}"
+            )
+        origin[table.network_id] = path
+        try:
+            table = centrality.measure_all(net, measures=measures, cfc_mode=args.cfc_mode)
+        except (NumericalError, ResourceBudgetError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            failed.append({"model": path, "error": str(exc)})
+        tables.append(table)
     centrality.write_measures_csv(tables, args.out)
-    _write_run_record(args.out, "measure", args, [args.out], measures=list(measures))
-    print(f"measured {len(tables)} networks -> {args.out}")
-    return EXIT_OK
+    _write_run_record(args.out, "measure", args, [args.out], failed, measures=list(measures))
+    print(f"measured {len(tables) - len(failed)}/{len(tables)} networks -> {args.out}")
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def _load_accuracies(manifest_path):

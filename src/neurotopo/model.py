@@ -289,7 +289,10 @@ def load_model(path) -> LayeredNetwork:
         if not isinstance(values, list) or len(values) != want:
             got = len(values) if isinstance(values, list) else type(values).__name__
             raise FormatError(f"{path}: weights[{a}]: expected {want} values, got {got}")
-        weights.append(np.asarray(values, dtype=np.float64).reshape(arch[a], arch[a + 1]))
+        try:
+            weights.append(np.asarray(values, dtype=np.float64).reshape(arch[a], arch[a + 1]))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: weights[{a}]: {exc}") from exc
     meta = doc.get("meta")
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta: must be an object")

@@ -7,6 +7,7 @@ import pytest
 
 from neurotopo.artifacts import (
     format_float,
+    parse_float,
     read_csv_rows,
     read_json,
     write_csv,
@@ -95,6 +96,16 @@ class TestReaders:
         with pytest.raises(FormatError) as info:
             read_csv_rows(path)
         assert where in str(info.value)
+
+    @pytest.mark.parametrize("value", [0.1, -2.5e-07, 1e16, 3.0, -0.0])
+    def test_float_cells_round_trip(self, value):
+        assert parse_float(format_float(value)) == value
+        assert math.isnan(parse_float(format_float(math.nan)))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NAN", " 1.0", "1.0 ", "1.50", "1_0.0", "1e999", ""])
+    def test_float_cells_the_writer_never_writes(self, cell):
+        with pytest.raises(ValueError):
+            parse_float(cell)
 
     def test_crlf_csv_still_reads(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -24,7 +24,7 @@ from neurotopo.bon import (
 )
 from neurotopo.centrality import NeuronMeasures
 from neurotopo.descriptors import NeuronDescriptor, feature_matrix_from_values
-from neurotopo.errors import StructuralError
+from neurotopo.errors import FormatError, StructuralError
 
 
 def planted_clusters(rng, centers, per_cluster, sigma):
@@ -362,3 +362,10 @@ class TestVocabularyIo:
         np.testing.assert_array_equal(back[0].occurrence, [0.25, 0.75])
         assert math.isnan(back[1].test_acc)
         assert back[2].test_acc == 0.5
+
+    @pytest.mark.parametrize("row", ["b,inf,0.5,0.5", "b,0.5,nan,0.5", "b,0.5, 0.5,0.5", "b,0.5,0.50,0.5"])
+    def test_occurrence_csv_rejects_cells_the_writer_never_writes(self, tmp_path, row):
+        path = tmp_path / "occ.csv"
+        path.write_text(f"network_id,test_acc,f1,f2\na,NaN,0.25,0.75\n{row}\n")
+        with pytest.raises(FormatError, match="occ.csv:3: "):
+            read_occurrence_csv(path)

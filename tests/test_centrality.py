@@ -7,9 +7,12 @@ import pytest
 
 import oracles
 from conftest import graph_from_edges, random_signed_graph, unit_graph
+from neurotopo import centrality
 from neurotopo.centrality import (
     MEASURE_ORDER,
+    MEASURES,
     avg_neighbor_strength,
+    compute_measure,
     bipartite_clustering,
     current_flow_closeness,
     harmonic,
@@ -21,13 +24,14 @@ from neurotopo.centrality import (
     subgraph_centrality,
     write_measures_csv,
 )
-from neurotopo.errors import FormatError, ResourceBudgetError, StructuralError
+from neurotopo.errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
 from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
     VIEW_POSITIVE_UNWEIGHTED,
     LayeredNetwork,
     NeuronGraph,
+    build_graph,
     largest_component,
     threshold_view,
 )
@@ -297,6 +301,12 @@ class TestCurrentFlowCloseness:
         assert r[0, 3] == pytest.approx(1 / 2.0 + 1 / 0.5, abs=1e-9)
         assert r[2, 3] == pytest.approx(1 / 4.0 + 1 / 0.5, abs=1e-9)
 
+    def test_singular_grounded_laplacian_raises(self):
+        # a zero-weight edge connects the pair but conducts nothing: L = 0
+        g = graph_from_edges(2, [(0, 1, 0.0)])
+        with pytest.raises(NumericalError, match=r"cfc \(mode=absolute\): L \+ J/n is singular"):
+            current_flow_closeness(view(g, VIEW_ORIGINAL), mode="absolute")
+
     def test_matches_grounded_solver(self):
         for seed in range(15):
             g = random_signed_graph(seed)
@@ -312,8 +322,6 @@ class TestVertexTransitiveConstancy:
     @pytest.mark.parametrize("graph", [K(4), unit_graph(6, [(i, (i + 1) % 6) for i in range(6)])])
     def test_all_measures_constant(self, graph):
         for mid in MEASURE_ORDER:
-            from neurotopo.centrality import MEASURES, compute_measure
-
             v = threshold_view(graph, MEASURES[mid].view_mode)
             vec = compute_measure(mid, v)
             np.testing.assert_allclose(vec, vec[0], atol=1e-9, err_msg=mid)
@@ -354,6 +362,118 @@ class TestMeasureAll:
             measure_all(net, measures=("s", "pagerank"))
 
 
+def _edge_case_nets():
+    """Seeded nets at a toy and at the desk architecture, plus edge cases."""
+    nets = [init_network(arch, seed=seed) for arch in ((12, 6, 5, 3), (784, 32, 16, 10)) for seed in (0, 1)]
+    w = [np.array(x) for x in init_network((12, 6, 5, 3), seed=2).weights]
+    w[0][::3, ::2] = 0.0  # zero-weight synapses: edges of the original view only
+    w[1][::2, 1] = 0.0
+    w[0][:, 2] = -np.abs(w[0][:, 2])  # neuron 2 of layer 1 has only negative synapses,
+    w[1][2, :] = -np.abs(w[1][2, :])  # so it is isolated in the positive views
+    nets.append(LayeredNetwork(arch=(12, 6, 5, 3), weights=w))
+    # no positive synapse at all: the positive views have no edges
+    nets.append(LayeredNetwork(arch=(4, 3, 2), weights=[-np.abs(x) for x in init_network((4, 3, 2), seed=3).weights]))
+    return nets
+
+
+class TestLayeredKernels:
+    """measure_all's row kernels against the general functions at the hidden rows."""
+
+    @pytest.mark.parametrize("net", _edge_case_nets())
+    def test_measure_all_matches_general_functions(self, net):
+        table = measure_all(net)
+        graph = build_graph(net)
+        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
+        general = {"s": strength, "snn": avg_neighbor_strength, "sg": subgraph_centrality,
+                   "mc": max_clique_count, "bc": bipartite_clustering, "hc": harmonic}
+        for m in MEASURE_ORDER:
+            v = threshold_view(graph, MEASURES[m].view_mode)
+            if m in general:
+                want = general[m](v)[hidden]
+            else:
+                want = np.full(graph.node_count, np.nan)
+                comp = largest_component(v).view
+                if comp.node_count >= 2:
+                    func = second_order if m == "so" else current_flow_closeness
+                    want[comp.node_ids] = func(comp)
+                want = want[hidden]
+            got = table.column(m)
+            if m in ("s", "snn", "mc"):
+                np.testing.assert_array_equal(got, want, err_msg=m)
+            elif m == "sg":
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0, err_msg=m)
+            else:
+                tol = {"so": 1e-6, "cfc": 1e-9}.get(m, 1e-12)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=tol, err_msg=m)
+
+    def test_isolated_hidden_neuron(self):
+        table = measure_all(_edge_case_nets()[4])
+        row = (table.layer == 1) & (table.neuron == 2)
+        assert table.column("mc")[row] == 0.0
+        assert table.column("sg")[row] == 1.0
+        assert table.column("hc")[row] == 0.0
+        assert np.isnan(table.column("so")[row]).all()
+
+    def test_non_bipartite_layering_falls_back(self):
+        # a triangle tagged with layers 0, 1, 2: the 0-2 edge joins two even layers
+        g = NeuronGraph.from_adjacency(K(3).weights, layers=[0, 1, 2])
+        v = view(g)
+        nodes = np.array([1, 2])
+        np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), max_clique_count(v)[nodes])
+        np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), [1.0, 1.0])  # not degree 2
+        np.testing.assert_array_equal(compute_measure("sg", v, nodes=nodes), subgraph_centrality(v)[nodes])
+
+    def test_one_compute_measure_call_per_measure(self, monkeypatch):
+        calls = []
+        inner = centrality.compute_measure
+
+        def spy(measure_id, *args, **kwargs):
+            calls.append(measure_id)
+            return inner(measure_id, *args, **kwargs)
+
+        monkeypatch.setattr(centrality, "compute_measure", spy)
+        measure_all(init_network((12, 6, 5, 3), seed=0), measures=MEASURE_ORDER)
+        assert sorted(calls) == sorted(MEASURE_ORDER)
+
+
+class TestNetworkxOracle:
+    """networkx as an oracle independent of both neurotopo and tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_hidden_rows_match_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        net = init_network((12, 6, 5, 3), seed=seed)
+        graph = build_graph(net)
+        n = graph.node_count
+        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth)).tolist()
+        signed = nx.Graph()
+        signed.add_nodes_from(range(n))
+        signed.add_weighted_edges_from(
+            (int(i), int(j), float(graph.weights[i, j])) for i, j in np.argwhere(np.triu(graph.edge_mask))
+        )
+        positive = nx.Graph()
+        positive.add_nodes_from(range(n))
+        positive.add_weighted_edges_from((u, v, w) for u, v, w in signed.edges(data="weight") if w > 0.0)
+        unweighted = nx.Graph(positive.edges())
+        unweighted.add_nodes_from(range(n))
+        comp = unweighted.subgraph(max(nx.connected_components(unweighted), key=len))
+        table = measure_all(net)
+
+        def want(values):
+            return np.array([values.get(v, np.nan) for v in hidden])
+
+        sg = want(nx.subgraph_centrality(unweighted))
+        np.testing.assert_allclose(table.column("sg"), sg, rtol=1e-10)
+        hc = want(nx.harmonic_centrality(positive, distance="weight"))
+        np.testing.assert_allclose(table.column("hc"), hc, rtol=1e-12, atol=1e-12)
+        bc = want(nx.bipartite.latapy_clustering(unweighted, nodes=hidden, mode="max"))
+        np.testing.assert_allclose(table.column("bc"), bc, rtol=0.0, atol=1e-12)
+        so = want(nx.second_order_centrality(comp))
+        np.testing.assert_allclose(table.column("so"), so, rtol=0.0, atol=1e-6)
+        cfc = want(nx.current_flow_closeness_centrality(signed, weight="weight")) * (n - 1)
+        np.testing.assert_allclose(table.column("cfc"), cfc, rtol=1e-9, atol=1e-9)
+
+
 class TestMeasuresCsv:
     def test_round_trip_with_nan(self, tmp_path):
         net = init_network((3, 4, 2, 2), seed=2)
@@ -371,6 +491,13 @@ class TestMeasuresCsv:
         tables = [measure_all(net, measures=("s",)) for _ in range(2)]
         with pytest.raises(StructuralError, match="seed2"):
             write_measures_csv(tables, tmp_path / "measures.csv")
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", " 1.0 ", "1.50", "-Infinity"])
+    def test_cells_the_writer_never_writes_rejected(self, tmp_path, cell):
+        path = tmp_path / "measures.csv"
+        path.write_text(f"network_id,layer,neuron,s,so\na,1,0,0.25,NaN\na,1,1,{cell},NaN\n")
+        with pytest.raises(FormatError, match="measures.csv:3: "):
+            read_measures_csv(path)
 
     def test_split_network_rows_rejected(self, tmp_path):
         path = tmp_path / "measures.csv"

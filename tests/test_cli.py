@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import neurotopo
-from neurotopo.centrality import measure_all, write_measures_csv
+from neurotopo import centrality
+from neurotopo.centrality import measure_all, read_measures_csv, write_measures_csv
 from neurotopo.cli import main
+from neurotopo.errors import NumericalError
 from neurotopo.datagen import write_synthetic_benchmark
 from neurotopo.trainer import init_network
 
@@ -112,6 +115,54 @@ class TestMeasureCommand:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "cfc" in capsys.readouterr().err  # lists the valid ids
+
+    def test_one_failing_network_keeps_the_others(self, trained_dir, tmp_path, monkeypatch, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("model_seed0.json", "model_seed1.json"):
+            shutil.copy(trained_dir / name, models / name)
+        inner = centrality._MEASURE_FUNCS["s"]
+        calls = []
+
+        def fails_on_second_model(view):
+            calls.append(view)
+            if len(calls) == 2:
+                raise NumericalError("s: forced failure")
+            return inner(view)
+
+        monkeypatch.setitem(centrality._MEASURE_FUNCS, "s", fails_on_second_model)
+        out = tmp_path / "m.csv"
+        code = main(["measure", "--models", str(models), "--measures", "s,bc", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "model_seed1.json" in err and "s: forced failure" in err
+        tables = read_measures_csv(out)
+        assert [t.network_id for t in tables] == ["seed0", "seed1"]
+        assert not np.isnan(tables[0].values).any()
+        assert np.isnan(tables[1].values).all() and tables[1].values.shape == (14, 2)
+        record = json.loads((tmp_path / "m.csv.run.json").read_text())
+        assert [Path(f["model"]).name for f in record["failed"]] == ["model_seed1.json"]
+
+    def test_duplicate_network_id_names_both_models(self, trained_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        shutil.copy(trained_dir / "model_seed0.json", models / "model_seed0.json")
+        shutil.copy(trained_dir / "model_seed0.json", models / "copy.json")
+        code = main(["measure", "--models", str(models), "--measures", "s", "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'seed0' appears in more than one table" in err
+        assert "model_seed0.json" in err and "copy.json" in err
+
+    def test_string_weight_exits_3(self, trained_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        doc = json.loads((trained_dir / "model_seed0.json").read_text())
+        doc["weights"][1][0] = "a"
+        (models / "model_seed0.json").write_text(json.dumps(doc))
+        code = main(["measure", "--models", str(models), "--measures", "s", "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert "model_seed0.json: weights[1]" in capsys.readouterr().err
 
     def test_empty_models_dir_exits_3(self, tmp_path):
         empty = tmp_path / "empty"

@@ -204,6 +204,18 @@ class TestSerialization:
         with pytest.raises(FormatError, match=r"weights\[0\]: expected 6 values, got 7"):
             load_model(path)
 
+    def test_string_weight_names_file_and_matrix(self, tmp_path):
+        doc = {
+            "format": "nnx-json/1",
+            "arch": [2, 2, 1],
+            "weights": [[0.5, 0.5, 0.5, 0.5], ["a", 1.0]],
+            "meta": {"seed": 0, "dataset_id": "", "epochs": 0, "train_acc": 0.0, "test_acc": 0.0},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"m.json: weights\[1\]: .*'a'"):
+            load_model(path)
+
     def test_bad_format_field(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": "nnx-json/2", "arch": [1, 1], "weights": [[0.0]], "meta": {}}')
