@@ -197,25 +197,26 @@ def max_clique_count(view, max_cliques=10_000_000, time_budget=300.0):
     return counts.astype(np.float64)
 
 
-def bipartite_clustering(view):
+def bipartite_clustering(view, nodes=None):
     """Second-neighbor overlap clustering (pairwise coefficient |N∩N|/max).
 
     For each node the pairwise coefficient is averaged over the node's
     second-order neighborhood (neighbors of neighbors, excluding the node
     itself); nodes without second-order neighbors score a defined zero.
+    With ``nodes`` (view positions), only those rows are computed.
     """
     a = view.edge_mask.astype(np.float64)
-    n = view.node_count
+    nodes = np.arange(view.node_count) if nodes is None else nodes
     deg = a.sum(axis=1)
-    common = a @ a  # common[v, u] = |N(v) ∩ N(u)|, exact small integers
-    out = np.zeros(n)
-    idx = np.arange(n)
-    for v in range(n):
-        cand = (common[v] >= 1.0) & (idx != v)
+    common = a[nodes] @ a  # common[k, u] = |N(nodes[k]) ∩ N(u)|, exact small integers
+    out = np.zeros(len(nodes))
+    idx = np.arange(view.node_count)
+    for k, v in enumerate(nodes):
+        cand = (common[k] >= 1.0) & (idx != v)
         if not np.any(cand):
             continue
-        pc = common[v, cand] / np.maximum(deg[v], deg[cand])
-        out[v] = np.mean(pc)
+        pc = common[k, cand] / np.maximum(deg[v], deg[cand])
+        out[k] = np.mean(pc)
     return out
 
 
@@ -229,7 +230,7 @@ def harmonic(view, nodes=None):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
     nodes = np.arange(view.node_count) if nodes is None else nodes
     graph = csr_matrix(np.where(view.edge_mask, view.weights, 0.0))
-    dist = dijkstra(graph, directed=False, indices=nodes).reshape(len(nodes), -1)
+    dist = dijkstra(graph, directed=False, indices=nodes)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)
@@ -255,18 +256,6 @@ def current_flow_closeness(view, mode="raw"):
     return out
 
 
-_MEASURE_FUNCS = {
-    "s": strength,
-    "snn": avg_neighbor_strength,
-    "so": second_order,
-    "sg": subgraph_centrality,
-    "mc": max_clique_count,
-    "bc": bipartite_clustering,
-    "hc": harmonic,
-    "cfc": current_flow_closeness,
-}
-
-
 def _parity_sides(view):
     """Even- and odd-layer positions of a view whose layer parity bipartitions
     its edges; None for views without layer tags or with a same-parity edge."""
@@ -276,18 +265,6 @@ def _parity_sides(view):
     if np.any(view.edge_mask & (odd[:, np.newaxis] == odd[np.newaxis, :])):
         return None
     return np.flatnonzero(~odd), np.flatnonzero(odd)
-
-
-def _clustering_rows(view, nodes):
-    """bipartite_clustering at ``nodes``, from their rows of A·A in one pass."""
-    a = view.edge_mask.astype(np.float64)
-    deg = a.sum(axis=1)
-    common = a[nodes] @ a
-    common[np.arange(len(nodes)), nodes] = 0.0
-    cand = common >= 1.0
-    pc = np.divide(common, np.maximum(deg[nodes, np.newaxis], deg), out=np.zeros_like(common), where=cand)
-    count = cand.sum(axis=1)
-    return np.divide(pc.sum(axis=1), count, out=np.zeros(len(nodes)), where=count > 0)
 
 
 def _bipartite_subgraph_rows(view, nodes):
@@ -322,11 +299,21 @@ def _bipartite_clique_rows(view, nodes, **budgets):
     return degree if view.edge_mask.any() else np.ones(len(nodes))
 
 
-_ROW_FUNCS = {
+def _all_rows(func):
+    """Row kernel of a measure computed at every node, kept at ``nodes``."""
+    return lambda view, nodes, **kwargs: func(view, **kwargs)[nodes]
+
+
+# every entry takes (view, nodes, **kwargs) and returns the values at nodes
+_MEASURE_FUNCS = {
+    "s": _all_rows(strength),
+    "snn": _all_rows(avg_neighbor_strength),
+    "so": _all_rows(second_order),
     "sg": _bipartite_subgraph_rows,
     "mc": _bipartite_clique_rows,
-    "bc": _clustering_rows,
+    "bc": bipartite_clustering,
     "hc": harmonic,
+    "cfc": _all_rows(current_flow_closeness),
 }
 
 
@@ -340,9 +327,7 @@ def compute_measure(measure_id, view, nodes=None, **kwargs):
     if measure_id not in MEASURES:
         raise StructuralError(f"unknown measure {measure_id!r}; valid: {', '.join(MEASURE_ORDER)}")
     nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    if measure_id in _ROW_FUNCS:
-        return _ROW_FUNCS[measure_id](view, nodes, **kwargs)
-    return _MEASURE_FUNCS[measure_id](view, **kwargs)[nodes]
+    return _MEASURE_FUNCS[measure_id](view, nodes, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -433,23 +418,28 @@ def measure_all(
     return table
 
 
-def write_measures_csv(tables, path):
+def write_measures_csv(tables, path, sources=None):
     """Write measure tables as CSV: network_id,layer,neuron,<measure columns>.
 
     All tables must share the same measure list and carry distinct network
-    ids; undefined values serialize as the literal NaN.
+    ids; undefined values serialize as the literal NaN.  ``sources``, one
+    label per table (say, its model file), names the tables an error is about.
     """
     tables = list(tables)
     if not tables:
         raise StructuralError("no measure tables to write")
+    sources = [f"table {i}" for i in range(len(tables))] if sources is None else list(sources)
     measures = tables[0].measures
-    seen = set()
-    for t in tables:
+    origin = {}
+    for t, source in zip(tables, sources):
         if t.measures != measures:
             raise StructuralError("measure tables disagree on their measure columns")
-        if t.network_id in seen:
-            raise StructuralError(f"network id {t.network_id!r} appears in more than one table")
-        seen.add(t.network_id)
+        if t.network_id in origin:
+            raise StructuralError(
+                f"network id {t.network_id!r} appears in more than one table: "
+                f"{origin[t.network_id]} and {source}"
+            )
+        origin[t.network_id] = source
     write_csv(
         path,
         list(CSV_FIXED_COLUMNS) + list(measures),

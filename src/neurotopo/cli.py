@@ -164,23 +164,18 @@ def _parse_measures(text):
 
 def cmd_measure(args):
     measures = _parse_measures(args.measures)
-    tables, failed, origin = [], [], {}
-    for path in _model_paths(args.models):
+    paths = _model_paths(args.models)
+    tables, failed = [], []
+    for path in paths:
         net = load_model(path)
-        table = centrality.nan_table(net, measures)
-        if table.network_id in origin:
-            raise StructuralError(
-                f"network id {table.network_id!r} appears in more than one table: "
-                f"{origin[table.network_id]} and {path}"
-            )
-        origin[table.network_id] = path
         try:
             table = centrality.measure_all(net, measures=measures, cfc_mode=args.cfc_mode)
         except (NumericalError, ResourceBudgetError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failed.append({"model": path, "error": str(exc)})
+            table = centrality.nan_table(net, measures)
         tables.append(table)
-    centrality.write_measures_csv(tables, args.out)
+    centrality.write_measures_csv(tables, args.out, sources=paths)
     _write_run_record(args.out, "measure", args, [args.out], failed, measures=list(measures))
     print(f"measured {len(tables) - len(failed)}/{len(tables)} networks -> {args.out}")
     return EXIT_PARTIAL if failed else EXIT_OK

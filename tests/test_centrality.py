@@ -356,6 +356,12 @@ class TestMeasureAll:
         assert table.measures == MEASURE_ORDER
         assert set(table.layer.tolist()) == {1, 2}
 
+    def test_no_hidden_layer_gives_empty_table(self, tmp_path):
+        table = measure_all(init_network((3, 2), seed=0), measures=MEASURE_ORDER)
+        assert table.values.shape == (0, 8)
+        write_measures_csv([table], tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text() == "network_id,layer,neuron,s,snn,so,sg,mc,bc,hc,cfc\n"
+
     def test_unknown_measure_rejected(self):
         net = init_network((2, 2, 2), seed=0)
         with pytest.raises(StructuralError, match="valid"):
@@ -489,8 +495,10 @@ class TestMeasuresCsv:
     def test_duplicate_network_ids_rejected(self, tmp_path):
         net = init_network((3, 4, 2, 2), seed=2)
         tables = [measure_all(net, measures=("s",)) for _ in range(2)]
-        with pytest.raises(StructuralError, match="seed2"):
+        with pytest.raises(StructuralError, match="'seed2' .*: table 0 and table 1"):
             write_measures_csv(tables, tmp_path / "measures.csv")
+        with pytest.raises(StructuralError, match="a.json and b.json"):
+            write_measures_csv(tables, tmp_path / "measures.csv", sources=["a.json", "b.json"])
 
     @pytest.mark.parametrize("cell", ["inf", "nan", " 1.0 ", "1.50", "-Infinity"])
     def test_cells_the_writer_never_writes_rejected(self, tmp_path, cell):

@@ -124,11 +124,11 @@ class TestMeasureCommand:
         inner = centrality._MEASURE_FUNCS["s"]
         calls = []
 
-        def fails_on_second_model(view):
+        def fails_on_second_model(view, nodes):
             calls.append(view)
             if len(calls) == 2:
                 raise NumericalError("s: forced failure")
-            return inner(view)
+            return inner(view, nodes)
 
         monkeypatch.setitem(centrality._MEASURE_FUNCS, "s", fails_on_second_model)
         out = tmp_path / "m.csv"
