@@ -22,6 +22,7 @@ from .errors import FormatError
 
 # a JSON string, or a bare non-finite constant outside any string
 _BARE_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+_PLAIN_INT = re.compile(r"-?[1-9][0-9]*|0")
 
 
 def format_float(x):
@@ -39,6 +40,15 @@ def parse_float(cell):
     if not math.isfinite(value) or repr(value) != cell:
         raise ValueError(f"{cell!r} is not NaN or the repr of a finite float")
     return value
+
+
+def parse_int(cell):
+    """Value of an integer cell, which must be a plain decimal as ``str(int)``
+    writes it: no sign but ``-``, no spaces, underscores or leading zeros.
+    Anything else is a ValueError."""
+    if not _PLAIN_INT.fullmatch(cell):
+        raise ValueError(f"{cell!r} is not a plain decimal integer")
+    return int(cell)
 
 
 def _cell(value):

@@ -9,8 +9,9 @@ histograms.  Type indices are 1-based throughout, matching the usual
 psi_1..psi_k numbering of cluster tables.
 """
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import FormatError, StructuralError
 
 GENERATOR_ID = "numpy-pcg64"
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -29,7 +32,9 @@ class Vocabulary:
     Centroids are sorted ascending by their strength coordinate (ties broken
     by the bipartite-clustering coordinate).  normalizers are copied from the
     feature matrix the vocabulary was learned on, so raw descriptors can be
-    normalized consistently at assignment time.
+    normalized consistently at assignment time.  max_iter_hits counts the
+    restarts of the fit that stopped at max_iter; it is not saved, and is
+    None for a loaded vocabulary.
     """
 
     centroids: np.ndarray
@@ -40,6 +45,7 @@ class Vocabulary:
     seed: int
     benchmark_id: str = ""
     generator: str = GENERATOR_ID
+    max_iter_hits: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
@@ -71,6 +77,7 @@ class ElbowResult(NamedTuple):
     k_star: int
     chord_distances: np.ndarray  # in chord-normalized units
     low_confidence: bool  # no pronounced knee on the curve
+    max_iter_hits: np.ndarray  # per k, restarts that stopped at max_iter
 
 
 class CrossBenchmarkJsd(NamedTuple):
@@ -79,56 +86,147 @@ class CrossBenchmarkJsd(NamedTuple):
     per_network: dict
 
 
-def _kmeanspp(x, k, rng):
+# Bytes of one (restarts, k, rows) float64 distance block.  Restarts run in
+# blocks of as many as fit (at least one), which bounds the temporaries at
+# population scale.
+_BLOCK_BYTES = 1 << 22
+
+
+class _Scratch:
+    """Flat float64 arrays lent out as temporaries of at most ``size``
+    values, so a loop reuses its pages instead of faulting in new ones."""
+
+    def __init__(self, size):
+        self.size, self.free = size, []
+
+    def take(self, shape):
+        flat = self.free.pop() if self.free else np.empty(self.size)
+        return flat[: math.prod(shape)].reshape(shape)
+
+    def give(self, a):
+        self.free.append(a.base)
+
+
+def _pairwise_sum(term, add, lo, n):
+    """term(lo) + ... + term(lo + n - 1), folded with ``add(acc, t)`` in the
+    order of numpy's pairwise summation: one at a time below 8 terms, else
+    eight interleaved partial sums joined as a balanced tree and then the
+    rest one at a time, halving first above 128 terms."""
+    if n < 8:
+        acc = term(lo)
+        for j in range(lo + 1, lo + n):
+            acc = add(acc, term(j))
+        return acc
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return add(_pairwise_sum(term, add, lo, half), _pairwise_sum(term, add, lo + half, n - half))
+    end = lo + n - n % 8
+
+    def tree(m, width):
+        if width > 1:
+            return add(tree(m, width // 2), tree(m + width // 2, width // 2))
+        acc = term(lo + m)
+        for j in range(lo + m + 8, end, 8):
+            acc = add(acc, term(j))
+        return acc
+
+    acc = tree(0, 8)
+    for j in range(end, lo + n):
+        acc = add(acc, term(j))
+    return acc
+
+
+def _squared_distances(x, centers, scratch=None):
+    """(..., k, r) squared distances from centers (..., k, d) to rows x (r, d).
+
+    Bit-identical to ``((x[:, None] - centers[..., None, :, :]) ** 2).sum(-1)``
+    with its last two axes swapped: numpy sums the d coordinates pairwise,
+    and so does this, one coordinate at a time.  Temporaries come from
+    ``scratch`` when given; the result is one of them.
+    """
+    shape = centers.shape[:-1] + x.shape[:1]
+    xt = x.T
+
+    def term(j):
+        t = scratch.take(shape) if scratch else np.empty(shape)
+        np.subtract(xt[j], centers[..., j, np.newaxis], out=t)
+        return np.square(t, out=t)
+
+    def add(acc, t):
+        acc += t
+        if scratch:
+            scratch.give(t)
+        return acc
+
+    return _pairwise_sum(term, add, 0, x.shape[1])
+
+
+def _kmeanspp(x, k, rngs):
+    """k-means++ centers (R, k, d), one restart per generator.
+
+    Each generator draws as a lone restart would: ``integers`` for the first
+    center, then one ``choice`` weighted by d^2 per further center (again
+    ``integers`` when every row already is a center)."""
     r = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(r)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), k, x.shape[1]))
+    centers[:, 0] = x[[rng.integers(r) for rng in rngs]]
+    d2 = _squared_distances(x, centers[:, 0])
     for c in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = rng.choice(r, p=d2 / total)
-        else:
-            idx = rng.integers(r)
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+        picks = []
+        for rng, row in zip(rngs, d2):
+            total = row.sum()
+            picks.append(rng.choice(r, p=row / total) if total > 0.0 else rng.integers(r))
+        centers[:, c] = x[picks]
+        np.minimum(d2, _squared_distances(x, centers[:, c]), out=d2)
     return centers
 
 
-def _squared_distances(x, centers):
-    # (r, k) squared Euclidean distances
-    return ((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+def _lockstep(x, k, rngs, rel_tol, max_iter):
+    """Lloyd's algorithm for one block of restarts, all advanced together.
 
-
-def _lloyd(x, k, rng, rel_tol, max_iter):
-    centers = _kmeanspp(x, k, rng)
-    trace = []
+    Each restart follows the lone-restart rule bit for bit: centroid sums
+    accumulate in row order, an empty cluster is revived at the worst-fit
+    point, and a restart stops, leaving the active set, once the Frobenius
+    norm of its center shift falls below ``rel_tol`` relative to its previous
+    centers.  Returns the final centers (R, k, d), their inertias, the
+    per-restart inertia traces, and how many restarts were still moving at
+    ``max_iter``.
+    """
+    r, d = x.shape
+    centers = _kmeanspp(x, k, rngs)
+    traces = [[] for _ in rngs]
+    columns = np.tile(x.T, (1, len(rngs)))  # x[:, j] once per restart
+    scratch = _Scratch(len(rngs) * k * r)
+    active = np.arange(len(rngs))
     for _ in range(max_iter):
-        d2 = _squared_distances(x, centers)
-        labels = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(x.shape[0]), labels]
-        trace.append(float(point_d2.sum()))
-        new_centers = np.zeros_like(centers)
-        counts = np.bincount(labels, minlength=k)
-        np.add.at(new_centers, labels, x)
-        nonempty = counts > 0
-        new_centers[nonempty] /= counts[nonempty, np.newaxis]
-        if not np.all(nonempty):
-            # revive each empty cluster at the currently worst-fit point
-            order = np.argsort(-point_d2, kind="stable")
-            used = 0
-            for c in np.flatnonzero(~nonempty):
-                new_centers[c] = x[order[used]]
-                used += 1
-        shift = float(np.linalg.norm(new_centers - centers))
-        scale = max(float(np.linalg.norm(centers)), 1e-300)
-        centers = new_centers
-        if shift / scale < rel_tol:
+        if active.size == 0:
             break
-    d2 = _squared_distances(x, centers)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(x.shape[0]), labels].sum())
-    return centers, inertia, trace
+        old = centers[active]
+        d2 = _squared_distances(x, old, scratch)
+        labels = d2.argmin(axis=1)
+        point_d2 = d2.min(axis=1)
+        scratch.give(d2)
+        bins = (labels + k * np.arange(active.size)[:, np.newaxis]).ravel()
+        size = active.size * k
+        counts = np.bincount(bins, minlength=size).reshape(-1, k)
+        new = np.empty_like(old)
+        for j in range(d):
+            new[..., j] = np.bincount(bins, columns[j, : bins.size], size).reshape(-1, k)
+        new /= np.maximum(counts, 1)[..., np.newaxis]
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            empty = np.flatnonzero(counts[a] == 0)
+            order = np.argsort(-point_d2[a], kind="stable")
+            new[a, empty] = x[order[: empty.size]]
+        moving = np.empty(active.size, dtype=bool)
+        for a, i in enumerate(active):
+            traces[i].append(float(point_d2[a].sum()))
+            shift = float(np.linalg.norm(new[a] - old[a]))
+            scale = max(float(np.linalg.norm(old[a])), 1e-300)
+            moving[a] = not shift / scale < rel_tol
+        centers[active] = new
+        active = active[moving]
+    inertias = np.array([float(row.sum()) for row in _squared_distances(x, centers).min(axis=1)])
+    return centers, inertias, traces, int(active.size)
 
 
 def _sort_centroids(centers, measures):
@@ -155,34 +253,41 @@ def kmeans(
     clusters revived at the worst-fit point) and keeps the lowest-inertia
     result, ties going to the earliest restart.  Convergence is declared
     when the Frobenius norm of the center shift drops below ``rel_tol``
-    relative to the previous centers.
+    relative to the previous centers.  Each restart draws from its own
+    generator spawned from ``seed``; restarts advance in lockstep, in blocks
+    whose (restarts, k, rows) distance array fits ``_BLOCK_BYTES``, with the
+    same result bit for bit as fitting them one by one.  The number of
+    restarts that stopped at ``max_iter`` is logged as a warning and kept in
+    ``Vocabulary.max_iter_hits``.
     """
     x = fm.data
     if not np.all(np.isfinite(x)):
         raise StructuralError("feature matrix contains non-finite values")
     if not 2 <= k <= x.shape[0]:
         raise StructuralError(f"k must lie in [2, {x.shape[0]}], got {k}")
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    best = None
-    traces = []
-    for ridx in range(restarts):
-        rng = np.random.default_rng(children[ridx])
-        centers, inertia, trace = _lloyd(x, k, rng, rel_tol, max_iter)
-        traces.append(trace)
-        if best is None or inertia < best[0]:
-            best = (inertia, centers)
-    inertia, centers = best
+    if restarts < 1:
+        raise StructuralError(f"restarts must be >= 1, got {restarts}")
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
+    block = max(1, _BLOCK_BYTES // (8 * x.shape[0] * k))
+    fits = [_lockstep(x, k, rngs[i : i + block], rel_tol, max_iter) for i in range(0, restarts, block)]
+    centers, inertias, traces, hits = zip(*fits)
+    inertias = np.concatenate(inertias)
+    best = int(np.argmin(inertias))
+    hits = sum(hits)
+    if hits:
+        log.warning("k=%d: %d of %d restarts stopped at max_iter=%d", k, hits, restarts, max_iter)
     vocab = Vocabulary(
-        centroids=_sort_centroids(centers, fm.measures),
+        centroids=_sort_centroids(np.concatenate(centers)[best], fm.measures),
         measures=fm.measures,
         normalizers=fm.normalizers.copy(),
-        inertia=inertia,
+        inertia=float(inertias[best]),
         k=int(k),
         seed=int(seed),
         benchmark_id=benchmark_id,
+        max_iter_hits=hits,
     )
     if return_traces:
-        return vocab, traces
+        return vocab, [trace for block_traces in traces for trace in block_traces]
     return vocab
 
 
@@ -218,11 +323,13 @@ def elbow_scan(fm, kmin=2, kmax=18, restarts=100, rel_tol=1e-3, seed=0):
         raise StructuralError(f"kmax {kmax} exceeds the {fm.row_count} available rows")
     ks = np.arange(kmin, kmax + 1)
     inertias = np.empty(len(ks))
+    hits = np.empty(len(ks), dtype=np.int64)
     for i, k in enumerate(ks):
         child = int(np.random.SeedSequence([seed, int(k)]).generate_state(1)[0])
-        inertias[i] = kmeans(fm, int(k), restarts=restarts, rel_tol=rel_tol, seed=child).inertia
+        vocab = kmeans(fm, int(k), restarts=restarts, rel_tol=rel_tol, seed=child)
+        inertias[i], hits[i] = vocab.inertia, vocab.max_iter_hits
     k_star, dist, low_confidence = chord_knee(ks, inertias)
-    return ElbowResult(ks, inertias, k_star, dist, low_confidence)
+    return ElbowResult(ks, inertias, k_star, dist, low_confidence, hits)
 
 
 def _normalize_rows(vocab, values, measures):
@@ -239,8 +346,7 @@ def assign_rows(vocab, values, measures):
     out = np.zeros(x.shape[0], dtype=np.int64)
     ok = ~np.isnan(x).any(axis=1)
     if np.any(ok):
-        d2 = _squared_distances(x[ok], vocab.centroids)
-        out[ok] = np.argmin(d2, axis=1) + 1
+        out[ok] = _squared_distances(x[ok], vocab.centroids).argmin(axis=0) + 1
     return out
 
 

@@ -26,7 +26,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .artifacts import parse_float, read_csv_rows, write_csv
+from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
 from .model import (
     VIEW_ORIGINAL,
@@ -473,9 +473,10 @@ def read_measures_csv(path, accuracies=None):
             raise FormatError(f"{path}:{lineno}: rows of network {nid!r} are not contiguous")
         last = nid
         try:
-            rows.setdefault(nid, []).append((int(row[1]), int(row[2]), [parse_float(x) for x in row[3:]]))
+            cells = (parse_int(row[1]), parse_int(row[2]), [parse_float(x) for x in row[3:]])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        rows.setdefault(nid, []).append(cells)
     tables = []
     for nid, recs in rows.items():
         acc = math.nan

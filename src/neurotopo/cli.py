@@ -45,19 +45,18 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_record(anchor, command, args, artifacts, failed=None, **resolved):
+def _write_run_record(anchor, command, args, artifacts, facts=None, **resolved):
     """run.json beside the main output: {anchor}/run.json for directories,
     {anchor}.run.json for files.  Parameters are the parsed arguments, with
     the values a command resolved from them (arch, measures, k) in place of
-    the raw ones; ``failed`` lists the work items that failed."""
+    the raw ones; ``facts`` are further entries (what failed, how the fit
+    converged)."""
     record = {
         "command": command,
         "parameters": {k: v for k, v in vars(args).items() if k != "func"} | resolved,
         "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    if failed is not None:
-        record["failed"] = failed
+    } | (facts or {})
     path = os.path.join(anchor, "run.json") if os.path.isdir(anchor) else f"{anchor}.run.json"
     write_json(path, record, indent=1)
 
@@ -176,7 +175,7 @@ def cmd_measure(args):
             table = centrality.nan_table(net, measures)
         tables.append(table)
     centrality.write_measures_csv(tables, args.out, sources=paths)
-    _write_run_record(args.out, "measure", args, [args.out], failed, measures=list(measures))
+    _write_run_record(args.out, "measure", args, [args.out], {"failed": failed}, measures=list(measures))
     print(f"measured {len(tables) - len(failed)}/{len(tables)} networks -> {args.out}")
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -196,6 +195,7 @@ def cmd_vocab_build(args):
     measures = _parse_measures(args.measures) if args.measures else tables[0].measures
     fm = descriptors.build_feature_matrix(tables, measures)
     curve_out = None
+    facts = {}
     if args.elbow:
         kmin, kmax = args.elbow
         result = bon.elbow_scan(
@@ -206,14 +206,20 @@ def cmd_vocab_build(args):
         print(f"elbow scan chose k*={k}{note}")
         curve_out = args.curve_out or f"{args.out}.curve.csv"
         write_csv(curve_out, ["k", "inertia"], zip(result.ks, result.inertias))
+        facts["elbow"] = {
+            "k_star": k,
+            "low_confidence": result.low_confidence,
+            "max_iter_hits": {str(ki): int(h) for ki, h in zip(result.ks, result.max_iter_hits)},
+        }
     else:
         k = args.k
     vocab = bon.kmeans(
         fm, k, restarts=args.restarts, seed=args.seed, benchmark_id=args.benchmark_id
     )
     bon.save_vocabulary(vocab, args.out)
+    facts["max_iter_hits"] = {str(k): vocab.max_iter_hits}
     artifacts = [args.out] + ([curve_out] if curve_out else [])
-    _write_run_record(args.out, "vocab build", args, artifacts, measures=list(measures), k=int(k))
+    _write_run_record(args.out, "vocab build", args, artifacts, facts, measures=list(measures), k=int(k))
     print(f"vocabulary with k={k} -> {args.out}")
     return EXIT_OK
 

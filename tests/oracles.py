@@ -1,11 +1,12 @@
-"""Naive reference implementations for verifying the centrality measures.
+"""Naive reference implementations for verifying the centrality measures
+and the k-means fit.
 
 Everything here favors directness over speed: explicit neighbor loops,
 exhaustive subset enumeration, per-target linear systems, textbook
-Floyd-Warshall, and a grounded-node resistance solver.  Final scalar
-reductions use np.sum over operand arrays assembled in ascending index
-order, which is what makes exact comparison against the vectorized library
-implementations meaningful.
+Floyd-Warshall, a grounded-node resistance solver, and Lloyd's algorithm
+run one restart at a time.  Final scalar reductions use np.sum over operand
+arrays assembled in ascending index order, which is what makes exact
+comparison against the vectorized library implementations meaningful.
 """
 
 import math
@@ -170,3 +171,74 @@ def current_flow_closeness_naive(weights, mask, mode="raw"):
     for i in range(n):
         out[i] = (n - 1) / np.sum(np.array([r_eff(i, j) for j in range(n)]))
     return out
+
+
+def _squared_distances(x, centers):
+    # (r, k) squared Euclidean distances
+    return ((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2).sum(axis=2)
+
+
+def kmeanspp_naive(x, k, rng):
+    r = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(r)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(r, p=d2 / total)
+        else:
+            idx = rng.integers(r)
+        centers[c] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def lloyd_naive(x, k, rng, rel_tol, max_iter):
+    """One restart: (centers, inertia, inertia trace, stopped at max_iter)."""
+    centers = kmeanspp_naive(x, k, rng)
+    trace = []
+    converged = False
+    for _ in range(max_iter):
+        d2 = _squared_distances(x, centers)
+        labels = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(x.shape[0]), labels]
+        trace.append(float(point_d2.sum()))
+        new_centers = np.zeros_like(centers)
+        counts = np.bincount(labels, minlength=k)
+        np.add.at(new_centers, labels, x)
+        nonempty = counts > 0
+        new_centers[nonempty] /= counts[nonempty, np.newaxis]
+        if not np.all(nonempty):
+            # revive each empty cluster at the currently worst-fit point
+            order = np.argsort(-point_d2, kind="stable")
+            used = 0
+            for c in np.flatnonzero(~nonempty):
+                new_centers[c] = x[order[used]]
+                used += 1
+        shift = float(np.linalg.norm(new_centers - centers))
+        scale = max(float(np.linalg.norm(centers)), 1e-300)
+        centers = new_centers
+        if shift / scale < rel_tol:
+            converged = True
+            break
+    d2 = _squared_distances(x, centers)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(x.shape[0]), labels].sum())
+    return centers, inertia, trace, not converged
+
+
+def kmeans_naive(x, k, restarts, rel_tol=1e-3, max_iter=300, seed=0):
+    """Restarts one by one, each with a generator spawned from ``seed``; the
+    lowest inertia wins, ties to the earliest.  Returns the unsorted best
+    centers, its inertia, every trace, and the number of max-iter hits."""
+    best = None
+    traces = []
+    hits = 0
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        centers, inertia, trace, hit = lloyd_naive(x, k, np.random.default_rng(child), rel_tol, max_iter)
+        traces.append(trace)
+        hits += hit
+        if best is None or inertia < best[1]:
+            best = (centers, inertia)
+    return best[0], best[1], traces, hits

@@ -1,11 +1,14 @@
 """Vocabulary learning, assignment, histograms, groups, and divergence."""
 
+import logging
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy.spatial.distance import jensenshannon
 
+from neurotopo import bon
 from neurotopo.bon import (
     PopulationRecord,
     Vocabulary,
@@ -113,6 +116,90 @@ class TestKmeans:
         np.testing.assert_array_equal(a.centroids, b.centroids)
         assert a.inertia == b.inertia
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        fm = fm_from(np.random.default_rng(0).normal(size=(30, 2)))
+        with pytest.raises(StructuralError, match="restarts"):
+            kmeans(fm, 3, restarts=restarts)
+        with pytest.raises(StructuralError, match="restarts"):
+            elbow_scan(fm, 2, 4, restarts=restarts)
+
+    def test_max_iter_hits_logged(self, caplog):
+        fm = fm_from(np.random.default_rng(6).normal(size=(120, 2)))
+        with caplog.at_level(logging.WARNING, logger="neurotopo.bon"):
+            vocab = kmeans(fm, 4, restarts=5, max_iter=2, seed=0)
+        hits = oracles.kmeans_naive(fm.data, 4, 5, max_iter=2, seed=0)[3]
+        assert vocab.max_iter_hits == hits > 0
+        assert f"k=4: {hits} of 5 restarts stopped at max_iter=2" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="neurotopo.bon"):
+            assert kmeans(fm, 4, restarts=5, seed=0).max_iter_hits == 0
+        assert caplog.text == ""
+
+
+def assert_matches_oracle(fm, k, restarts, **kwargs):
+    vocab, traces = kmeans(fm, k, restarts=restarts, return_traces=True, **kwargs)
+    centers, inertia, naive_traces, hits = oracles.kmeans_naive(fm.data, k, restarts, **kwargs)
+    assert vocab.centroids.tobytes() == bon._sort_centroids(centers, fm.measures).tobytes()
+    assert vocab.inertia == inertia
+    assert traces == naive_traces
+    assert vocab.max_iter_hits == hits
+    return hits
+
+
+class TestLockstepOracle:
+    """The lockstep fit against restarts run one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_k_and_seeds(self, k, seed):
+        data = np.random.default_rng(10 + seed).standard_t(3, size=(90, 3))
+        assert_matches_oracle(fm_from(data, ("s", "bc", "sg")), k, 6, seed=seed)
+
+    def test_eight_measures(self):
+        # numpy sums 8 or more coordinates pairwise, not one by one
+        data = np.random.default_rng(11).normal(size=(70, 8))
+        fm = fm_from(data, ("s", "snn", "so", "sg", "mc", "bc", "hc", "cfc"))
+        for k in (2, 5):
+            assert_matches_oracle(fm, k, 4, seed=k)
+
+    def test_duplicate_rows_revive_empty_clusters(self):
+        # 3 distinct rows and k = 5: every restart seeds repeated centers,
+        # whose clusters are empty and revived
+        data = np.repeat(np.array([[0.0, 1.0], [1.0, 0.5], [0.25, -1.0]]), [9, 6, 5], axis=0)
+        for seed in range(3):
+            assert_matches_oracle(fm_from(data), 5, 5, seed=seed)
+
+    def test_equal_inertia_goes_to_earliest_restart(self):
+        # square corners, k = 2: the horizontal and the vertical split have
+        # the same inertia, and with seed 0 restarts 0 and 4 find different ones
+        fm = fm_from(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] * 3))
+        fits = [oracles.lloyd_naive(fm.data, 2, np.random.default_rng(c), 1e-3, 300)
+                for c in np.random.SeedSequence(0).spawn(6)]
+        assert fits[0][1] == fits[4][1] == min(f[1] for f in fits)
+        assert not np.array_equal(bon._sort_centroids(fits[0][0], fm.measures),
+                                  bon._sort_centroids(fits[4][0], fm.measures))
+        assert_matches_oracle(fm, 2, 6, seed=0)
+
+    def test_max_iter_hit(self):
+        data = np.random.default_rng(12).normal(size=(80, 3))
+        hits = assert_matches_oracle(fm_from(data, ("s", "bc", "sg")), 6, 7, max_iter=3, seed=2)
+        assert hits > 0
+
+    def test_blocks_not_dividing_restarts(self, monkeypatch):
+        data = np.random.default_rng(13).normal(size=(60, 2))
+        k = 4
+        monkeypatch.setattr(bon, "_BLOCK_BYTES", 3 * 8 * 60 * k)
+        assert_matches_oracle(fm_from(data), k, 10, seed=3)
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 16, 17, 130])
+    def test_distance_summation_order(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-4, 4, size=d)
+        centers = rng.normal(size=(2, 3, d))
+        naive = ((x[:, np.newaxis, :] - centers[:, np.newaxis, :, :]) ** 2).sum(axis=-1)
+        assert bon._squared_distances(x, centers).tobytes() == naive.transpose(0, 2, 1).tobytes()
+
 
 class TestElbow:
     def test_three_planted_clusters(self):
@@ -121,6 +208,7 @@ class TestElbow:
         result = elbow_scan(fm_from(data), 2, 8, restarts=5, seed=0)
         assert result.k_star == 3
         assert len(result.ks) == 7
+        assert result.max_iter_hits.tolist() == [0] * 7
 
     def test_straight_line_low_confidence(self):
         k_star, dist, low = chord_knee(np.arange(2, 10), np.linspace(100.0, 20.0, 8))

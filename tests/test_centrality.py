@@ -507,6 +507,13 @@ class TestMeasuresCsv:
         with pytest.raises(FormatError, match="measures.csv:3: "):
             read_measures_csv(path)
 
+    @pytest.mark.parametrize("layer, neuron", [(" 1", "1"), ("1", "1_0"), ("1", "+1"), ("01", "1")])
+    def test_int_cells_the_writer_never_writes_rejected(self, tmp_path, layer, neuron):
+        path = tmp_path / "measures.csv"
+        path.write_text(f"network_id,layer,neuron,s\na,1,0,0.25\na,{layer},{neuron},0.5\n")
+        with pytest.raises(FormatError, match="measures.csv:3: .* is not a plain decimal integer"):
+            read_measures_csv(path)
+
     def test_split_network_rows_rejected(self, tmp_path):
         path = tmp_path / "measures.csv"
         path.write_text("network_id,layer,neuron,s\na,1,0,1.0\nb,1,0,2.0\na,1,1,3.0\n")

@@ -205,6 +205,41 @@ class TestVocabCommands:
                      "--out", str(tmp_path / "v.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_restarts_below_one_exits_2(self, measures_csv, tmp_path, capsys, restarts):
+        out = tmp_path / "v.json"
+        code = main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", restarts, "--out", str(out)])
+        assert code == 2
+        assert "restarts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_int_cell_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "desc.csv"
+        path.write_text("network_id,layer,neuron,s,bc\na,1,0,0.25,0.5\na,1,1_0,0.5,0.25\n")
+        code = main(["vocab", "build", "--measures-csv", str(path), "--k", "2",
+                     "--out", str(tmp_path / "v.json")])
+        assert code == 3
+        assert "desc.csv:3: '1_0' is not a plain decimal integer" in capsys.readouterr().err
+
+    def test_build_records_convergence(self, measures_csv, tmp_path):
+        out = tmp_path / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--elbow", "2", "5",
+                     "--restarts", "3", "--out", str(out)]) == 0
+        record = json.loads((tmp_path / "vocab.json.run.json").read_text())
+        elbow = record["elbow"]
+        k_star = record["parameters"]["k"]
+        assert elbow["k_star"] == k_star
+        assert isinstance(elbow["low_confidence"], bool)
+        assert sorted(elbow["max_iter_hits"]) == ["2", "3", "4", "5"]
+        assert all(h == 0 for h in elbow["max_iter_hits"].values())
+        assert record["max_iter_hits"] == {str(k_star): 0}
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "3", "--out", str(out)]) == 0
+        record = json.loads((tmp_path / "vocab.json.run.json").read_text())
+        assert "elbow" not in record
+        assert record["max_iter_hits"] == {"3": 0}
+
     def test_assign(self, measures_csv, trained_dir, tmp_path):
         vocab = tmp_path / "vocab.json"
         assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
