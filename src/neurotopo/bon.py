@@ -11,6 +11,7 @@ psi_1..psi_k numbering of cluster tables.
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,21 +93,6 @@ class CrossBenchmarkJsd(NamedTuple):
 _BLOCK_BYTES = 1 << 22
 
 
-class _Scratch:
-    """Flat float64 arrays lent out as temporaries of at most ``size``
-    values, so a loop reuses its pages instead of faulting in new ones."""
-
-    def __init__(self, size):
-        self.size, self.free = size, []
-
-    def take(self, shape):
-        flat = self.free.pop() if self.free else np.empty(self.size)
-        return flat[: math.prod(shape)].reshape(shape)
-
-    def give(self, a):
-        self.free.append(a.base)
-
-
 def _pairwise_sum(term, add, lo, n):
     """term(lo) + ... + term(lo + n - 1), folded with ``add(acc, t)`` in the
     order of numpy's pairwise summation: one at a time below 8 terms, else
@@ -136,29 +122,19 @@ def _pairwise_sum(term, add, lo, n):
     return acc
 
 
-def _squared_distances(x, centers, scratch=None):
+def _squared_distances(x, centers):
     """(..., k, r) squared distances from centers (..., k, d) to rows x (r, d).
 
     Bit-identical to ``((x[:, None] - centers[..., None, :, :]) ** 2).sum(-1)``
     with its last two axes swapped: numpy sums the d coordinates pairwise,
-    and so does this, one coordinate at a time.  Temporaries come from
-    ``scratch`` when given; the result is one of them.
+    and so does this, one coordinate at a time.
     """
-    shape = centers.shape[:-1] + x.shape[:1]
     xt = x.T
 
     def term(j):
-        t = scratch.take(shape) if scratch else np.empty(shape)
-        np.subtract(xt[j], centers[..., j, np.newaxis], out=t)
-        return np.square(t, out=t)
+        return np.square(xt[j] - centers[..., j, np.newaxis])
 
-    def add(acc, t):
-        acc += t
-        if scratch:
-            scratch.give(t)
-        return acc
-
-    return _pairwise_sum(term, add, 0, x.shape[1])
+    return _pairwise_sum(term, operator.iadd, 0, x.shape[1])
 
 
 def _kmeanspp(x, k, rngs):
@@ -192,20 +168,18 @@ def _lockstep(x, k, rngs, rel_tol, max_iter):
     per-restart inertia traces, and how many restarts were still moving at
     ``max_iter``.
     """
-    r, d = x.shape
+    d = x.shape[1]
     centers = _kmeanspp(x, k, rngs)
     traces = [[] for _ in rngs]
     columns = np.tile(x.T, (1, len(rngs)))  # x[:, j] once per restart
-    scratch = _Scratch(len(rngs) * k * r)
     active = np.arange(len(rngs))
     for _ in range(max_iter):
         if active.size == 0:
             break
         old = centers[active]
-        d2 = _squared_distances(x, old, scratch)
+        d2 = _squared_distances(x, old)
         labels = d2.argmin(axis=1)
         point_d2 = d2.min(axis=1)
-        scratch.give(d2)
         bins = (labels + k * np.arange(active.size)[:, np.newaxis]).ravel()
         size = active.size * k
         counts = np.bincount(bins, minlength=size).reshape(-1, k)

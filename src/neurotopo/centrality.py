@@ -19,12 +19,13 @@ measures on a layered network and computes the hidden-neuron rows only.
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
@@ -34,6 +35,7 @@ from .model import (
     VIEW_POSITIVE_UNWEIGHTED,
     LayeredNetwork,
     build_graph,
+    component_labels,
     largest_component,
     threshold_view,
 )
@@ -41,27 +43,6 @@ from .model import (
 # radicand round-off this small is clamped to zero; anything lower is an error
 SO_RADICAND_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class MeasureInfo:
-    id: str
-    view_mode: str
-    cost_rank: int  # lower = cheaper to compute; used by the redundancy filter
-    needs_connected: bool
-
-
-MEASURES = {
-    "s": MeasureInfo("s", VIEW_ORIGINAL, 1, False),
-    "snn": MeasureInfo("snn", VIEW_ORIGINAL, 2, False),
-    "so": MeasureInfo("so", VIEW_POSITIVE_UNWEIGHTED, 6, True),
-    "sg": MeasureInfo("sg", VIEW_POSITIVE_UNWEIGHTED, 7, False),
-    "mc": MeasureInfo("mc", VIEW_POSITIVE_UNWEIGHTED, 4, False),
-    "bc": MeasureInfo("bc", VIEW_POSITIVE_UNWEIGHTED, 3, False),
-    "hc": MeasureInfo("hc", VIEW_POSITIVE, 5, False),
-    "cfc": MeasureInfo("cfc", VIEW_ORIGINAL, 8, True),
-}
-
-MEASURE_ORDER = ("s", "snn", "so", "sg", "mc", "bc", "hc", "cfc")
 
 CSV_FIXED_COLUMNS = ("network_id", "layer", "neuron")
 
@@ -89,8 +70,7 @@ def _laplacian_pinv_diagonal(view, w, what):
     inverse raises NumericalError naming ``what``.
     """
     n = view.node_count
-    ncomp, _ = connected_components(view.edge_mask.astype(np.int8), directed=False)
-    if ncomp != 1:
+    if component_labels(view.edge_mask)[0] != 1:
         raise StructuralError(f"{what} requires a connected view")
     try:
         inv = np.linalg.inv(np.diag(w.sum(axis=1)) - w + 1.0 / n)
@@ -304,17 +284,36 @@ def _all_rows(func):
     return lambda view, nodes, **kwargs: func(view, **kwargs)[nodes]
 
 
-# every entry takes (view, nodes, **kwargs) and returns the values at nodes
-_MEASURE_FUNCS = {
-    "s": _all_rows(strength),
-    "snn": _all_rows(avg_neighbor_strength),
-    "so": _all_rows(second_order),
-    "sg": _bipartite_subgraph_rows,
-    "mc": _bipartite_clique_rows,
-    "bc": bipartite_clustering,
-    "hc": harmonic,
-    "cfc": _all_rows(current_flow_closeness),
+@dataclass(frozen=True)
+class MeasureInfo:
+    id: str
+    view_mode: str
+    cost_rank: int  # lower = cheaper to compute; used by the redundancy filter
+    needs_connected: bool
+    rows: Callable  # (view, nodes, **kwargs) -> the values at view positions nodes
+
+
+MEASURES = {
+    "s": MeasureInfo("s", VIEW_ORIGINAL, 1, False, _all_rows(strength)),
+    "snn": MeasureInfo("snn", VIEW_ORIGINAL, 2, False, _all_rows(avg_neighbor_strength)),
+    "so": MeasureInfo("so", VIEW_POSITIVE_UNWEIGHTED, 6, True, _all_rows(second_order)),
+    "sg": MeasureInfo("sg", VIEW_POSITIVE_UNWEIGHTED, 7, False, _bipartite_subgraph_rows),
+    "mc": MeasureInfo("mc", VIEW_POSITIVE_UNWEIGHTED, 4, False, _bipartite_clique_rows),
+    "bc": MeasureInfo("bc", VIEW_POSITIVE_UNWEIGHTED, 3, False, bipartite_clustering),
+    "hc": MeasureInfo("hc", VIEW_POSITIVE, 5, False, harmonic),
+    "cfc": MeasureInfo("cfc", VIEW_ORIGINAL, 8, True, _all_rows(current_flow_closeness)),
 }
+
+MEASURE_ORDER = tuple(MEASURES)
+
+
+def check_measure_ids(measure_ids):
+    """The ids as a tuple; StructuralError naming the unknown ones and the valid ids."""
+    measure_ids = tuple(measure_ids)
+    unknown = [m for m in measure_ids if m not in MEASURES]
+    if unknown:
+        raise StructuralError(f"unknown measures {unknown}; valid ids: {', '.join(MEASURE_ORDER)}")
+    return measure_ids
 
 
 def compute_measure(measure_id, view, nodes=None, **kwargs):
@@ -324,10 +323,9 @@ def compute_measure(measure_id, view, nodes=None, **kwargs):
     ``nodes`` is None.  hc, bc, sg and mc compute those rows only; sg and mc
     use their bipartite rules when layer parity bipartitions the view's edges.
     """
-    if measure_id not in MEASURES:
-        raise StructuralError(f"unknown measure {measure_id!r}; valid: {', '.join(MEASURE_ORDER)}")
+    check_measure_ids([measure_id])
     nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    return _MEASURE_FUNCS[measure_id](view, nodes, **kwargs)
+    return MEASURES[measure_id].rows(view, nodes, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -381,8 +379,6 @@ def measure_all(
     measures=MEASURE_ORDER,
     network_id=None,
     cfc_mode="raw",
-    clique_budget=10_000_000,
-    clique_time_budget=300.0,
 ) -> NeuronMeasures:
     """Compute the requested measures for every hidden neuron of a network.
 
@@ -390,31 +386,25 @@ def measure_all(
     needing connectivity (so, cfc) run on the largest connected component of
     their view; hidden neurons outside that component come back NaN.
     """
-    measures = tuple(measures)
-    for m in measures:
-        if m not in MEASURES:
-            raise StructuralError(f"unknown measure {m!r}; valid: {', '.join(MEASURE_ORDER)}")
+    measures = check_measure_ids(measures)
     table = nan_table(net, measures, network_id)
     graph = build_graph(net)
     hidden_ids = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
     views = {}
-    extra = {"cfc": {"mode": cfc_mode},
-             "mc": {"max_cliques": clique_budget, "time_budget": clique_time_budget}}
+    kwargs = {"cfc": {"mode": cfc_mode}}
     for j, m in enumerate(measures):
         info = MEASURES[m]
         if info.view_mode not in views:
             views[info.view_mode] = threshold_view(graph, info.view_mode)
         view = views[info.view_mode]
-        kwargs = extra.get(m, {})
-        if not info.needs_connected:
-            table.values[:, j] = compute_measure(m, view, nodes=hidden_ids, **kwargs)
-            continue
-        comp = largest_component(view).view
-        if comp.node_count >= 2:
-            # node ids ascend in both, so hidden rows and component positions align
-            inside = np.isin(hidden_ids, comp.node_ids)
-            nodes = np.flatnonzero(np.isin(comp.node_ids, hidden_ids))
-            table.values[inside, j] = compute_measure(m, comp, nodes=nodes, **kwargs)
+        if info.needs_connected:
+            view = largest_component(view).view
+        if view.node_count < 2:
+            continue  # a lone node: so and cfc are undefined there
+        # node ids ascend in both, so hidden rows and view positions align
+        inside = np.isin(hidden_ids, view.node_ids)
+        nodes = np.flatnonzero(np.isin(view.node_ids, hidden_ids))
+        table.values[inside, j] = compute_measure(m, view, nodes=nodes, **kwargs.get(m, {}))
     return table
 
 

@@ -152,13 +152,7 @@ def _model_paths(models_dir):
 def _parse_measures(text):
     if text == "all":
         return centrality.MEASURE_ORDER
-    requested = tuple(m.strip() for m in text.split(","))
-    unknown = [m for m in requested if m not in centrality.MEASURES]
-    if unknown:
-        raise _UsageError(
-            f"unknown measures {unknown}; valid ids: {', '.join(centrality.MEASURE_ORDER)}"
-        )
-    return requested
+    return centrality.check_measure_ids(m.strip() for m in text.split(","))
 
 
 def cmd_measure(args):

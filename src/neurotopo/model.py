@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .artifacts import read_json, write_json
@@ -219,6 +220,13 @@ def threshold_view(graph: NeuronGraph, mode: str) -> GraphView:
     )
 
 
+def component_labels(edge_mask):
+    """Connected components of a boolean adjacency matrix, as scipy's
+    (count, labels) on its CSR form.  Components are numbered in the order
+    of their smallest node."""
+    return connected_components(csr_matrix(edge_mask), directed=False)
+
+
 def largest_component(view: GraphView) -> LargestComponent:
     """Restrict a view to its largest connected component.
 
@@ -226,29 +234,12 @@ def largest_component(view: GraphView) -> LargestComponent:
     id.  A view with no edges at all yields the single smallest node, with
     the result flagged trivial.
     """
-    n = view.node_count
-    if n == 0:
+    if view.node_count == 0:
         raise StructuralError("empty view")
-    if view.edge_count == 0:
-        keep = np.array([0])
-        dropped = view.node_ids[1:]
-        sub = GraphView(
-            base=view.base,
-            mode=view.mode,
-            node_ids=view.node_ids[keep],
-            weights=view.weights[np.ix_(keep, keep)],
-            edge_mask=view.edge_mask[np.ix_(keep, keep)],
-        )
-        return LargestComponent(view=sub, dropped=np.asarray(dropped), trivial=True)
-    _, labels = connected_components(view.edge_mask.astype(np.int8), directed=False)
-    sizes = np.bincount(labels)
-    best_size = sizes.max()
-    # first label reaching the max size is the one whose first node id is smallest
-    candidates = np.flatnonzero(sizes == best_size)
-    first_seen = np.array([np.argmax(labels == c) for c in candidates])
-    best = candidates[np.argmin(first_seen)]
-    keep = np.flatnonzero(labels == best)
-    dropped = view.node_ids[labels != best]
+    _, labels = component_labels(view.edge_mask)
+    # argmax takes the first largest label, the one holding the smallest node
+    inside = labels == np.argmax(np.bincount(labels))
+    keep = np.flatnonzero(inside)
     sub = GraphView(
         base=view.base,
         mode=view.mode,
@@ -256,7 +247,7 @@ def largest_component(view: GraphView) -> LargestComponent:
         weights=view.weights[np.ix_(keep, keep)],
         edge_mask=view.edge_mask[np.ix_(keep, keep)],
     )
-    return LargestComponent(view=sub, dropped=np.asarray(dropped), trivial=False)
+    return LargestComponent(view=sub, dropped=view.node_ids[~inside], trivial=view.edge_count == 0)
 
 
 def save_model(net: LayeredNetwork, path) -> None:

@@ -247,8 +247,8 @@ def evaluate(net: LayeredNetwork, test_set: Dataset) -> float:
 _POOL = {}
 
 
-def _pool_init(train_set, test_set, config, dataset_id):
-    _POOL.update(train=train_set, test=test_set, config=config, dataset_id=dataset_id)
+def _pool_init(*shared):
+    _POOL["shared"] = shared  # the arguments of _train_one common to every job
 
 
 def _manifest_entry(seed, model_path, meta, status):
@@ -264,19 +264,33 @@ def _manifest_entry(seed, model_path, meta, status):
 
 
 def _train_one(train_set, test_set, config, dataset_id, weight_seed, model_path):
+    """Train, evaluate and save one network; returns its manifest entry, a
+    failed one when training breaks down numerically."""
     net = init_network(config.arch, weight_seed, config.init_half_range, dataset_id)
-    net, _ = train(net, train_set, config)
+    try:
+        net, _ = train(net, train_set, config)
+        test_acc = evaluate(net, test_set)
+    except (NumericalError, FloatingPointError) as exc:
+        return _manifest_entry(weight_seed, None, None, f"failed: {exc}")
     meta = dict(net.meta)
-    meta["test_acc"] = evaluate(net, test_set)
+    meta["test_acc"] = test_acc
     save_model(LayeredNetwork(arch=net.arch, weights=net.weights, meta=meta), model_path)
     return _manifest_entry(weight_seed, model_path, meta, "trained")
 
 
+def _check_cached(net, model_path, config, dataset_id):
+    """Refuse to resume from a model trained under another configuration."""
+    for name, got, want in (
+        ("arch", net.arch, config.arch),
+        ("meta.epochs", net.meta["epochs"], config.epochs),
+        ("meta.dataset_id", net.meta["dataset_id"], dataset_id),
+    ):
+        if got != want:
+            raise StructuralError(f"{model_path}: cached model has {name} {got!r}, this run needs {want!r}")
+
+
 def _train_one_pooled(job):
-    weight_seed, model_path = job
-    return _train_one(
-        _POOL["train"], _POOL["test"], _POOL["config"], _POOL["dataset_id"], weight_seed, model_path
-    )
+    return _train_one(*_POOL["shared"], *job)
 
 
 def generate_population(
@@ -291,10 +305,12 @@ def generate_population(
     """Train one network per weight seed and serialize models plus a manifest.
 
     Already-serialized seeds are skipped, so an interrupted run resumes where
-    it stopped.  One network failing does not abort the population; its entry
-    is recorded with status "failed".  ``workers`` (default: the
-    NEUROTOPO_THREADS environment variable, else 1) trains networks in
-    parallel processes; results do not depend on the schedule.
+    it stopped; a cached model whose arch, epochs or dataset id differs from
+    this run's raises StructuralError and is left in place.  One network
+    failing does not abort the population; its entry is recorded with status
+    "failed".  ``workers`` (default: the NEUROTOPO_THREADS environment
+    variable, else 1) trains networks in parallel processes; results do not
+    depend on the schedule.
     """
     weight_seeds = [int(s) for s in weight_seeds]
     if len(set(weight_seeds)) != len(weight_seeds):
@@ -310,14 +326,14 @@ def generate_population(
         model_path = os.path.join(out_dir, f"model_seed{seed}.json")
         if os.path.exists(model_path):
             try:
-                entries[seed] = _manifest_entry(seed, model_path, load_model(model_path).meta, "cached")
-                continue
+                cached = load_model(model_path)
             except FormatError:
                 os.remove(model_path)
+            else:
+                _check_cached(cached, model_path, config, dataset_id)
+                entries[seed] = _manifest_entry(seed, model_path, cached.meta, "cached")
+                continue
         todo.append((seed, model_path))
-
-    def record_failure(seed, exc):
-        entries[seed] = _manifest_entry(seed, None, None, f"failed: {exc}")
 
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(
@@ -325,18 +341,10 @@ def generate_population(
             initializer=_pool_init,
             initargs=(train_set, test_set, config, dataset_id),
         ) as pool:
-            futures = {pool.submit(_train_one_pooled, job): job[0] for job in todo}
-            for fut, seed in futures.items():
-                try:
-                    entries[seed] = fut.result()
-                except (NumericalError, FloatingPointError) as exc:
-                    record_failure(seed, exc)
+            trained = list(pool.map(_train_one_pooled, todo))
     else:
-        for seed, model_path in todo:
-            try:
-                entries[seed] = _train_one(train_set, test_set, config, dataset_id, seed, model_path)
-            except (NumericalError, FloatingPointError) as exc:
-                record_failure(seed, exc)
+        trained = [_train_one(train_set, test_set, config, dataset_id, *job) for job in todo]
+    entries.update((e["seed"], e) for e in trained)
 
     manifest = [entries[s] for s in weight_seeds]
     write_json(os.path.join(out_dir, "manifest.json"), manifest, indent=1)

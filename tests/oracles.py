@@ -3,13 +3,14 @@ and the k-means fit.
 
 Everything here favors directness over speed: explicit neighbor loops,
 exhaustive subset enumeration, per-target linear systems, textbook
-Floyd-Warshall, a grounded-node resistance solver, and Lloyd's algorithm
-run one restart at a time.  Final scalar reductions use np.sum over operand
+Floyd-Warshall, a grounded-node resistance solver, breadth-first search for
+components, and Lloyd's algorithm run one restart at a time.  Final scalar reductions use np.sum over operand
 arrays assembled in ascending index order, which is what makes exact
 comparison against the vectorized library implementations meaningful.
 """
 
 import math
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -171,6 +172,31 @@ def current_flow_closeness_naive(weights, mask, mode="raw"):
     for i in range(n):
         out[i] = (n - 1) / np.sum(np.array([r_eff(i, j) for j in range(n)]))
     return out
+
+
+def largest_component_naive(mask):
+    """Sorted node ids of the largest connected component, by breadth-first
+    search from each unvisited node in ascending order; a size tie keeps the
+    component found first, the one holding the smallest node."""
+    n = mask.shape[0]
+    seen = [False] * n
+    best = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in range(n):
+                if mask[u, v] and not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        if len(comp) > len(best):
+            best = comp
+    return sorted(best)
 
 
 def _squared_distances(x, centers):

@@ -87,6 +87,17 @@ class TestTrainCommand:
         assert all(e["status"] == "cached" for e in manifest)
         assert (trained_dir / "model_seed0.json").read_bytes() == before
 
+    def test_rerun_with_another_arch_exits_2(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "models"
+        shutil.copytree(trained_dir, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = main(["train", "--data", str(data_dir), "--count", "3", "--data-seed", "7",
+                     "--arch", "784,32,16,10", "--epochs", "3", "--batch", "50", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "model_seed0.json" in err and "cached model has arch (784, 8, 6, 10)" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize(
         "flag, value, name",
         [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
@@ -121,16 +132,17 @@ class TestMeasureCommand:
         models.mkdir()
         for name in ("model_seed0.json", "model_seed1.json"):
             shutil.copy(trained_dir / name, models / name)
-        inner = centrality._MEASURE_FUNCS["s"]
+        inner = centrality.compute_measure
         calls = []
 
-        def fails_on_second_model(view, nodes):
-            calls.append(view)
-            if len(calls) == 2:
-                raise NumericalError("s: forced failure")
-            return inner(view, nodes)
+        def fails_on_second_model(measure_id, view, **kwargs):
+            if measure_id == "s":
+                calls.append(view)
+                if len(calls) == 2:
+                    raise NumericalError("s: forced failure")
+            return inner(measure_id, view, **kwargs)
 
-        monkeypatch.setitem(centrality._MEASURE_FUNCS, "s", fails_on_second_model)
+        monkeypatch.setattr(centrality, "compute_measure", fails_on_second_model)
         out = tmp_path / "m.csv"
         code = main(["measure", "--models", str(models), "--measures", "s,bc", "--out", str(out)])
         assert code == 1

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import graph_from_edges, unit_graph
+from oracles import largest_component_naive
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
     VIEW_POSITIVE_UNWEIGHTED,
     LayeredNetwork,
+    NeuronGraph,
     build_graph,
     largest_component,
     load_model,
@@ -140,6 +142,46 @@ class TestLargestComponent:
         assert comp.trivial
         assert comp.view.node_ids.tolist() == [0]
         assert sorted(comp.dropped.tolist()) == [1, 2]
+
+    @staticmethod
+    def tied_blocks(rng):
+        """Components of a few equal sizes (each a random spanning tree plus
+        extra edges), under a random node relabelling, so sizes often tie."""
+        sizes = rng.choice([1, 2, 3], size=int(rng.integers(1, 7)))
+        n = int(sizes.sum())
+        label = rng.permutation(n)
+        mask = np.zeros((n, n), dtype=bool)
+        start = 0
+        for size in sizes:
+            block = label[start : start + size]
+            for k in range(1, size):
+                mask[block[k], block[rng.integers(k)]] = True
+            extra = np.triu(rng.random((size, size)) < 0.3, k=1)
+            mask[np.ix_(block, block)] |= extra
+            start += size
+        return mask | mask.T
+
+    @staticmethod
+    def sparse_random(rng):
+        n = int(rng.integers(1, 16))
+        upper = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.05, 0.15, 0.4]), k=1)
+        return upper | upper.T
+
+    # 12 of these 60 views have no edge and 29 have a tie for the largest size
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_breadth_first_search(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
+        n = mask.shape[0]
+        weights = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+        g = NeuronGraph(weights=np.triu(weights) + np.triu(weights, 1).T, edge_mask=mask)
+        comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
+        keep = largest_component_naive(mask)
+        assert comp.view.node_ids.tolist() == keep
+        assert comp.dropped.tolist() == sorted(set(range(n)) - set(keep))
+        assert comp.trivial == (not mask.any())
+        np.testing.assert_array_equal(comp.view.edge_mask, mask[np.ix_(keep, keep)])
+        np.testing.assert_array_equal(comp.view.weights, g.weights[np.ix_(keep, keep)])
 
 
 class TestSerialization:

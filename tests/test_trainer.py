@@ -1,5 +1,6 @@
 """IDX ingestion, initialization, forward/backward, SGD, and populations."""
 
+import dataclasses
 import gzip
 import json
 import struct
@@ -281,6 +282,34 @@ class TestPopulation:
         manifest = generate_population(train_set, test_set, self.config(), [0, 1, 2], tmp_path)
         statuses = {e["seed"]: e["status"] for e in manifest}
         assert statuses == {0: "cached", 1: "trained", 2: "cached"}
+
+    @pytest.mark.parametrize(
+        "field, change, dataset_id",
+        [("arch", {"arch": (784, 5, 4, 10)}, "toy"), ("meta.epochs", {"epochs": 2}, "toy"),
+         ("meta.dataset_id", {}, "other")],
+    )
+    def test_resume_refuses_another_configuration(self, tmp_path, field, change, dataset_id):
+        train_set, test_set = self.small_sets()
+        generate_population(train_set, test_set, self.config(), [0], tmp_path, dataset_id="toy")
+        before = (tmp_path / "model_seed0.json").read_bytes()
+        config = dataclasses.replace(self.config(), **change)
+        with pytest.raises(StructuralError, match=rf"model_seed0\.json: cached model has {field} "):
+            generate_population(train_set, test_set, config, [0, 1], tmp_path, dataset_id=dataset_id)
+        assert (tmp_path / "model_seed0.json").read_bytes() == before
+        assert not (tmp_path / "model_seed1.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_network_recorded_by_both_schedules(self, tmp_path):
+        # this learning rate makes seed 1's loss overflow and leaves seeds 0 and 2 finite
+        train_set, test_set = self.small_sets()
+        config = dataclasses.replace(self.config(), learning_rate=1e100)
+        seq = generate_population(train_set, test_set, config, [0, 1, 2], tmp_path / "seq", workers=1)
+        par = generate_population(train_set, test_set, config, [0, 1, 2], tmp_path / "par", workers=2)
+        assert seq == par
+        assert [e["status"] for e in seq] == ["trained", "failed: loss diverged at epoch 0", "trained"]
+        assert seq[1] == {"seed": 1, "model_path": None, "train_acc": None, "test_acc": None,
+                          "status": "failed: loss diverged at epoch 0"}
+        assert not (tmp_path / "seq" / "model_seed1.json").exists()
 
     def test_bit_reproducible_across_runs(self, tmp_path):
         train_set, test_set = self.small_sets()
