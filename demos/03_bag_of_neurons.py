@@ -44,7 +44,7 @@ def main():
     from neurotopo.bon import assign_rows
 
     def histogram(values):
-        labels = assign_rows(vocab, values, vocab.measures)
+        labels = assign_rows(vocab, values)
         return np.bincount(labels - 1, minlength=vocab.k) / len(labels)
 
     h_bal = histogram(balanced)

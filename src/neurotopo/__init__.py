@@ -11,7 +11,6 @@ from .bon import (
     PopulationRecord,
     Vocabulary,
     accuracy_groups,
-    assign,
     cross_benchmark_jsd,
     elbow_scan,
     jsd,
@@ -38,7 +37,6 @@ from .centrality import (
 )
 from .descriptors import (
     FeatureMatrix,
-    NeuronDescriptor,
     build_feature_matrix,
     feature_matrix_from_values,
     layer_mean,

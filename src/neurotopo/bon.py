@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import parse_float, read_csv_rows, read_json, write_csv, write_json
-from .descriptors import FeatureMatrix, NeuronDescriptor
+from .centrality import check_measure_ids
+from .descriptors import FeatureMatrix
 from .errors import FormatError, StructuralError
 
 GENERATOR_ID = "numpy-pcg64"
@@ -49,6 +50,7 @@ class Vocabulary:
     max_iter_hits: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "measures", check_measure_ids(self.measures))
         c = np.asarray(self.centroids, dtype=np.float64)
         if self.k < 2 or c.shape != (self.k, len(self.measures)):
             raise StructuralError(f"need k >= 2 centroids of length {len(self.measures)}")
@@ -91,6 +93,10 @@ class CrossBenchmarkJsd(NamedTuple):
 # blocks of as many as fit (at least one), which bounds the temporaries at
 # population scale.
 _BLOCK_BYTES = 1 << 22
+
+# A restart has converged once the Frobenius norm of its center shift falls
+# below this fraction of the norm of its previous centers.
+_REL_TOL = 1e-3
 
 
 def _pairwise_sum(term, add, lo, n):
@@ -157,14 +163,13 @@ def _kmeanspp(x, k, rngs):
     return centers
 
 
-def _lockstep(x, k, rngs, rel_tol, max_iter):
+def _lockstep(x, k, rngs, max_iter):
     """Lloyd's algorithm for one block of restarts, all advanced together.
 
     Each restart follows the lone-restart rule bit for bit: centroid sums
     accumulate in row order, an empty cluster is revived at the worst-fit
-    point, and a restart stops, leaving the active set, once the Frobenius
-    norm of its center shift falls below ``rel_tol`` relative to its previous
-    centers.  Returns the final centers (R, k, d), their inertias, the
+    point, and a restart stops, leaving the active set, once it converges
+    (``_REL_TOL``).  Returns the final centers (R, k, d), their inertias, the
     per-restart inertia traces, and how many restarts were still moving at
     ``max_iter``.
     """
@@ -196,7 +201,7 @@ def _lockstep(x, k, rngs, rel_tol, max_iter):
             traces[i].append(float(point_d2[a].sum()))
             shift = float(np.linalg.norm(new[a] - old[a]))
             scale = max(float(np.linalg.norm(old[a])), 1e-300)
-            moving[a] = not shift / scale < rel_tol
+            moving[a] = not shift / scale < _REL_TOL
         centers[active] = new
         active = active[moving]
     inertias = np.array([float(row.sum()) for row in _squared_distances(x, centers).min(axis=1)])
@@ -215,7 +220,6 @@ def kmeans(
     fm: FeatureMatrix,
     k,
     restarts=100,
-    rel_tol=1e-3,
     max_iter=300,
     seed=0,
     benchmark_id="",
@@ -226,7 +230,7 @@ def kmeans(
     Runs ``restarts`` independent Lloyd fits (k-means++ seeding, empty
     clusters revived at the worst-fit point) and keeps the lowest-inertia
     result, ties going to the earliest restart.  Convergence is declared
-    when the Frobenius norm of the center shift drops below ``rel_tol``
+    when the Frobenius norm of the center shift drops below ``_REL_TOL``
     relative to the previous centers.  Each restart draws from its own
     generator spawned from ``seed``; restarts advance in lockstep, in blocks
     whose (restarts, k, rows) distance array fits ``_BLOCK_BYTES``, with the
@@ -243,7 +247,7 @@ def kmeans(
         raise StructuralError(f"restarts must be >= 1, got {restarts}")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
     block = max(1, _BLOCK_BYTES // (8 * x.shape[0] * k))
-    fits = [_lockstep(x, k, rngs[i : i + block], rel_tol, max_iter) for i in range(0, restarts, block)]
+    fits = [_lockstep(x, k, rngs[i : i + block], max_iter) for i in range(0, restarts, block)]
     centers, inertias, traces, hits = zip(*fits)
     inertias = np.concatenate(inertias)
     best = int(np.argmin(inertias))
@@ -285,7 +289,7 @@ def chord_knee(ks, inertias):
     return int(ks[int(np.argmax(dist))]), dist, bool(dist.max() < 0.05)
 
 
-def elbow_scan(fm, kmin=2, kmax=18, restarts=100, rel_tol=1e-3, seed=0):
+def elbow_scan(fm, kmin=2, kmax=18, restarts=100, seed=0):
     """Distortion curve over k plus the knee found by the chord rule.
 
     Each k runs a full kmeans (seed derived from ``seed`` and k); the knee is
@@ -300,36 +304,21 @@ def elbow_scan(fm, kmin=2, kmax=18, restarts=100, rel_tol=1e-3, seed=0):
     hits = np.empty(len(ks), dtype=np.int64)
     for i, k in enumerate(ks):
         child = int(np.random.SeedSequence([seed, int(k)]).generate_state(1)[0])
-        vocab = kmeans(fm, int(k), restarts=restarts, rel_tol=rel_tol, seed=child)
+        vocab = kmeans(fm, int(k), restarts=restarts, seed=child)
         inertias[i], hits[i] = vocab.inertia, vocab.max_iter_hits
     k_star, dist, low_confidence = chord_knee(ks, inertias)
     return ElbowResult(ks, inertias, k_star, dist, low_confidence, hits)
 
 
-def _normalize_rows(vocab, values, measures):
-    if tuple(measures) != vocab.measures:
-        raise StructuralError(
-            f"measure list {tuple(measures)} does not match vocabulary {vocab.measures}"
-        )
-    return np.asarray(values, dtype=np.float64) / vocab.normalizers
-
-
-def assign_rows(vocab, values, measures):
-    """Type index (1-based) of each raw descriptor row; NaN rows get 0."""
-    x = _normalize_rows(vocab, np.atleast_2d(values), measures)
+def assign_rows(vocab, values):
+    """Nearest-centroid type (1-based) of each raw descriptor row, ties to the
+    lowest type; rows with an undefined value get 0."""
+    x = np.atleast_2d(np.asarray(values, dtype=np.float64)) / vocab.normalizers
     out = np.zeros(x.shape[0], dtype=np.int64)
     ok = ~np.isnan(x).any(axis=1)
     if np.any(ok):
         out[ok] = _squared_distances(x[ok], vocab.centroids).argmin(axis=0) + 1
     return out
-
-
-def assign(vocab, descriptor: NeuronDescriptor):
-    """Nearest-centroid type (1-based) of one neuron; ties to the lowest type."""
-    idx = assign_rows(vocab, descriptor.values, descriptor.measures)[0]
-    if idx == 0:
-        raise StructuralError("descriptor carries undefined values")
-    return int(idx)
 
 
 def occurrence(vocab, table):
@@ -339,7 +328,7 @@ def occurrence(vocab, table):
     renormalized; a network with no defined neuron at all is an error.
     """
     values = np.column_stack([table.column(m) for m in vocab.measures])
-    labels = assign_rows(vocab, values, vocab.measures)
+    labels = assign_rows(vocab, values)
     labels = labels[labels > 0]
     if labels.size == 0:
         raise StructuralError(f"{table.network_id!r}: every hidden neuron is undefined")

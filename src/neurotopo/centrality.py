@@ -308,11 +308,16 @@ MEASURE_ORDER = tuple(MEASURES)
 
 
 def check_measure_ids(measure_ids):
-    """The ids as a tuple; StructuralError naming the unknown ones and the valid ids."""
+    """The ids as a tuple; StructuralError for an empty list, an unknown id
+    (naming the valid ids) or a repeated one."""
     measure_ids = tuple(measure_ids)
+    if not measure_ids:
+        raise StructuralError("at least one measure is required")
     unknown = [m for m in measure_ids if m not in MEASURES]
     if unknown:
         raise StructuralError(f"unknown measures {unknown}; valid ids: {', '.join(MEASURE_ORDER)}")
+    if len(set(measure_ids)) != len(measure_ids):
+        raise StructuralError(f"repeated measures in {list(measure_ids)}")
     return measure_ids
 
 
@@ -450,10 +455,10 @@ def read_measures_csv(path, accuracies=None):
     header, lines = read_csv_rows(path)
     if tuple(header[:3]) != CSV_FIXED_COLUMNS:
         raise FormatError(f"{path}: header must start with {','.join(CSV_FIXED_COLUMNS)}")
-    measures = tuple(header[3:])
-    unknown = [m for m in measures if m not in MEASURES]
-    if not measures or unknown:
-        raise FormatError(f"{path}: unknown measure columns {unknown}")
+    try:
+        measures = check_measure_ids(header[3:])
+    except StructuralError as exc:
+        raise FormatError(f"{path}: bad measure columns ({exc})") from exc
     if not lines:
         raise FormatError(f"{path}: no measure rows")
     rows = {}

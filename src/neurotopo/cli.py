@@ -18,13 +18,7 @@ import numpy as np
 
 from . import bon, centrality, descriptors, plots, trainer
 from .artifacts import write_csv, write_json, write_text
-from .errors import (
-    FormatError,
-    NeurotopoError,
-    NumericalError,
-    ResourceBudgetError,
-    StructuralError,
-)
+from .errors import FormatError, NeurotopoError, NumericalError, StructuralError
 from .model import load_model
 
 EXIT_OK = 0
@@ -163,7 +157,7 @@ def cmd_measure(args):
         net = load_model(path)
         try:
             table = centrality.measure_all(net, measures=measures, cfc_mode=args.cfc_mode)
-        except (NumericalError, ResourceBudgetError) as exc:
+        except NumericalError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failed.append({"model": path, "error": str(exc)})
             table = centrality.nan_table(net, measures)
@@ -321,7 +315,7 @@ def build_parser():
     p.add_argument("--dataset-id", default="")
     p.add_argument("--train-limit", type=int, default=0)
     p.add_argument("--test-limit", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -390,7 +384,7 @@ def main(argv=None):
     except (FormatError, FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, ResourceBudgetError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
 

@@ -14,29 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centrality import MEASURES, NeuronMeasures
+from .centrality import MEASURES, NeuronMeasures, check_measure_ids
 from .errors import StructuralError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class NeuronDescriptor:
-    """Measure vector of a single hidden neuron (raw, unnormalized units)."""
-
-    network_id: str
-    layer_index: int
-    neuron_index: int
-    measures: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (len(self.measures),):
-            raise StructuralError(
-                f"descriptor carries {values.shape} values for {len(self.measures)} measures"
-            )
-        object.__setattr__(self, "values", values)
 
 
 class LayerMean(NamedTuple):
@@ -65,8 +46,6 @@ class FeatureMatrix:
     measures: tuple
     normalizers: np.ndarray
     network_ids: np.ndarray
-    layer: np.ndarray
-    neuron: np.ndarray
     excluded_rows: int
 
     @property
@@ -115,53 +94,36 @@ def build_feature_matrix(tables, measures) -> FeatureMatrix:
     """Stack per-neuron descriptors of a population and normalize columns.
 
     All networks must share an architecture (equal hidden-layer layout).
-    Each column is divided by its maximum absolute value; an all-zero column
-    is left unscaled with its normalizer recorded as 1.
+    Normalization is that of ``feature_matrix_from_values``.
     """
-    measures = tuple(measures)
-    if not measures:
-        raise StructuralError("at least one measure is required")
+    measures = check_measure_ids(measures)
     tables = sorted(tables, key=lambda t: t.network_id)
     if not tables:
         raise StructuralError("empty population")
     shape0 = (tables[0].layer.tolist(), tables[0].neuron.tolist())
-    blocks, ids, layers, neurons = [], [], [], []
+    blocks, ids = [], []
     for t in tables:
         if (t.layer.tolist(), t.neuron.tolist()) != shape0:
             raise StructuralError(f"{t.network_id!r}: architecture differs from the population")
         cols = [t.column(m) for m in measures]
         blocks.append(np.column_stack(cols))
         ids.append(np.full(t.values.shape[0], t.network_id, dtype=object))
-        layers.append(t.layer)
-        neurons.append(t.neuron)
-    return _normalized(
-        np.vstack(blocks),
-        measures,
-        np.concatenate(ids),
-        np.concatenate(layers),
-        np.concatenate(neurons),
-    )
+    return feature_matrix_from_values(np.vstack(blocks), measures, np.concatenate(ids))
 
 
 def feature_matrix_from_values(values, measures, network_ids=None):
-    """Wrap a raw (rows, m) value array as a normalized FeatureMatrix."""
+    """Wrap a raw (rows, m) value array as a normalized FeatureMatrix.
+
+    Rows with an undefined value are dropped.  Each column is divided by its
+    maximum absolute value; an all-zero column is left unscaled with its
+    normalizer recorded as 1.
+    """
+    measures = check_measure_ids(measures)
     raw = np.asarray(values, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[1] != len(measures):
         raise StructuralError(f"value array must be 2-D with {len(measures)} columns")
-    rows = raw.shape[0]
     if network_ids is None:
-        network_ids = np.full(rows, "", dtype=object)
-    return _normalized(
-        raw,
-        tuple(measures),
-        np.asarray(network_ids, dtype=object),
-        np.zeros(rows, dtype=np.int64),
-        np.arange(rows, dtype=np.int64),
-    )
-
-
-def _normalized(raw, measures, network_ids, layer, neuron):
-    """Drop rows with an undefined value and scale each column by its max |value|."""
+        network_ids = np.full(raw.shape[0], "", dtype=object)
     keep = ~np.isnan(raw).any(axis=1)
     if not np.any(keep):
         raise StructuralError("every row carried an undefined value")
@@ -175,9 +137,7 @@ def _normalized(raw, measures, network_ids, layer, neuron):
         data=raw / normalizers,
         measures=measures,
         normalizers=normalizers,
-        network_ids=network_ids[keep],
-        layer=layer[keep],
-        neuron=neuron[keep],
+        network_ids=np.asarray(network_ids, dtype=object)[keep],
         excluded_rows=int(np.sum(~keep)),
     )
 

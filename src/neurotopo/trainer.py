@@ -199,6 +199,12 @@ def loss_and_gradients(net: LayeredNetwork, x, labels):
     return loss, grads
 
 
+# A diverging network overflows to inf and NaN; train reports that as
+# NumericalError, and numpy's floating-point warnings would only repeat it.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def train(net: LayeredNetwork, train_set: Dataset, config: TrainingConfig):
     """Plain SGD over shuffled batches; returns the trained net and history.
 
@@ -237,6 +243,7 @@ def train(net: LayeredNetwork, train_set: Dataset, config: TrainingConfig):
     return LayeredNetwork(arch=net.arch, weights=tuple(weights), meta=meta), history
 
 
+@_QUIET
 def evaluate(net: LayeredNetwork, test_set: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
     logits = _forward_trace(net.weights, test_set.images)[-1]
@@ -270,7 +277,7 @@ def _train_one(train_set, test_set, config, dataset_id, weight_seed, model_path)
     try:
         net, _ = train(net, train_set, config)
         test_acc = evaluate(net, test_set)
-    except (NumericalError, FloatingPointError) as exc:
+    except NumericalError as exc:
         return _manifest_entry(weight_seed, None, None, f"failed: {exc}")
     meta = dict(net.meta)
     meta["test_acc"] = test_acc
@@ -300,7 +307,7 @@ def generate_population(
     weight_seeds,
     out_dir,
     dataset_id="",
-    workers=None,
+    workers=1,
 ):
     """Train one network per weight seed and serialize models plus a manifest.
 
@@ -308,9 +315,8 @@ def generate_population(
     it stopped; a cached model whose arch, epochs or dataset id differs from
     this run's raises StructuralError and is left in place.  One network
     failing does not abort the population; its entry is recorded with status
-    "failed".  ``workers`` (default: the NEUROTOPO_THREADS environment
-    variable, else 1) trains networks in parallel processes; results do not
-    depend on the schedule.
+    "failed".  ``workers`` > 1 trains networks in parallel processes; results
+    do not depend on the schedule.
     """
     weight_seeds = [int(s) for s in weight_seeds]
     if len(set(weight_seeds)) != len(weight_seeds):
@@ -318,8 +324,6 @@ def generate_population(
     if train_set.images.shape[1] != config.arch[0]:
         raise StructuralError("dataset feature count does not match the configured input layer")
     os.makedirs(out_dir, exist_ok=True)
-    if workers is None:
-        workers = int(os.environ.get("NEUROTOPO_THREADS", "1"))
     entries = {}
     todo = []
     for seed in weight_seeds:

@@ -1,5 +1,6 @@
 """Vocabulary learning, assignment, histograms, groups, and divergence."""
 
+import json
 import logging
 import math
 
@@ -13,7 +14,7 @@ from neurotopo.bon import (
     PopulationRecord,
     Vocabulary,
     accuracy_groups,
-    assign,
+    assign_rows,
     chord_knee,
     cross_benchmark_jsd,
     elbow_scan,
@@ -26,7 +27,7 @@ from neurotopo.bon import (
     write_occurrence_csv,
 )
 from neurotopo.centrality import NeuronMeasures
-from neurotopo.descriptors import NeuronDescriptor, feature_matrix_from_values
+from neurotopo.descriptors import feature_matrix_from_values
 from neurotopo.errors import FormatError, StructuralError
 
 
@@ -234,38 +235,22 @@ class TestAssign:
             seed=0,
         )
 
-    def descriptor(self, values):
-        return NeuronDescriptor(
-            network_id="a",
-            layer_index=1,
-            neuron_index=0,
-            measures=("s", "bc", "sg"),
-            values=np.asarray(values, dtype=np.float64),
-        )
-
     def test_exact_centroid_match(self):
         vocab = self.vocab()
-        assert assign(vocab, self.descriptor([0.3, 0.9, 0.2])) == 3
+        assert assign_rows(vocab, [0.3, 0.9, 0.2]).tolist() == [3]
 
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[-1.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
         vocab = Vocabulary(
             centroids=centroids, measures=("s", "bc"), normalizers=np.ones(2), inertia=0.0, k=3, seed=0
         )
-        d = NeuronDescriptor("a", 1, 0, ("s", "bc"), np.array([0.0, 0.0]))
-        assert assign(vocab, d) == 1
+        assert assign_rows(vocab, [0.0, 0.0]).tolist() == [1]
 
     def test_benchmark_centroid_table_first_type(self):
         # normalized descriptor equal to the first row of a published-style
         # centroid table must land on type 1
         vocab = self.vocab()
-        assert assign(vocab, self.descriptor([-0.40, 0.57, 0.11])) == 1
-
-    def test_measure_mismatch_rejected(self):
-        vocab = self.vocab()
-        bad = NeuronDescriptor("a", 1, 0, ("s", "bc"), np.array([0.0, 0.0]))
-        with pytest.raises(StructuralError, match="measure list"):
-            assign(vocab, bad)
+        assert assign_rows(vocab, [-0.40, 0.57, 0.11]).tolist() == [1]
 
     def test_normalizer_consistency(self):
         # scaling raw values and normalizers together must not change the type
@@ -279,7 +264,7 @@ class TestAssign:
             seed=0,
         )
         raw = np.array([-0.40, 0.57, 0.11])
-        assert assign(scaled, self.descriptor(raw * np.array([10.0, 2.0, 0.5]))) == 1
+        assert assign_rows(scaled, raw * np.array([10.0, 2.0, 0.5])).tolist() == [1]
 
 
 class TestOccurrence:
@@ -424,9 +409,18 @@ class TestVocabularyIo:
         with pytest.raises(StructuralError):
             Vocabulary(np.array(centroids), ("s", "bc"), np.array(normalizers), 0.0, 2, 0)
 
-    def test_document_key_set(self, tmp_path):
-        import json
+    @pytest.mark.parametrize("measures", [["zz", "bc"], ["s", "s"]])
+    def test_bad_measure_list_rejected(self, tmp_path, measures):
+        with pytest.raises(StructuralError, match="measures"):
+            Vocabulary(np.zeros((2, 2)), tuple(measures), np.ones(2), 0.0, 2, 0)
+        path = tmp_path / "v.json"
+        doc = {"measures": measures, "normalizers": [1.0, 1.0], "k": 2,
+               "centroids": [[0.0, 0.0], [1.0, 1.0]], "inertia": 0.0, "seed": 0}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="v.json: bad vocabulary file"):
+            load_vocabulary(path)
 
+    def test_document_key_set(self, tmp_path):
         vocab = Vocabulary(np.array([[-1.0], [1.0]]), ("s",), np.ones(1), 0.5, 2, 3,
                            benchmark_id="b")
         path = tmp_path / "v.json"

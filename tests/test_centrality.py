@@ -367,6 +367,11 @@ class TestMeasureAll:
         with pytest.raises(StructuralError, match="valid"):
             measure_all(net, measures=("s", "pagerank"))
 
+    def test_repeated_measure_rejected(self):
+        net = init_network((2, 2, 2), seed=0)
+        with pytest.raises(StructuralError, match=r"repeated measures in \['s', 'bc', 's'\]"):
+            measure_all(net, measures=("s", "bc", "s"))
+
 
 def _edge_case_nets():
     """Seeded nets at a toy and at the desk architecture, plus edge cases."""
@@ -512,6 +517,14 @@ class TestMeasuresCsv:
         path = tmp_path / "measures.csv"
         path.write_text(f"network_id,layer,neuron,s\na,1,0,0.25\na,{layer},{neuron},0.5\n")
         with pytest.raises(FormatError, match="measures.csv:3: .* is not a plain decimal integer"):
+            read_measures_csv(path)
+
+    @pytest.mark.parametrize("columns", [[], ["s", "zz"], ["s", "bc", "s"]])
+    def test_bad_measure_columns_rejected(self, tmp_path, columns):
+        path = tmp_path / "measures.csv"
+        header = ",".join(["network_id", "layer", "neuron", *columns])
+        path.write_text(f"{header}\n" + ",".join(["a", "1", "0"] + ["0.5"] * len(columns)) + "\n")
+        with pytest.raises(FormatError, match="measures.csv: bad measure columns"):
             read_measures_csv(path)
 
     def test_split_network_rows_rejected(self, tmp_path):

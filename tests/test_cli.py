@@ -62,7 +62,7 @@ class TestTrainCommand:
         manifest = json.loads((trained_dir / "manifest.json").read_text())
         assert len(manifest) == 3
         assert all((trained_dir / e["model_path"]).exists() for e in manifest)
-        assert (trained_dir / "run.json").exists()
+        assert json.loads((trained_dir / "run.json").read_text())["parameters"]["workers"] == 1
 
     def test_missing_data_dir_exits_3(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope"), "--count", "1", "--out", str(tmp_path / "o")])
@@ -126,6 +126,13 @@ class TestMeasureCommand:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert "cfc" in capsys.readouterr().err  # lists the valid ids
+
+    def test_repeated_measure_exits_2(self, trained_dir, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        code = main(["measure", "--models", str(trained_dir), "--measures", "s,bc,s", "--out", str(out)])
+        assert code == 2
+        assert "repeated measures" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_failing_network_keeps_the_others(self, trained_dir, tmp_path, monkeypatch, capsys):
         models = tmp_path / "models"
@@ -234,6 +241,14 @@ class TestVocabCommands:
         assert code == 3
         assert "desc.csv:3: '1_0' is not a plain decimal integer" in capsys.readouterr().err
 
+    def test_repeated_measure_columns_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "desc.csv"
+        path.write_text("network_id,layer,neuron,s,s\na,1,0,0.25,0.25\na,1,1,0.5,0.5\n")
+        out = tmp_path / "v.json"
+        assert main(["vocab", "build", "--measures-csv", str(path), "--k", "2", "--out", str(out)]) == 3
+        assert "desc.csv: bad measure columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_build_records_convergence(self, measures_csv, tmp_path):
         out = tmp_path / "vocab.json"
         assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--elbow", "2", "5",
@@ -275,6 +290,19 @@ class TestVocabCommands:
         vocab.write_text(
             '{"measures": ["s", "bc", "sg"], "normalizers": %s, "k": 2, '
             '"centroids": [%s, [1.0, 1.0, 1.0]], "inertia": 0.0, "seed": 0}' % (normalizers, centroid)
+        )
+        code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(measures_csv),
+                     "--out", str(tmp_path / "occ.csv")])
+        assert code == 3
+        assert "bad_vocab.json" in capsys.readouterr().err
+        assert not (tmp_path / "occ.csv").exists()
+
+    @pytest.mark.parametrize("measures", ['["zz", "bc"]', '["s", "s"]'])
+    def test_assign_bad_measure_list_exits_3(self, measures_csv, tmp_path, capsys, measures):
+        vocab = tmp_path / "bad_vocab.json"
+        vocab.write_text(
+            '{"measures": %s, "normalizers": [1.0, 1.0], "k": 2, '
+            '"centroids": [[0.0, 0.0], [1.0, 1.0]], "inertia": 0.0, "seed": 0}' % measures
         )
         code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(measures_csv),
                      "--out", str(tmp_path / "occ.csv")])

@@ -133,6 +133,14 @@ class TestFeatureMatrix:
         fm = build_feature_matrix([ta, tb], ("s",))
         assert fm.network_ids.tolist() == ["a", "a", "b", "b"]
 
+    @pytest.mark.parametrize("measures", [(), ("s", "zz"), ("s", "s")])
+    def test_bad_measure_list_rejected(self, measures):
+        raw = np.ones((3, len(measures)))
+        with pytest.raises(StructuralError, match="measure"):
+            feature_matrix_from_values(raw, measures)
+        with pytest.raises(StructuralError, match="measure"):
+            build_feature_matrix([table("a", [1, 1, 1], raw, measures)], measures)
+
     def test_architecture_mismatch_rejected(self):
         ta = table("a", [1, 2], [1.0, 2.0])
         tb = table("b", [1, 1, 2], [1.0, 2.0, 3.0])

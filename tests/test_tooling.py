@@ -1,14 +1,18 @@
-"""The benchmark's traced mode against the real library.
+"""Checks on the source tree itself.
 
 ``perfbench/run.py --trace 1`` wraps neurotopo functions by the names its
 callers look them up by (``perfbench/instrument.py``).  Renaming or deleting
-one of them must fail here, not only in a traced benchmark run.
+one of them must fail here, not only in a traced benchmark run.  A library
+module must not import a name it never uses, so deleted code leaves no
+stale import behind.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 MODULES = ("cli", "trainer", "model", "centrality", "descriptors", "bon", "plots", "datagen")
 
 
@@ -33,3 +37,20 @@ def test_perfbench_instrumentation_wraps_and_restores(monkeypatch):
             ("centrality", "measure_all"), ("bon", "kmeans"), ("cli", "cmd_measure")} <= wrapped
     for name, module in nt.items():
         assert all(getattr(module, attr) is value for attr, value in before[name].items()), name
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; elsewhere every imported name is read
+    unused = []
+    for path in sorted((ROOT / "src" / "neurotopo").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+    assert unused == []

@@ -298,13 +298,17 @@ class TestPopulation:
         assert (tmp_path / "model_seed0.json").read_bytes() == before
         assert not (tmp_path / "model_seed1.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failed_network_recorded_by_both_schedules(self, tmp_path):
-        # this learning rate makes seed 1's loss overflow and leaves seeds 0 and 2 finite
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_network_recorded_by_both_schedules(self, tmp_path, capfd):
+        # this learning rate makes seed 1's loss overflow and leaves seeds 0 and 2 finite;
+        # the manifest entry is the only report: a numpy warning raises under the mark
+        # (forked workers inherit the filter) and a worker's stderr would reach capfd
         train_set, test_set = self.small_sets()
         config = dataclasses.replace(self.config(), learning_rate=1e100)
         seq = generate_population(train_set, test_set, config, [0, 1, 2], tmp_path / "seq", workers=1)
+        assert capfd.readouterr().err == ""
         par = generate_population(train_set, test_set, config, [0, 1, 2], tmp_path / "par", workers=2)
+        assert capfd.readouterr().err == ""
         assert seq == par
         assert [e["status"] for e in seq] == ["trained", "failed: loss diverged at epoch 0", "trained"]
         assert seq[1] == {"seed": 1, "model_path": None, "train_acc": None, "test_acc": None,
