@@ -17,6 +17,7 @@ values are NaN, never silent zeros.  ``measure_all`` runs a selection of
 measures on a layered network and computes the hidden-neuron rows only.
 """
 
+import logging
 import math
 import time
 from collections.abc import Callable
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
@@ -42,6 +42,13 @@ from .model import (
 
 # radicand round-off this small is clamped to zero; anything lower is an error
 SO_RADICAND_TOL = 1e-9
+
+# grounded-inverse pivots |d_e| > PIVOT_TAU·max|d| are eliminated, smaller ones
+# stay in S: the error grows about as (max|d|/|d_e|)², 1e-11 relative at a ratio
+# of 3.4e-4 and 4e-7 at 2.9e-6, so cfc stays inside its 1e-9 tolerance
+PIVOT_TAU = 1e-4
+
+log = logging.getLogger(__name__)
 
 
 CSV_FIXED_COLUMNS = ("network_id", "layer", "neuron")
@@ -65,20 +72,45 @@ def avg_neighbor_strength(view):
 def _laplacian_pinv_diagonal(view, w, what):
     """diag(L⁺) for the Laplacian L of conductances ``w`` on a connected view.
 
-    When the kernel of L is exactly the constants, (L + J/n)⁻¹ = L⁺ + J/n.
-    A singular L + J/n (signed weights can widen the kernel) or a non-finite
-    inverse raises NumericalError naming ``what``.
+    Kron reduction (Dörfler & Bullo, IEEE TCAS-I 2013): with one odd-side node
+    grounded, M = L_g⁻¹ is taken by blocks.  Layer parity makes the even side
+    an independent set, so its nodes E with |d_e| > PIVOT_TAU·max|d| form a
+    diagonal block D and the others stay in the dense Schur complement
+    S = L_KK - W_KE·D⁻¹·W_EK.  Then diag(L⁺) = diag(M) - 2·M1/n + 1ᵀM1/n².
+    A singular S (then L + J/n is singular: signed weights can widen the
+    kernel) or a non-finite result raises NumericalError naming ``what``.
     """
     n = view.node_count
     if component_labels(view.edge_mask)[0] != 1:
         raise StructuralError(f"{what} requires a connected view")
+    d = w.sum(axis=1)
+    sides = _parity_sides(view)
+    # without parity sides nothing is eliminated and node 0 is grounded
+    even, odd = (np.zeros(0, dtype=np.int64), np.arange(n)) if sides is None else sides
+    scale = np.abs(d).max()
+    elim = even[np.abs(d[even]) > PIVOT_TAU * scale]
+    kept = np.setdiff1d(np.arange(n), np.append(elim, odd[0]))
+    log.debug("%s: tau %g, %d of %d even-side pivots kept in S of size %d, smallest pivot ratio %.3g",
+              what, PIVOT_TAU, even.size - elim.size, even.size, kept.size,
+              np.abs(d[even]).min() / scale if even.size and scale else math.nan)
+    piv = 1.0 / d[elim]
+    w_ek = w[np.ix_(elim, kept)]
+    v = w_ek * piv[:, np.newaxis]  # D⁻¹·W_EK
+    s = np.diag(d[kept]) - w[np.ix_(kept, kept)] - w_ek.T @ v
     try:
-        inv = np.linalg.inv(np.diag(w.sum(axis=1)) - w + 1.0 / n)
+        x = np.linalg.inv(s)  # M_KK; M_EK = V·X and M_EE = D⁻¹ + V·X·Vᵀ
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what}: L + J/n is singular ({exc})") from exc
-    if not np.all(np.isfinite(inv)):
-        raise NumericalError(f"{what}: the inverse of L + J/n is not finite")
-    return np.diag(inv) - 1.0 / n
+        raise NumericalError(f"{what}: L + J/n is singular (grounded Schur block: {exc})") from exc
+    diag = np.zeros(n)  # diag(M)
+    rows = np.zeros(n)  # M·1
+    diag[kept] = np.diag(x)
+    rows[kept] = x @ (1.0 + v.sum(axis=0))
+    diag[elim] = piv + np.einsum("ij,ij->i", v @ x, v)
+    rows[elim] = piv + v @ rows[kept]
+    lp = diag - 2.0 * rows / n + rows.sum() / (n * n)
+    if not np.all(np.isfinite(lp)):
+        raise NumericalError(f"{what}: the grounded inverse is not finite")
+    return lp
 
 
 def second_order(view):
@@ -200,17 +232,57 @@ def bipartite_clustering(view, nodes=None):
     return out
 
 
+def _minplus(a, b):
+    """Min-plus matrix product, out_ij = min_k a_ik + b_kj over the finite b_kj."""
+    at = np.ascontiguousarray(a.T)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for j, finite in enumerate(np.isfinite(b).T):
+        k = np.flatnonzero(finite)
+        out[:, j] = np.min(at[k] + b[k, j, np.newaxis], axis=0, initial=np.inf)
+    return out
+
+
+def _input_eliminated_distances(view, nodes, inputs):
+    """Shortest-path lengths from ``nodes`` to every node, the layer-0 nodes
+    eliminated in the min-plus semiring.  The inputs are an independent set,
+    so a path through input i joins two of its neighbors a, b at length
+    l_ai + l_ib; with those via-input lengths the other nodes' all-pairs
+    distances (Floyd-Warshall) are exact, and one more min-plus product over
+    the inputs' neighbors gives the distances to the inputs."""
+    length = np.where(view.edge_mask, view.weights, np.inf)
+    ins, rest = np.flatnonzero(inputs), np.flatnonzero(~inputs)
+    hub = np.flatnonzero(np.isfinite(length[np.ix_(ins, rest)]).any(axis=0))  # rest positions
+    hub_in = length[np.ix_(rest[hub], ins)]
+    d = length[np.ix_(rest, rest)]
+    d[np.ix_(hub, hub)] = np.minimum(d[np.ix_(hub, hub)], _minplus(hub_in, hub_in.T))
+    d = floyd_warshall(d, directed=False)
+    from_input = inputs[nodes]
+    pos = np.cumsum(~inputs) - 1  # node -> position among rest
+    near = np.empty((len(nodes), rest.size))
+    near[~from_input] = d[pos[nodes[~from_input]]]
+    near[from_input] = _minplus(length[np.ix_(nodes[from_input], rest[hub])], d[hub])
+    dist = np.empty((len(nodes), view.node_count))
+    dist[:, rest] = near
+    dist[:, ins] = _minplus(near[:, hub], hub_in)
+    return dist
+
+
 def harmonic(view, nodes=None):
     """Sum of reciprocal shortest-path distances, edge weights as lengths.
 
     Unreachable pairs contribute zero, so disconnected views are fine.  With
-    ``nodes`` (view positions), Dijkstra runs from those sources only.
+    ``nodes`` (view positions), distances run from those sources only: by
+    ``_input_eliminated_distances`` when layer parity bipartitions the view's
+    edges and it has layer-0 nodes, otherwise by Dijkstra.
     """
     if np.any(view.weights[view.edge_mask] <= 0.0):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
-    nodes = np.arange(view.node_count) if nodes is None else nodes
-    graph = csr_matrix(np.where(view.edge_mask, view.weights, 0.0))
-    dist = dijkstra(graph, directed=False, indices=nodes)
+    nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes)
+    inputs = None if _parity_sides(view) is None else view.layers == 0
+    if inputs is not None and inputs.any():
+        dist = _input_eliminated_distances(view, nodes, inputs)
+    else:
+        dist = dijkstra(np.where(view.edge_mask, view.weights, 0.0), directed=False, indices=nodes)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)

@@ -84,6 +84,8 @@ def cmd_train(args):
     arch = _parse_arch(args.arch)
     if args.count < 1:
         raise _UsageError("--count must be >= 1")
+    if min(args.train_limit, args.test_limit) < 0:
+        raise _UsageError("--train-limit and --test-limit must be >= 0 (0: no limit)")
     config = trainer.TrainingConfig(
         arch=arch,
         learning_rate=args.lr,

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .artifacts import read_json, write_json
 from .errors import FormatError, StructuralError
@@ -221,10 +219,19 @@ def threshold_view(graph: NeuronGraph, mode: str) -> GraphView:
 
 
 def component_labels(edge_mask):
-    """Connected components of a boolean adjacency matrix, as scipy's
-    (count, labels) on its CSR form.  Components are numbered in the order
-    of their smallest node."""
-    return connected_components(csr_matrix(edge_mask), directed=False)
+    """Connected components of a boolean adjacency matrix as (count, labels),
+    by breadth-first search on the dense mask, one frontier at a time.
+    Components are numbered in the order of their smallest node."""
+    labels = np.full(edge_mask.shape[0], -1)
+    count = 0
+    for start in range(edge_mask.shape[0]):
+        if labels[start] < 0:
+            frontier = np.array([start])
+            while frontier.size:
+                labels[frontier] = count
+                frontier = np.flatnonzero(edge_mask[frontier].any(axis=0) & (labels < 0))
+            count += 1
+    return count, labels
 
 
 def largest_component(view: GraphView) -> LargestComponent:
@@ -240,7 +247,7 @@ def largest_component(view: GraphView) -> LargestComponent:
     # argmax takes the first largest label, the one holding the smallest node
     inside = labels == np.argmax(np.bincount(labels))
     keep = np.flatnonzero(inside)
-    sub = GraphView(
+    sub = view if keep.size == view.node_count else GraphView(
         base=view.base,
         mode=view.mode,
         node_ids=view.node_ids[keep],

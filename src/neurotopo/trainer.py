@@ -77,7 +77,7 @@ class Dataset:
         return self.images.shape[0]
 
     def subset(self, count):
-        if count > len(self):
+        if not 1 <= count <= len(self):
             raise StructuralError(f"cannot take {count} samples from {len(self)}")
         return Dataset(self.images[:count], self.labels[:count], self.split)
 
@@ -318,6 +318,8 @@ def generate_population(
     "failed".  ``workers`` > 1 trains networks in parallel processes; results
     do not depend on the schedule.
     """
+    if workers < 1:
+        raise StructuralError(f"workers must be >= 1, got {workers}")
     weight_seeds = [int(s) for s in weight_seeds]
     if len(set(weight_seeds)) != len(weight_seeds):
         raise StructuralError("weight seeds must be distinct")

@@ -3,8 +3,9 @@ and the k-means fit.
 
 Everything here favors directness over speed: explicit neighbor loops,
 exhaustive subset enumeration, per-target linear systems, textbook
-Floyd-Warshall, a grounded-node resistance solver, breadth-first search for
-components, and Lloyd's algorithm run one restart at a time.  Final scalar reductions use np.sum over operand
+Floyd-Warshall, a grounded-node resistance solver, one dense (L + J/n)⁻¹,
+breadth-first search for components, and Lloyd's algorithm run one restart
+at a time.  Final scalar reductions use np.sum over operand
 arrays assembled in ascending index order, which is what makes exact
 comparison against the vectorized library implementations meaningful.
 """
@@ -148,6 +149,13 @@ def harmonic_naive(weights, mask):
         recips = [1.0 / dist[j, i] for j in range(n) if j != i and math.isfinite(dist[j, i])]
         out[i] = np.sum(np.array(recips)) if recips else 0.0
     return out
+
+
+def laplacian_pinv_diagonal_dense(w):
+    """diag(L⁺) from one dense inverse, (L + J/n)⁻¹ = L⁺ + J/n, for the
+    Laplacian of conductances ``w`` on a connected graph."""
+    n = w.shape[0]
+    return np.diag(np.linalg.inv(np.diag(w.sum(axis=1)) - w + 1.0 / n)) - 1.0 / n
 
 
 def current_flow_closeness_naive(weights, mask, mode="raw"):

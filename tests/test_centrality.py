@@ -1,5 +1,6 @@
 """Unit checks for the eight measures: closed forms, hand-worked examples, properties."""
 
+import logging
 import math
 
 import numpy as np
@@ -387,6 +388,28 @@ def _edge_case_nets():
     return nets
 
 
+def _untagged(graph):
+    """The graph without layer tags: every measure takes its general path."""
+    return NeuronGraph(graph.weights, graph.edge_mask)
+
+
+def _low_pivot_net():
+    """784,32,16,10 with the signed degree of input 0 forced to round-off."""
+    w = [np.array(x) for x in init_network((784, 32, 16, 10), seed=4).weights]
+    w[0][0] -= w[0][0].mean()
+    return LayeredNetwork(arch=(784, 32, 16, 10), weights=w)
+
+
+def _hc_edge_case_nets():
+    """Nets whose positive views have an isolated input, an h1 neuron reached
+    only from above, or a single hidden layer; and one at the desk size."""
+    w = [np.array(x) for x in init_network((12, 6, 5, 3), seed=5).weights]
+    w[0][0] = -np.abs(w[0][0])  # input 0 has no positive synapse
+    w[0][:, 1] = -np.abs(w[0][:, 1])  # h1 neuron 1 has no positive input
+    return [LayeredNetwork(arch=(12, 6, 5, 3), weights=w), init_network((12, 6, 3), seed=6),
+            init_network((784, 32, 16, 10), seed=7)]
+
+
 class TestLayeredKernels:
     """measure_all's row kernels against the general functions at the hidden rows."""
 
@@ -398,7 +421,7 @@ class TestLayeredKernels:
         general = {"s": strength, "snn": avg_neighbor_strength, "sg": subgraph_centrality,
                    "mc": max_clique_count, "bc": bipartite_clustering, "hc": harmonic}
         for m in MEASURE_ORDER:
-            v = threshold_view(graph, MEASURES[m].view_mode)
+            v = threshold_view(_untagged(graph), MEASURES[m].view_mode)
             if m in general:
                 want = general[m](v)[hidden]
             else:
@@ -416,6 +439,53 @@ class TestLayeredKernels:
             else:
                 tol = {"so": 1e-6, "cfc": 1e-9}.get(m, 1e-12)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=tol, err_msg=m)
+
+    @pytest.mark.parametrize("net", _edge_case_nets() + [_low_pivot_net()])
+    def test_grounded_inverse_matches_dense_oracle(self, net):
+        graph = build_graph(net)
+        conductances = ((VIEW_POSITIVE_UNWEIGHTED, lambda v: v.edge_mask.astype(np.float64)),
+                        (VIEW_ORIGINAL, lambda v: v.weights), (VIEW_ORIGINAL, lambda v: np.abs(v.weights)))
+        for mode, conductance in conductances:
+            comp = largest_component(threshold_view(graph, mode)).view
+            if comp.node_count < 2:
+                continue
+            w = conductance(comp)
+            got = centrality._laplacian_pinv_diagonal(comp, w, "test")
+            np.testing.assert_allclose(got, oracles.laplacian_pinv_diagonal_dense(w), rtol=1e-9, atol=0.0)
+
+    def test_low_pivot_stays_in_schur_block(self, caplog):
+        net = _low_pivot_net()
+        v = threshold_view(build_graph(net), VIEW_ORIGINAL)
+        d = np.abs(v.weights.sum(axis=1))
+        low = np.flatnonzero((v.layers % 2 == 0) & (d <= centrality.PIVOT_TAU * d.max()))
+        assert 0 in low
+        with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
+            table = measure_all(net, measures=("cfc",))
+        assert f"cfc (mode=raw): tau 0.0001, {low.size} of 800 even-side pivots kept in S" in caplog.text
+        n = v.node_count
+        lp = oracles.laplacian_pinv_diagonal_dense(v.weights)
+        hidden = np.flatnonzero((v.layers >= 1) & (v.layers < net.depth))
+        want = (n - 1) / (n * lp + lp.sum())
+        np.testing.assert_allclose(table.column("cfc"), want[hidden], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("net", _hc_edge_case_nets())
+    def test_reduced_harmonic_matches_dijkstra(self, net, monkeypatch):
+        graph = build_graph(net)
+        v = threshold_view(graph, VIEW_POSITIVE)
+        calls = []
+        reduced = centrality._input_eliminated_distances
+
+        def spy(*args):
+            calls.append(args)
+            return reduced(*args)
+
+        monkeypatch.setattr(centrality, "_input_eliminated_distances", spy)
+        everything = np.arange(graph.node_count)
+        mixed = np.flatnonzero(graph.layers != 1)[::2]  # inputs, deeper layers and the output
+        for nodes in (everything, mixed):
+            want = harmonic(threshold_view(_untagged(graph), VIEW_POSITIVE), nodes)
+            np.testing.assert_allclose(harmonic(v, nodes), want, rtol=1e-12, atol=0.0)
+        assert len(calls) == 2
 
     def test_isolated_hidden_neuron(self):
         table = measure_all(_edge_case_nets()[4])

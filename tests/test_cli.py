@@ -114,6 +114,20 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--train-limit", "-195", "--train-limit"), ("--test-limit", "-3", "--test-limit"),
+         ("--workers", "-2", "workers must be >= 1"), ("--workers", "0", "workers must be >= 1"),
+         ("--train-limit", "201", "cannot take 201 samples from 200")],
+    )
+    def test_bad_count_exits_2(self, data_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(data_dir), "--count", "1", "--arch", "784,4,10",
+                     "--epochs", "1", flag, value, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
 
 class TestMeasureCommand:
     def test_csv_shape(self, measures_csv):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import graph_from_edges, unit_graph
 from oracles import largest_component_naive
@@ -15,6 +17,7 @@ from neurotopo.model import (
     LayeredNetwork,
     NeuronGraph,
     build_graph,
+    component_labels,
     largest_component,
     load_model,
     save_model,
@@ -125,6 +128,10 @@ class TestLargestComponent:
         assert comp.dropped.size == 0
         assert not comp.trivial
 
+    def test_connected_view_is_not_copied(self):
+        v = threshold_view(unit_graph(3, [(0, 1), (1, 2)]), VIEW_ORIGINAL)
+        assert largest_component(v).view is v
+
     def test_two_components(self):
         g = unit_graph(5, [(0, 1), (1, 2), (3, 4)])
         comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
@@ -182,6 +189,16 @@ class TestLargestComponent:
         assert comp.trivial == (not mask.any())
         np.testing.assert_array_equal(comp.view.edge_mask, mask[np.ix_(keep, keep)])
         np.testing.assert_array_equal(comp.view.weights, g.weights[np.ix_(keep, keep)])
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_component_labels_match_scipy(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
+        count, labels = component_labels(mask)
+        want_count, want_labels = connected_components(csr_matrix(mask), directed=False)
+        assert count == want_count
+        np.testing.assert_array_equal(labels, want_labels)
 
 
 class TestSerialization:

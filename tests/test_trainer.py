@@ -275,6 +275,20 @@ class TestPopulation:
         with pytest.raises(StructuralError, match="distinct"):
             generate_population(train_set, test_set, self.config(), [1, 1], tmp_path)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        train_set, test_set = self.small_sets()
+        with pytest.raises(StructuralError, match=f"workers must be >= 1, got {workers}"):
+            generate_population(train_set, test_set, self.config(), [0], tmp_path / "o", workers=workers)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("count", [0, -1, -59, 61])
+    def test_subset_outside_one_to_len_rejected(self, count):
+        train_set, _ = self.small_sets()
+        with pytest.raises(StructuralError, match=f"cannot take {count} samples from 60"):
+            train_set.subset(count)
+        assert len(train_set.subset(60)) == 60
+
     def test_resume_skips_existing(self, tmp_path):
         train_set, test_set = self.small_sets()
         generate_population(train_set, test_set, self.config(), [0, 1, 2], tmp_path)
