@@ -33,7 +33,7 @@ def main():
         print("writing a 2000/400 surrogate digit corpus ...")
         paths = write_synthetic_benchmark(work, train_count=2000, test_count=400, seed=7)
         train_set = load_idx(paths["train_images"], paths["train_labels"])
-        test_set = load_idx(paths["test_images"], paths["test_labels"], split="test")
+        test_set = load_idx(paths["test_images"], paths["test_labels"])
 
         config = TrainingConfig(arch=(784, 16, 8, 10), learning_rate=0.01,
                                 batch_size=100, epochs=4, seed=0)

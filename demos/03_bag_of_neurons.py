@@ -10,6 +10,7 @@ the planting dictates.
 import numpy as np
 
 from neurotopo import elbow_scan, jsd, kmeans
+from neurotopo.bon import GENERATOR_ID
 from neurotopo.descriptors import feature_matrix_from_values
 
 
@@ -32,7 +33,7 @@ def main():
     print("centroids (raw units, sorted by first coordinate):")
     for i, row in enumerate(raw, start=1):
         print(f"  type {i}: {np.round(row, 3).tolist()}")
-    print(f"inertia {vocab.inertia:.4f}, seed {vocab.seed}, generator {vocab.generator}")
+    print(f"inertia {vocab.inertia:.4f}, seed {vocab.seed}, generator {GENERATOR_ID}")
 
     print("\n== occurrence histograms and their divergence ==")
     # two synthetic 'networks': one balanced across types, one lopsided

@@ -11,7 +11,6 @@ psi_1..psi_k numbering of cluster tables.
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,8 +34,8 @@ class Vocabulary:
     by the bipartite-clustering coordinate).  normalizers are copied from the
     feature matrix the vocabulary was learned on, so raw descriptors can be
     normalized consistently at assignment time.  max_iter_hits counts the
-    restarts of the fit that stopped at max_iter; it is not saved, and is
-    None for a loaded vocabulary.
+    restarts of the fit that stopped at ``_MAX_ITER``; it is not saved, and
+    is None for a loaded vocabulary.
     """
 
     centroids: np.ndarray
@@ -46,7 +45,6 @@ class Vocabulary:
     k: int
     seed: int
     benchmark_id: str = ""
-    generator: str = GENERATOR_ID
     max_iter_hits: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -78,9 +76,8 @@ class ElbowResult(NamedTuple):
     ks: np.ndarray
     inertias: np.ndarray
     k_star: int
-    chord_distances: np.ndarray  # in chord-normalized units
     low_confidence: bool  # no pronounced knee on the curve
-    max_iter_hits: np.ndarray  # per k, restarts that stopped at max_iter
+    max_iter_hits: np.ndarray  # per k, restarts that stopped at _MAX_ITER
 
 
 class CrossBenchmarkJsd(NamedTuple):
@@ -98,49 +95,39 @@ _BLOCK_BYTES = 1 << 22
 # below this fraction of the norm of its previous centers.
 _REL_TOL = 1e-3
 
-
-def _pairwise_sum(term, add, lo, n):
-    """term(lo) + ... + term(lo + n - 1), folded with ``add(acc, t)`` in the
-    order of numpy's pairwise summation: one at a time below 8 terms, else
-    eight interleaved partial sums joined as a balanced tree and then the
-    rest one at a time, halving first above 128 terms."""
-    if n < 8:
-        acc = term(lo)
-        for j in range(lo + 1, lo + n):
-            acc = add(acc, term(j))
-        return acc
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return add(_pairwise_sum(term, add, lo, half), _pairwise_sum(term, add, lo + half, n - half))
-    end = lo + n - n % 8
-
-    def tree(m, width):
-        if width > 1:
-            return add(tree(m, width // 2), tree(m + width // 2, width // 2))
-        acc = term(lo + m)
-        for j in range(lo + m + 8, end, 8):
-            acc = add(acc, term(j))
-        return acc
-
-    acc = tree(0, 8)
-    for j in range(end, lo + n):
-        acc = add(acc, term(j))
-    return acc
+# A restart still moving after this many Lloyd iterations stops there.
+_MAX_ITER = 300
 
 
 def _squared_distances(x, centers):
     """(..., k, r) squared distances from centers (..., k, d) to rows x (r, d).
 
     Bit-identical to ``((x[:, None] - centers[..., None, :, :]) ** 2).sum(-1)``
-    with its last two axes swapped: numpy sums the d coordinates pairwise,
-    and so does this, one coordinate at a time.
+    with its last two axes swapped, for the widths a descriptor can have:
+    numpy adds fewer than 8 coordinates one at a time and 8 as
+    ((0+1)+(2+3))+((4+5)+(6+7)), and so does this, in place.
     """
     xt = x.T
 
     def term(j):
         return np.square(xt[j] - centers[..., j, np.newaxis])
 
-    return _pairwise_sum(term, operator.iadd, 0, x.shape[1])
+    def pair(j):
+        acc = term(j)
+        acc += term(j + 1)
+        return acc
+
+    if x.shape[1] == 8:
+        acc = pair(0)
+        acc += pair(2)
+        half = pair(4)
+        half += pair(6)
+        acc += half
+        return acc
+    acc = term(0)
+    for j in range(1, x.shape[1]):
+        acc += term(j)
+    return acc
 
 
 def _kmeanspp(x, k, rngs):
@@ -163,7 +150,7 @@ def _kmeanspp(x, k, rngs):
     return centers
 
 
-def _lockstep(x, k, rngs, max_iter):
+def _lockstep(x, k, rngs):
     """Lloyd's algorithm for one block of restarts, all advanced together.
 
     Each restart follows the lone-restart rule bit for bit: centroid sums
@@ -171,14 +158,14 @@ def _lockstep(x, k, rngs, max_iter):
     point, and a restart stops, leaving the active set, once it converges
     (``_REL_TOL``).  Returns the final centers (R, k, d), their inertias, the
     per-restart inertia traces, and how many restarts were still moving at
-    ``max_iter``.
+    ``_MAX_ITER``.
     """
     d = x.shape[1]
     centers = _kmeanspp(x, k, rngs)
     traces = [[] for _ in rngs]
     columns = np.tile(x.T, (1, len(rngs)))  # x[:, j] once per restart
     active = np.arange(len(rngs))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if active.size == 0:
             break
         old = centers[active]
@@ -220,7 +207,6 @@ def kmeans(
     fm: FeatureMatrix,
     k,
     restarts=100,
-    max_iter=300,
     seed=0,
     benchmark_id="",
     return_traces=False,
@@ -235,7 +221,7 @@ def kmeans(
     generator spawned from ``seed``; restarts advance in lockstep, in blocks
     whose (restarts, k, rows) distance array fits ``_BLOCK_BYTES``, with the
     same result bit for bit as fitting them one by one.  The number of
-    restarts that stopped at ``max_iter`` is logged as a warning and kept in
+    restarts that stopped at ``_MAX_ITER`` is logged as a warning and kept in
     ``Vocabulary.max_iter_hits``.
     """
     x = fm.data
@@ -247,13 +233,13 @@ def kmeans(
         raise StructuralError(f"restarts must be >= 1, got {restarts}")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
     block = max(1, _BLOCK_BYTES // (8 * x.shape[0] * k))
-    fits = [_lockstep(x, k, rngs[i : i + block], max_iter) for i in range(0, restarts, block)]
+    fits = [_lockstep(x, k, rngs[i : i + block]) for i in range(0, restarts, block)]
     centers, inertias, traces, hits = zip(*fits)
     inertias = np.concatenate(inertias)
     best = int(np.argmin(inertias))
     hits = sum(hits)
     if hits:
-        log.warning("k=%d: %d of %d restarts stopped at max_iter=%d", k, hits, restarts, max_iter)
+        log.warning("k=%d: %d of %d restarts stopped at max_iter=%d", k, hits, restarts, _MAX_ITER)
     vocab = Vocabulary(
         centroids=_sort_centroids(np.concatenate(centers)[best], fm.measures),
         measures=fm.measures,
@@ -306,8 +292,8 @@ def elbow_scan(fm, kmin=2, kmax=18, restarts=100, seed=0):
         child = int(np.random.SeedSequence([seed, int(k)]).generate_state(1)[0])
         vocab = kmeans(fm, int(k), restarts=restarts, seed=child)
         inertias[i], hits[i] = vocab.inertia, vocab.max_iter_hits
-    k_star, dist, low_confidence = chord_knee(ks, inertias)
-    return ElbowResult(ks, inertias, k_star, dist, low_confidence, hits)
+    k_star, _, low_confidence = chord_knee(ks, inertias)
+    return ElbowResult(ks, inertias, k_star, low_confidence, hits)
 
 
 def assign_rows(vocab, values):
@@ -401,24 +387,37 @@ def save_vocabulary(vocab: Vocabulary, path):
         "centroids": [row.tolist() for row in vocab.centroids],
         "inertia": float(vocab.inertia),
         "seed": int(vocab.seed),
-        "generator": vocab.generator,
+        "generator": GENERATOR_ID,
         "benchmark_id": vocab.benchmark_id,
     }
     write_json(path, doc)
 
 
+def _typed(doc, key, *types):
+    """doc[key] if its JSON type is one of ``types`` (a boolean is no int)."""
+    value = doc[key]
+    if type(value) not in types:
+        raise TypeError(f"{key}: expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def load_vocabulary(path) -> Vocabulary:
+    """Read a vocabulary written by save_vocabulary.  k and seed must be JSON
+    integers and inertia a number; benchmark_id (a string) and generator
+    (``GENERATOR_ID``) may be absent."""
     doc = read_json(path)
     try:
+        doc = {"benchmark_id": "", "generator": GENERATOR_ID} | doc
+        if doc["generator"] != GENERATOR_ID:
+            raise ValueError(f"generator: expected {GENERATOR_ID!r}, got {doc['generator']!r}")
         return Vocabulary(
             centroids=np.asarray(doc["centroids"], dtype=np.float64),
             measures=tuple(doc["measures"]),
             normalizers=np.asarray(doc["normalizers"], dtype=np.float64),
-            inertia=float(doc["inertia"]),
-            k=int(doc["k"]),
-            seed=int(doc["seed"]),
-            benchmark_id=str(doc.get("benchmark_id", "")),
-            generator=str(doc.get("generator", GENERATOR_ID)),
+            inertia=float(_typed(doc, "inertia", int, float)),
+            k=_typed(doc, "k", int),
+            seed=_typed(doc, "seed", int),
+            benchmark_id=_typed(doc, "benchmark_id", str),
         )
     except (KeyError, TypeError, ValueError, StructuralError) as exc:
         raise FormatError(f"{path}: bad vocabulary file ({exc})") from exc
@@ -434,19 +433,19 @@ def write_occurrence_csv(vocab, rows, path):
 
 
 def read_occurrence_csv(path):
+    """Read an occurrence CSV: header network_id,test_acc,f1..fk with k >= 2,
+    and rows of non-negative frequencies that sum to 1 (within 1e-9)."""
     header, lines = read_csv_rows(path)
-    if header[:2] != ["network_id", "test_acc"] or len(header) < 3:
-        raise FormatError(f"{path}: header must be network_id,test_acc,f1..fk")
+    k = len(header) - 2
+    if k < 2 or header != ["network_id", "test_acc"] + [f"f{i}" for i in range(1, k + 1)]:
+        raise FormatError(f"{path}: header must be network_id,test_acc,f1..fk with k >= 2")
     records = []
     for lineno, row in lines:
         try:
-            records.append(
-                PopulationRecord(
-                    network_id=row[0],
-                    test_acc=parse_float(row[1]),
-                    occurrence=np.array([parse_float(x) for x in row[2:]]),
-                )
-            )
+            freq = np.array([parse_float(x) for x in row[2:]])
+            if not (np.all(freq >= 0.0) and abs(float(freq.sum()) - 1.0) <= 1e-9):
+                raise ValueError(f"frequencies {row[2:]} are not a histogram (>= 0, sum 1)")
+            records.append(PopulationRecord(row[0], parse_float(row[1]), freq))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return records

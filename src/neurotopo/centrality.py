@@ -12,9 +12,13 @@ Eight measures are provided, each bound to the graph view it is defined on:
     hc    positive-weighted    harmonic centrality (weighted shortest paths)
     cfc   original-weighted    current-flow closeness (effective resistance)
 
-All functions return one value per view node, as a float64 vector.  Undefined
-values are NaN, never silent zeros.  ``measure_all`` runs a selection of
-measures on a layered network and computes the hidden-neuron rows only.
+Every function takes ``(view, nodes=None)`` and returns the float64 values at
+view positions ``nodes``, or at every node when ``nodes`` is None.  Undefined
+values are NaN, never silent zeros.  On a view whose layer parity bipartitions
+its edges (a layered network's) sg, mc, hc, so and cfc take layered rules; the
+same graph without layer tags takes the general path.  ``measure_all`` runs a
+selection of measures on a layered network and computes the hidden-neuron rows
+only.
 """
 
 import logging
@@ -48,25 +52,34 @@ SO_RADICAND_TOL = 1e-9
 # of 3.4e-4 and 4e-7 at 2.9e-6, so cfc stays inside its 1e-9 tolerance
 PIVOT_TAU = 1e-4
 
+# max_clique_count gives up past this many maximal cliques or seconds: the
+# enumeration is NP-complete, and only graphs with same-parity edges reach it
+MC_MAX_CLIQUES = 10_000_000
+MC_TIME_BUDGET = 300.0
+
 log = logging.getLogger(__name__)
 
 
 CSV_FIXED_COLUMNS = ("network_id", "layer", "neuron")
 
 
-def strength(view):
+def _at(values, nodes):
+    return values if nodes is None else values[nodes]
+
+
+def strength(view, nodes=None):
     """Signed weighted degree: sum of incident edge weights per node."""
-    return view.weights.sum(axis=1)
+    return _at(view.weights.sum(axis=1), nodes)
 
 
-def avg_neighbor_strength(view):
+def avg_neighbor_strength(view, nodes=None):
     """Edge-weighted mean of neighbor strengths; NaN where strength is zero."""
     s = strength(view)
     num = (view.weights * s[np.newaxis, :]).sum(axis=1)
     out = np.full(view.node_count, np.nan)
     nz = s != 0.0
     out[nz] = num[nz] / s[nz]
-    return out
+    return _at(out, nodes)
 
 
 def _laplacian_pinv_diagonal(view, w, what):
@@ -113,7 +126,7 @@ def _laplacian_pinv_diagonal(view, w, what):
     return lp
 
 
-def second_order(view):
+def second_order(view, nodes=None):
     """Standard deviation of return times of a perpetual unbiased random walk.
 
     Works on the binarized view adjacency, degree-balanced with self-loops so
@@ -134,17 +147,35 @@ def second_order(view):
         raise NumericalError(
             f"so: radicand fell below -{SO_RADICAND_TOL:g} at node {int(np.argmax(bad))}"
         )
-    return np.sqrt(np.clip(radicand, 0.0, None))
+    return _at(np.sqrt(np.clip(radicand, 0.0, None)), nodes)
 
 
-def subgraph_centrality(view):
-    """Closed-walk sum per node from the spectrum of the binarized adjacency."""
-    a = view.edge_mask.astype(np.float64)
+def subgraph_centrality(view, nodes=None):
+    """Closed-walk sum per node: the diagonal of exp(A), A the binarized adjacency.
+
+    With parity sides, from a thin SVD B = UΣVᵀ of the even×odd biadjacency:
+    exp(A) has diagonal blocks cosh(√(BBᵀ)) and cosh(√(BᵀB)), so sg_i is
+    1 + Σ_k U_ik² (cosh σ_k - 1), with V on the odd side (Estrada &
+    Rodríguez-Velázquez 2005).  Otherwise from the spectrum of A.
+    """
+    sides = _parity_sides(view)
+    if sides is None:
+        try:
+            lam, u = scipy.linalg.eigh(view.edge_mask.astype(np.float64))
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
+            raise NumericalError(f"sg: eigendecomposition failed: {exc}") from exc
+        return _at((u * u) @ np.exp(lam), nodes)
+    even, odd = sides
+    b = view.edge_mask[np.ix_(even, odd)].astype(np.float64)
     try:
-        lam, u = scipy.linalg.eigh(a)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
-        raise NumericalError(f"sg: eigendecomposition failed: {exc}") from exc
-    return (u * u) @ np.exp(lam)
+        u, sigma, vt = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD rarely fails to converge
+        raise NumericalError(f"sg: biadjacency SVD failed: {exc}") from exc
+    excess = 2.0 * np.sinh(sigma / 2.0) ** 2  # cosh σ - 1 without cancellation
+    out = np.ones(view.node_count)
+    out[even] += (u * u) @ excess
+    out[odd] += (vt * vt).T @ excess
+    return _at(out, nodes)
 
 
 def _iter_bits(x):
@@ -154,16 +185,20 @@ def _iter_bits(x):
         x ^= b
 
 
-def max_clique_count(view, max_cliques=10_000_000, time_budget=300.0):
+def max_clique_count(view, nodes=None):
     """Number of maximum cliques each node participates in.
 
-    Maximal cliques are enumerated depth-first with pivoting on the node
-    covering the most candidates; only cliques of globally maximum
-    cardinality are counted.  A graph with no edges has clique number 1 and
-    every node participates once.  Enumerating more than ``max_cliques``
-    maximal cliques or running past ``time_budget`` seconds is an error: the
-    underlying problem is NP-complete and budgets keep it honest.
+    A graph with no edges has clique number 1 and every node participates
+    once.  With parity sides the graph has no triangles, so every maximum
+    clique is an edge and a node's count is its degree.  Otherwise maximal
+    cliques are enumerated depth-first with pivoting on the node covering
+    the most candidates, and only cliques of globally maximum cardinality
+    are counted; more than ``MC_MAX_CLIQUES`` maximal cliques or more than
+    ``MC_TIME_BUDGET`` seconds raise ResourceBudgetError.
     """
+    if _parity_sides(view) is not None:
+        mask = _at(view.edge_mask, nodes)
+        return mask.sum(axis=1).astype(np.float64) if view.edge_mask.any() else np.ones(len(mask))
     n = view.node_count
     nbr = [0] * n
     rows, cols = np.nonzero(view.edge_mask)
@@ -172,15 +207,15 @@ def max_clique_count(view, max_cliques=10_000_000, time_budget=300.0):
     counts = np.zeros(n, dtype=np.int64)
     best_size = 0
     seen = 0
-    deadline = time.monotonic() + time_budget
+    deadline = time.monotonic() + MC_TIME_BUDGET
 
     def report(r_mask, size):
         nonlocal best_size, counts, seen
         seen += 1
-        if seen > max_cliques:
-            raise ResourceBudgetError(f"mc: more than {max_cliques} maximal cliques")
+        if seen > MC_MAX_CLIQUES:
+            raise ResourceBudgetError(f"mc: more than {MC_MAX_CLIQUES} maximal cliques")
         if not seen % 1024 and time.monotonic() > deadline:
-            raise ResourceBudgetError(f"mc: clique enumeration exceeded {time_budget:g} s")
+            raise ResourceBudgetError(f"mc: clique enumeration exceeded {MC_TIME_BUDGET:g} s")
         if size > best_size:
             best_size = size
             counts[:] = 0
@@ -206,7 +241,7 @@ def max_clique_count(view, max_cliques=10_000_000, time_budget=300.0):
             x |= bit
 
     expand(0, 0, (1 << n) - 1, 0)
-    return counts.astype(np.float64)
+    return _at(counts.astype(np.float64), nodes)
 
 
 def bipartite_clustering(view, nodes=None):
@@ -289,7 +324,7 @@ def harmonic(view, nodes=None):
     return inv.sum(axis=1)
 
 
-def current_flow_closeness(view, mode="raw"):
+def current_flow_closeness(view, nodes=None, mode="raw"):
     """Closeness over effective resistances from the Laplacian pseudoinverse.
 
     mode "raw" (default) uses the signed weights directly as conductances;
@@ -305,7 +340,7 @@ def current_flow_closeness(view, mode="raw"):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (n - 1) / (n * lp + lp.sum())
     out[~np.isfinite(out)] = np.nan
-    return out
+    return _at(out, nodes)
 
 
 def _parity_sides(view):
@@ -319,61 +354,22 @@ def _parity_sides(view):
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
-def _bipartite_subgraph_rows(view, nodes):
-    """Subgraph centrality from a thin SVD B = UΣVᵀ of the even×odd biadjacency.
-
-    exp(A) has diagonal blocks cosh(√(BBᵀ)) and cosh(√(BᵀB)), so sg_i is
-    1 + Σ_k U_ik² (cosh σ_k - 1), with V on the odd side (Estrada &
-    Rodríguez-Velázquez 2005).
-    """
-    sides = _parity_sides(view)
-    if sides is None:
-        return subgraph_centrality(view)[nodes]
-    even, odd = sides
-    b = view.edge_mask[np.ix_(even, odd)].astype(np.float64)
-    try:
-        u, sigma, vt = np.linalg.svd(b, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD rarely fails to converge
-        raise NumericalError(f"sg: biadjacency SVD failed: {exc}") from exc
-    excess = 2.0 * np.sinh(sigma / 2.0) ** 2  # cosh σ - 1 without cancellation
-    out = np.ones(view.node_count)
-    out[even] += (u * u) @ excess
-    out[odd] += (vt * vt).T @ excess
-    return out[nodes]
-
-
-def _bipartite_clique_rows(view, nodes, **budgets):
-    """A bipartite graph has no triangles: with any edge, every maximum clique
-    is an edge and a node's count is its degree; without edges it is 1."""
-    if _parity_sides(view) is None:
-        return max_clique_count(view, **budgets)[nodes]
-    degree = view.edge_mask[nodes].sum(axis=1).astype(np.float64)
-    return degree if view.edge_mask.any() else np.ones(len(nodes))
-
-
-def _all_rows(func):
-    """Row kernel of a measure computed at every node, kept at ``nodes``."""
-    return lambda view, nodes, **kwargs: func(view, **kwargs)[nodes]
-
-
 @dataclass(frozen=True)
 class MeasureInfo:
-    id: str
     view_mode: str
-    cost_rank: int  # lower = cheaper to compute; used by the redundancy filter
     needs_connected: bool
-    rows: Callable  # (view, nodes, **kwargs) -> the values at view positions nodes
+    func: Callable  # (view, nodes=None, **kwargs) -> the values at view positions nodes
 
 
 MEASURES = {
-    "s": MeasureInfo("s", VIEW_ORIGINAL, 1, False, _all_rows(strength)),
-    "snn": MeasureInfo("snn", VIEW_ORIGINAL, 2, False, _all_rows(avg_neighbor_strength)),
-    "so": MeasureInfo("so", VIEW_POSITIVE_UNWEIGHTED, 6, True, _all_rows(second_order)),
-    "sg": MeasureInfo("sg", VIEW_POSITIVE_UNWEIGHTED, 7, False, _bipartite_subgraph_rows),
-    "mc": MeasureInfo("mc", VIEW_POSITIVE_UNWEIGHTED, 4, False, _bipartite_clique_rows),
-    "bc": MeasureInfo("bc", VIEW_POSITIVE_UNWEIGHTED, 3, False, bipartite_clustering),
-    "hc": MeasureInfo("hc", VIEW_POSITIVE, 5, False, harmonic),
-    "cfc": MeasureInfo("cfc", VIEW_ORIGINAL, 8, True, _all_rows(current_flow_closeness)),
+    "s": MeasureInfo(VIEW_ORIGINAL, False, strength),
+    "snn": MeasureInfo(VIEW_ORIGINAL, False, avg_neighbor_strength),
+    "so": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, True, second_order),
+    "sg": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, False, subgraph_centrality),
+    "mc": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, False, max_clique_count),
+    "bc": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, False, bipartite_clustering),
+    "hc": MeasureInfo(VIEW_POSITIVE, False, harmonic),
+    "cfc": MeasureInfo(VIEW_ORIGINAL, True, current_flow_closeness),
 }
 
 MEASURE_ORDER = tuple(MEASURES)
@@ -397,12 +393,10 @@ def compute_measure(measure_id, view, nodes=None, **kwargs):
     """Run one measure on a view it is bound to (no component handling).
 
     Returns the values at view positions ``nodes``, or at every node when
-    ``nodes`` is None.  hc, bc, sg and mc compute those rows only; sg and mc
-    use their bipartite rules when layer parity bipartitions the view's edges.
+    ``nodes`` is None; hc and bc compute those rows only.
     """
     check_measure_ids([measure_id])
-    nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    return MEASURES[measure_id].rows(view, nodes, **kwargs)
+    return MEASURES[measure_id].func(view, nodes, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,13 @@ import numpy as np
 
 from . import bon, centrality, descriptors, plots, trainer
 from .artifacts import write_csv, write_json, write_text
-from .errors import FormatError, NeurotopoError, NumericalError, StructuralError
+from .errors import FormatError, NumericalError, StructuralError
 from .model import load_model
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-
-class _UsageError(NeurotopoError):
-    pass
 
 
 def _sha256(path):
@@ -74,18 +70,18 @@ def _parse_arch(text):
     try:
         arch = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise _UsageError(f"--arch must be a comma-separated integer list, got {text!r}")
+        raise StructuralError(f"--arch must be a comma-separated integer list, got {text!r}")
     if len(arch) < 2 or any(x < 1 for x in arch):
-        raise _UsageError(f"--arch needs >= 2 positive layer sizes, got {text!r}")
+        raise StructuralError(f"--arch needs >= 2 positive layer sizes, got {text!r}")
     return arch
 
 
 def cmd_train(args):
     arch = _parse_arch(args.arch)
     if args.count < 1:
-        raise _UsageError("--count must be >= 1")
+        raise StructuralError("--count must be >= 1")
     if min(args.train_limit, args.test_limit) < 0:
-        raise _UsageError("--train-limit and --test-limit must be >= 0 (0: no limit)")
+        raise StructuralError("--train-limit and --test-limit must be >= 0 (0: no limit)")
     config = trainer.TrainingConfig(
         arch=arch,
         learning_rate=args.lr,
@@ -100,8 +96,8 @@ def cmd_train(args):
     test_images, test_labels = _find_idx_pair(
         args.data, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"
     )
-    train_set = trainer.load_idx(train_images, train_labels, split="train")
-    test_set = trainer.load_idx(test_images, test_labels, split="test")
+    train_set = trainer.load_idx(train_images, train_labels)
+    test_set = trainer.load_idx(test_images, test_labels)
     if args.train_limit:
         train_set = train_set.subset(args.train_limit)
     if args.test_limit:
@@ -250,7 +246,7 @@ def cmd_compare(args):
 def cmd_plot(args):
     if args.what == "scatter":
         if not args.measures_csv or not args.measure:
-            raise _UsageError("scatter needs --measures-csv and --measure")
+            raise StructuralError("scatter needs --measures-csv and --measure")
         accs = _load_accuracies(args.manifest)
         tables = centrality.read_measures_csv(args.measures_csv, accuracies=accs)
         points = descriptors.scatter_points(tables, args.measure)
@@ -261,7 +257,7 @@ def cmd_plot(args):
         )
     elif args.what == "hist":
         if not args.occurrence_csv:
-            raise _UsageError("hist needs --occurrence-csv")
+            raise StructuralError("hist needs --occurrence-csv")
         records = bon.read_occurrence_csv(args.occurrence_csv)
         worst, median, top = bon.accuracy_groups(
             [(r.network_id, r.test_acc) for r in records], args.group_size
@@ -279,7 +275,7 @@ def cmd_plot(args):
         svg = partial(plots.svg_group_bars, names, freqs, "neuron type occurrence by accuracy group")
     elif args.what == "corr":
         if not args.measures_csv:
-            raise _UsageError("corr needs --measures-csv")
+            raise StructuralError("corr needs --measures-csv")
         tables = centrality.read_measures_csv(args.measures_csv)
         measures = tables[0].measures
         raw = np.vstack([t.values for t in tables])
@@ -380,7 +376,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (_UsageError, StructuralError) as exc:
+    except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FormatError, FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as exc:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .centrality import MEASURES, NeuronMeasures, check_measure_ids
+from .centrality import NeuronMeasures, check_measure_ids
 from .errors import StructuralError
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ class FeatureMatrix:
     data: np.ndarray
     measures: tuple
     normalizers: np.ndarray
-    network_ids: np.ndarray
     excluded_rows: int
 
     @property
@@ -101,17 +100,15 @@ def build_feature_matrix(tables, measures) -> FeatureMatrix:
     if not tables:
         raise StructuralError("empty population")
     shape0 = (tables[0].layer.tolist(), tables[0].neuron.tolist())
-    blocks, ids = [], []
+    blocks = []
     for t in tables:
         if (t.layer.tolist(), t.neuron.tolist()) != shape0:
             raise StructuralError(f"{t.network_id!r}: architecture differs from the population")
-        cols = [t.column(m) for m in measures]
-        blocks.append(np.column_stack(cols))
-        ids.append(np.full(t.values.shape[0], t.network_id, dtype=object))
-    return feature_matrix_from_values(np.vstack(blocks), measures, np.concatenate(ids))
+        blocks.append(np.column_stack([t.column(m) for m in measures]))
+    return feature_matrix_from_values(np.vstack(blocks), measures)
 
 
-def feature_matrix_from_values(values, measures, network_ids=None):
+def feature_matrix_from_values(values, measures):
     """Wrap a raw (rows, m) value array as a normalized FeatureMatrix.
 
     Rows with an undefined value are dropped.  Each column is divided by its
@@ -122,8 +119,6 @@ def feature_matrix_from_values(values, measures, network_ids=None):
     raw = np.asarray(values, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[1] != len(measures):
         raise StructuralError(f"value array must be 2-D with {len(measures)} columns")
-    if network_ids is None:
-        network_ids = np.full(raw.shape[0], "", dtype=object)
     keep = ~np.isnan(raw).any(axis=1)
     if not np.any(keep):
         raise StructuralError("every row carried an undefined value")
@@ -137,7 +132,6 @@ def feature_matrix_from_values(values, measures, network_ids=None):
         data=raw / normalizers,
         measures=measures,
         normalizers=normalizers,
-        network_ids=np.asarray(network_ids, dtype=object)[keep],
         excluded_rows=int(np.sum(~keep)),
     )
 
@@ -163,7 +157,11 @@ def pearson_matrix(values):
     return corr
 
 
-def redundancy_filter(corr, measures, threshold=0.8, cost_rank=None):
+# lower = cheaper to compute: the redundancy filter keeps the cheaper measure
+_COST_RANK = {"s": 1, "snn": 2, "bc": 3, "mc": 4, "hc": 5, "so": 6, "sg": 7, "cfc": 8}
+
+
+def redundancy_filter(corr, measures, threshold=0.8):
     """Drop the costlier measure of every strongly correlated pair.
 
     Pairs with |rho| strictly above the threshold are visited in descending
@@ -174,23 +172,16 @@ def redundancy_filter(corr, measures, threshold=0.8, cost_rank=None):
     corr = np.asarray(corr, dtype=np.float64)
     if corr.shape != (len(measures), len(measures)):
         raise StructuralError("correlation matrix does not match the measure list")
-    if cost_rank is None:
-        cost_rank = {m: MEASURES[m].cost_rank for m in measures}
     pairs = []
     for i in range(len(measures)):
         for j in range(i + 1, len(measures)):
             rho = corr[i, j]
             if np.isfinite(rho) and abs(rho) > threshold:
-                ci, cj = cost_rank[measures[i]], cost_rank[measures[j]]
+                ci, cj = _COST_RANK[measures[i]], _COST_RANK[measures[j]]
                 pairs.append((-abs(rho), min(ci, cj), max(ci, cj), i, j))
     alive = set(measures)
     for _, _, _, i, j in sorted(pairs):
         mi, mj = measures[i], measures[j]
         if mi in alive and mj in alive:
-            if cost_rank[mi] > cost_rank[mj] or (
-                cost_rank[mi] == cost_rank[mj] and mi > mj
-            ):
-                alive.discard(mi)
-            else:
-                alive.discard(mj)
+            alive.discard(mi if _COST_RANK[mi] > _COST_RANK[mj] else mj)
     return [m for m in measures if m in alive]

@@ -276,7 +276,7 @@ def load_model(path) -> LayeredNetwork:
     if doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: format: expected {MODEL_FORMAT!r}, got {doc.get('format')!r}")
     arch = doc.get("arch")
-    if not isinstance(arch, list) or len(arch) < 2 or not all(isinstance(x, int) and x >= 1 for x in arch):
+    if not isinstance(arch, list) or len(arch) < 2 or not all(type(x) is int and x >= 1 for x in arch):
         raise FormatError(f"{path}: arch: must be a list of >= 2 positive integers")
     flat = doc.get("weights")
     if not isinstance(flat, list) or len(flat) != len(arch) - 1:
@@ -287,10 +287,11 @@ def load_model(path) -> LayeredNetwork:
         if not isinstance(values, list) or len(values) != want:
             got = len(values) if isinstance(values, list) else type(values).__name__
             raise FormatError(f"{path}: weights[{a}]: expected {want} values, got {got}")
-        try:
-            weights.append(np.asarray(values, dtype=np.float64).reshape(arch[a], arch[a + 1]))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: weights[{a}]: {exc}") from exc
+        # save_model writes floats only; numpy would also take "0.5", true or [0.5]
+        if not all(type(x) is float for x in values):
+            odd = next(x for x in values if type(x) is not float)
+            raise FormatError(f"{path}: weights[{a}]: expected JSON floats, got {odd!r}")
+        weights.append(np.array(values, dtype=np.float64).reshape(arch[a], arch[a + 1]))
     meta = doc.get("meta")
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta: must be an object")

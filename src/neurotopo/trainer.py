@@ -59,7 +59,6 @@ class Dataset:
 
     images: np.ndarray  # (N, pixels) float64
     labels: np.ndarray  # (N,) int64 in [0, 9]
-    split: str = "train"
 
     def __post_init__(self):
         images = np.ascontiguousarray(self.images, dtype=np.float64)
@@ -79,7 +78,7 @@ class Dataset:
     def subset(self, count):
         if not 1 <= count <= len(self):
             raise StructuralError(f"cannot take {count} samples from {len(self)}")
-        return Dataset(self.images[:count], self.labels[:count], self.split)
+        return Dataset(self.images[:count], self.labels[:count])
 
 
 def _open_maybe_gzip(path):
@@ -95,7 +94,7 @@ def _read_exact(fh, count, path, what):
     return data
 
 
-def load_idx(images_path, labels_path, split="train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair (plain or .gz) as a Dataset.
 
     Pixels are scaled to [0, 1] by dividing by 255.  Every structural defect
@@ -125,7 +124,7 @@ def load_idx(images_path, labels_path, split="train") -> Dataset:
         raise FormatError(f"{labels_path}: label {int(labels[bad])} out of range at index {bad}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
     images /= 255.0
-    return Dataset(images=images, labels=labels.astype(np.int64), split=split)
+    return Dataset(images=images, labels=labels.astype(np.int64))
 
 
 def init_network(arch, seed, half_range=0.9, dataset_id="") -> LayeredNetwork:
@@ -358,7 +357,8 @@ def generate_population(
 
 
 def load_manifest(path):
-    """Read a population manifest: a JSON list of objects carrying seed and test_acc."""
+    """Read a population manifest: a JSON list of objects carrying distinct
+    seeds and test_acc."""
     manifest = read_json(path)
     if not isinstance(manifest, list) or not all(
         isinstance(e, dict)
@@ -370,4 +370,9 @@ def load_manifest(path):
             f"{path}: manifest must be a JSON list of objects with an integer seed "
             "and a numeric or null test_acc"
         )
+    seen = set()
+    for e in manifest:
+        if e["seed"] in seen:
+            raise FormatError(f"{path}: seed {e['seed']} appears more than once")
+        seen.add(e["seed"])
     return manifest

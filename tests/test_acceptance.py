@@ -99,13 +99,13 @@ def desk_population(tmp_path_factory):
         train_set = load_idx(_find(data, "train-images-idx3-ubyte"),
                              _find(data, "train-labels-idx1-ubyte")).subset(5000)
         test_set = load_idx(_find(data, "t10k-images-idx3-ubyte"),
-                            _find(data, "t10k-labels-idx1-ubyte"), split="test").subset(1000)
+                            _find(data, "t10k-labels-idx1-ubyte")).subset(1000)
     else:
         source = "surrogate digits (MNIST unavailable in this environment)"
         corpus = tmp_path_factory.mktemp("corpus")
         paths = write_synthetic_benchmark(corpus, train_count=5000, test_count=1000, seed=1234)
         train_set = load_idx(paths["train_images"], paths["train_labels"])
-        test_set = load_idx(paths["test_images"], paths["test_labels"], split="test")
+        test_set = load_idx(paths["test_images"], paths["test_labels"])
     out = tmp_path_factory.mktemp("desk_models")
     config = TrainingConfig(
         arch=DESK_ARCH, learning_rate=0.01, batch_size=100, epochs=5, seed=DESK_DATA_SEED
@@ -510,13 +510,13 @@ class TestCriterion9Formats:
         data = mnist_dir()
         if data is not None:
             test_set = load_idx(_find(data, "t10k-images-idx3-ubyte"),
-                                _find(data, "t10k-labels-idx1-ubyte"), split="test")
+                                _find(data, "t10k-labels-idx1-ubyte"))
             source = "official MNIST t10k"
         else:
             images, labels10 = synthetic_digits(10_000, seed=99)
             ip, lp = tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte"
             write_idx(images, labels10, ip, lp)
-            test_set = load_idx(ip, lp, split="test")
+            test_set = load_idx(ip, lp)
             source = "surrogate t10k-format file (MNIST unavailable in this environment)"
         parse_ok = len(test_set) == 10_000
 

@@ -165,12 +165,13 @@ class TestMaxCliqueCount:
         g = graph_from_edges(3, [(0, 1, -1.0), (1, 2, -1.0)])
         np.testing.assert_array_equal(max_clique_count(view(g)), [1, 1, 1])
 
-    def test_clique_budget_enforced(self):
+    def test_clique_budget_enforced(self, monkeypatch):
         g = unit_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)][:9])
+        monkeypatch.setattr(centrality, "MC_MAX_CLIQUES", 1)
         with pytest.raises(ResourceBudgetError, match="maximal cliques"):
-            max_clique_count(view(g), max_cliques=1)
+            max_clique_count(view(g))
 
-    def test_clique_time_budget_enforced(self):
+    def test_clique_time_budget_enforced(self, monkeypatch):
         # complete 11-partite graph with parts of size 2: 2^11 maximal cliques,
         # enough to hit the periodic deadline check
         edges = []
@@ -179,8 +180,9 @@ class TestMaxCliqueCount:
                 if (a // 2) != (b // 2):
                     edges.append((a, b))
         g = unit_graph(22, edges)
+        monkeypatch.setattr(centrality, "MC_TIME_BUDGET", -1.0)
         with pytest.raises(ResourceBudgetError, match="exceeded"):
-            max_clique_count(view(g), time_budget=-1.0)
+            max_clique_count(view(g))
 
     def test_matches_exhaustive(self):
         for seed in range(15):

@@ -197,6 +197,16 @@ class TestMeasureCommand:
         assert code == 3
         assert "model_seed0.json: weights[1]" in capsys.readouterr().err
 
+    def test_boolean_weight_exits_3(self, trained_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        doc = json.loads((trained_dir / "model_seed0.json").read_text())
+        doc["weights"][0][3] = True
+        (models / "model_seed0.json").write_text(json.dumps(doc))
+        code = main(["measure", "--models", str(models), "--measures", "s", "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert "model_seed0.json: weights[0]: expected JSON floats, got True" in capsys.readouterr().err
+
     def test_empty_models_dir_exits_3(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -336,6 +346,19 @@ class TestVocabCommands:
         assert code == 3
         assert "m.json" in capsys.readouterr().err
 
+    def test_assign_repeated_manifest_seed_exits_3(self, measures_csv, trained_dir, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "3", "--out", str(vocab)]) == 0
+        manifest = json.loads((trained_dir / "manifest.json").read_text())
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest + [dict(manifest[0], test_acc=0.0)]))
+        code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(measures_csv),
+                     "--manifest", str(path), "--out", str(tmp_path / "occ.csv")])
+        assert code == 3
+        assert f"manifest.json: seed {manifest[0]['seed']} appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "occ.csv").exists()
+
     def test_assign_measure_mismatch_exits_2(self, measures_csv, trained_dir, tmp_path):
         vocab = tmp_path / "vocab_full.json"
         sub = tmp_path / "sub.csv"
@@ -413,6 +436,16 @@ class TestPlotCommand:
         assert lines[0] == "group,type,frequency"
         assert len(lines) == 1 + 3 * 3
         assert out_svg.exists()
+
+
+    def test_hist_on_malformed_occurrence_exits_3(self, tmp_path, capsys):
+        occ = tmp_path / "occ.csv"
+        occ.write_text("network_id,test_acc,zz,yy\na,0.1,0.5,0.5\nb,0.5,-0.2,0.1\nc,0.9,1.0,0.0\n")
+        code = main(["plot", "--what", "hist", "--occurrence-csv", str(occ), "--group-size", "1",
+                     "--out-csv", str(tmp_path / "hist.csv")])
+        assert code == 3
+        assert "occ.csv: header must be network_id,test_acc,f1..fk" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
 
 
 class TestRunRecords:

@@ -131,7 +131,7 @@ class TestFeatureMatrix:
         ta = table("b", [1, 2], [1.0, 2.0])
         tb = table("a", [1, 2], [3.0, 4.0])
         fm = build_feature_matrix([ta, tb], ("s",))
-        assert fm.network_ids.tolist() == ["a", "a", "b", "b"]
+        assert fm.data[:, 0].tolist() == [0.75, 1.0, 0.25, 0.5]  # a's rows, then b's
 
     @pytest.mark.parametrize("measures", [(), ("s", "zz"), ("s", "s")])
     def test_bad_measure_list_rejected(self, measures):

@@ -275,6 +275,23 @@ class TestSerialization:
         with pytest.raises(FormatError, match=r"m.json: weights\[1\]: .*'a'"):
             load_model(path)
 
+    @pytest.mark.parametrize("odd", ['"0.5"', "true", "[0.5]", "1"])
+    def test_weight_that_is_no_json_float_rejected(self, tmp_path, odd):
+        # numpy would read each of these as a weight; save_model writes floats only
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "nnx-json/1", "arch": [2, 2, 1], "weights": [[0.5, 0.5, 0.5, 0.5], '
+                        '[%s, 1.0]], "meta": {"seed": 0, "dataset_id": "", "epochs": 0, '
+                        '"train_acc": 0.0, "test_acc": 0.0}}' % odd)
+        with pytest.raises(FormatError, match=r"m.json: weights\[1\]: expected JSON floats"):
+            load_model(path)
+
+    def test_boolean_layer_size_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "nnx-json/1", "arch": [true, 2], "weights": [[0.5, 0.5]], '
+                        '"meta": {"seed": 0, "dataset_id": "", "epochs": 0, "train_acc": 0.0, "test_acc": 0.0}}')
+        with pytest.raises(FormatError, match="m.json: arch: must be a list of >= 2 positive integers"):
+            load_model(path)
+
     def test_bad_format_field(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": "nnx-json/2", "arch": [1, 1], "weights": [[0.0]], "meta": {}}')

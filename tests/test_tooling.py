@@ -4,7 +4,8 @@
 callers look them up by (``perfbench/instrument.py``).  Renaming or deleting
 one of them must fail here, not only in a traced benchmark run.  A library
 module must not import a name it never uses, so deleted code leaves no
-stale import behind.
+stale import behind.  The measure table holds the public measure functions,
+so no private row kernel can drift from the function the oracles check.
 """
 
 import ast
@@ -37,6 +38,14 @@ def test_perfbench_instrumentation_wraps_and_restores(monkeypatch):
             ("centrality", "measure_all"), ("bon", "kmeans"), ("cli", "cmd_measure")} <= wrapped
     for name, module in nt.items():
         assert all(getattr(module, attr) is value for attr, value in before[name].items()), name
+
+
+def test_measure_table_holds_the_exported_functions():
+    neurotopo = importlib.import_module("neurotopo")
+    centrality = importlib.import_module("neurotopo.centrality")
+    for measure_id, info in centrality.MEASURES.items():
+        assert info.func is getattr(neurotopo, info.func.__name__, None), measure_id
+    assert len({info.func for info in centrality.MEASURES.values()}) == len(centrality.MEASURES)
 
 
 def test_no_unused_imports():

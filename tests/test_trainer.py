@@ -19,6 +19,7 @@ from neurotopo.trainer import (
     generate_population,
     init_network,
     load_idx,
+    load_manifest,
     loss_and_gradients,
     train,
 )
@@ -254,7 +255,7 @@ class TestPopulation:
     def small_sets(self):
         images, labels = synthetic_digits(80, seed=11)
         train_set = Dataset(images=images[:60].reshape(60, -1) / 255.0, labels=labels[:60])
-        test_set = Dataset(images=images[60:].reshape(20, -1) / 255.0, labels=labels[60:], split="test")
+        test_set = Dataset(images=images[60:].reshape(20, -1) / 255.0, labels=labels[60:])
         return train_set, test_set
 
     def config(self):
@@ -328,6 +329,13 @@ class TestPopulation:
         assert seq[1] == {"seed": 1, "model_path": None, "train_acc": None, "test_acc": None,
                           "status": "failed: loss diverged at epoch 0"}
         assert not (tmp_path / "seq" / "model_seed1.json").exists()
+
+    def test_manifest_with_repeated_seed_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"seed": 4, "test_acc": 0.5}, {"seed": 7, "test_acc": null}, '
+                        '{"seed": 4, "test_acc": 0.25}]')
+        with pytest.raises(FormatError, match="manifest.json: seed 4 appears more than once"):
+            load_manifest(path)
 
     def test_bit_reproducible_across_runs(self, tmp_path):
         train_set, test_set = self.small_sets()
