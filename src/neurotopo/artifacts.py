@@ -3,7 +3,10 @@
 CSV files use the csv module with minimal quoting and ``\\n`` line endings;
 float cells are the shortest round-trip ``repr`` and undefined values the
 literal ``NaN``.  JSON is strict both ways: no ``NaN`` or ``Infinity``
-tokens are written or accepted.  Every writer streams into a temporary file
+tokens are written or accepted.  A 1-D array in a JSON document is written
+as the list of its values, ``JSON_FLOATS_PER_CALL`` of them per call of the
+C encoder, so neither the whole list nor the whole document is ever held as
+Python objects or text.  Every writer streams into a temporary file
 beside its target and ``os.replace``s it into place, so a reader never sees
 a partial file and a failed write leaves the previous file untouched.
 """
@@ -23,6 +26,7 @@ from .errors import FormatError
 # a JSON string, or a bare non-finite constant outside any string
 _BARE_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
 _PLAIN_INT = re.compile(r"-?[1-9][0-9]*|0")
+JSON_FLOATS_PER_CALL = 8192
 
 
 def format_float(x):
@@ -84,10 +88,48 @@ def write_csv(path, header, rows):
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+def _holds_array(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, np.ndarray) or (isinstance(value, list) and any(map(_holds_array, value)))
+
+
+def _compact_json(value):
+    """Pieces of ``json.dumps(value, allow_nan=False)``, with each 1-D array
+    read as its ``tolist()``.  Only containers holding an array are walked
+    (their keys must be strings); any other value is one ``json.dumps``."""
+    if isinstance(value, np.ndarray):
+        yield "["
+        for start in range(0, value.size, JSON_FLOATS_PER_CALL):
+            chunk = value[start : start + JSON_FLOATS_PER_CALL].tolist()
+            yield (", " if start else "") + json.dumps(chunk, allow_nan=False)[1:-1]
+        yield "]"
+    elif not _holds_array(value):
+        yield json.dumps(value, allow_nan=False)
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _compact_json(item)
+        yield "}"
+    else:
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _compact_json(item)
+        yield "]"
+
+
 def write_json(path, doc, indent=None):
-    """Stream a strict JSON document (non-finite floats raise ValueError)."""
+    """Write a strict JSON document (non-finite floats raise ValueError).
+
+    Without ``indent`` the text is compact and a 1-D array stands for the
+    JSON list of its values; with ``indent`` arrays are not accepted."""
     with _replacing(path) as fh:
-        json.dump(doc, fh, indent=indent, allow_nan=False)
+        if indent is None:
+            fh.writelines(_compact_json(doc))
+        else:
+            fh.write(json.dumps(doc, indent=indent, allow_nan=False))
         fh.write("\n")
 
 

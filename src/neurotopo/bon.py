@@ -401,19 +401,30 @@ def _typed(doc, key, *types):
     return value
 
 
+def _floats(doc, key):
+    """doc[key] as a float64 array whose every number is a JSON float, as
+    save_vocabulary writes it; numpy would also take "1.0" or true."""
+    cells = np.array(doc[key], dtype=object)
+    for x in cells.flat:
+        if type(x) is not float:
+            raise TypeError(f"{key}: expected JSON floats, got {x!r}")
+    return cells.astype(np.float64)
+
+
 def load_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary written by save_vocabulary.  k and seed must be JSON
-    integers and inertia a number; benchmark_id (a string) and generator
-    (``GENERATOR_ID``) may be absent."""
+    """Read a vocabulary written by save_vocabulary.  centroids and
+    normalizers must hold JSON floats, k and seed JSON integers and inertia
+    a number; benchmark_id (a string) and generator (``GENERATOR_ID``) may
+    be absent."""
     doc = read_json(path)
     try:
         doc = {"benchmark_id": "", "generator": GENERATOR_ID} | doc
         if doc["generator"] != GENERATOR_ID:
             raise ValueError(f"generator: expected {GENERATOR_ID!r}, got {doc['generator']!r}")
         return Vocabulary(
-            centroids=np.asarray(doc["centroids"], dtype=np.float64),
+            centroids=_floats(doc, "centroids"),
             measures=tuple(doc["measures"]),
-            normalizers=np.asarray(doc["normalizers"], dtype=np.float64),
+            normalizers=_floats(doc, "normalizers"),
             inertia=float(_typed(doc, "inertia", int, float)),
             k=_typed(doc, "k", int),
             seed=_typed(doc, "seed", int),

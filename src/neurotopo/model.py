@@ -262,7 +262,7 @@ def save_model(net: LayeredNetwork, path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "arch": list(net.arch),
-        "weights": [w.reshape(-1).tolist() for w in net.weights],
+        "weights": [w.reshape(-1) for w in net.weights],
         "meta": dict(net.meta),
     }
     write_json(path, doc)

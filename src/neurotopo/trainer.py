@@ -231,7 +231,7 @@ def train(net: LayeredNetwork, train_set: Dataset, config: TrainingConfig):
             correct += int(np.sum(np.argmax(logits, axis=1) == y))
             losses.append(loss)
             for a, g in enumerate(grads):
-                weights[a] = weights[a] - config.learning_rate * g
+                weights[a] -= config.learning_rate * g
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": correct / n}
         )

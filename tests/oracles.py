@@ -1,15 +1,17 @@
-"""Naive reference implementations for verifying the centrality measures
-and the k-means fit.
+"""Naive reference implementations for verifying the centrality measures,
+the k-means fit and the model file writer.
 
 Everything here favors directness over speed: explicit neighbor loops,
 exhaustive subset enumeration, per-target linear systems, textbook
 Floyd-Warshall, a grounded-node resistance solver, one dense (L + J/n)⁻¹,
-breadth-first search for components, and Lloyd's algorithm run one restart
-at a time.  Final scalar reductions use np.sum over operand
-arrays assembled in ascending index order, which is what makes exact
-comparison against the vectorized library implementations meaningful.
+breadth-first search for components, Lloyd's algorithm run one restart
+at a time, and one ``json.dumps`` of a whole model document.  Final scalar
+reductions use np.sum over operand arrays assembled in ascending index
+order, which is what makes exact comparison against the vectorized library
+implementations meaningful.
 """
 
+import json
 import math
 from collections import deque
 from itertools import combinations
@@ -276,3 +278,15 @@ def kmeans_naive(x, k, restarts, rel_tol=1e-3, max_iter=300, seed=0):
         if best is None or inertia < best[1]:
             best = (centers, inertia)
     return best[0], best[1], traces, hits
+
+
+def model_file_naive(net):
+    """The bytes of ``net`` in the nnx-json/1 format: the whole document,
+    weights as flat lists of Python floats, in one ``json.dumps`` call."""
+    doc = {
+        "format": "nnx-json/1",
+        "arch": list(net.arch),
+        "weights": [w.reshape(-1).tolist() for w in net.weights],
+        "meta": dict(net.meta),
+    }
+    return (json.dumps(doc, allow_nan=False) + "\n").encode("utf-8")

@@ -41,6 +41,18 @@ class TestWriters:
             write_json(path, {"x": math.inf})
         assert read_json(path) == {"b": [1, 0.5], "a": None}
 
+    def test_json_arrays_are_written_as_lists(self, tmp_path):
+        path = tmp_path / "d.json"
+        doc = {"a": [np.array([0.5, -0.0]), np.array([])], "b": {"c": np.arange(3.0)}, "d": [1, "é"]}
+        write_json(path, doc)
+        assert path.read_text() == '{"a": [[0.5, -0.0], []], "b": {"c": [0.0, 1.0, 2.0]}, "d": [1, "\\u00e9"]}\n'
+        with pytest.raises(ValueError):
+            write_json(path, {"a": np.array([0.5, math.nan])})
+        with pytest.raises(TypeError):
+            write_json(path, {"a": np.zeros(1)}, indent=1)
+        assert read_json(path) == {"a": [[0.5, -0.0], []], "b": {"c": [0.0, 1.0, 2.0]}, "d": [1, "é"]}
+        assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
     def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
         path = tmp_path / "t.csv"
         write_text(path, "old\n")

@@ -450,6 +450,21 @@ class TestVocabularyIo:
         with pytest.raises(FormatError, match="v.json: bad vocabulary file"):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"normalizers": ["1.0", True]}, {"normalizers": [1.0, 1]}, {"normalizers": [1.0, None]},
+         {"normalizers": "1.0"}, {"centroids": [["0.0", 0.0], [1.0, 1.0]]},
+         {"centroids": [[0.0, False], [1.0, 1.0]]}, {"centroids": [[0.0, 0], [1.0, 1.0]]},
+         {"centroids": [[0.0, [0.0]], [1.0, 1.0]]}],
+    )
+    def test_numbers_that_are_no_json_floats_rejected(self, tmp_path, changes):
+        # numpy would read each of these as a float; save_vocabulary writes floats only
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(self.vocabulary_doc(**changes)))
+        key = next(iter(changes))
+        with pytest.raises(FormatError, match=f"v.json: bad vocabulary file \\({key}: expected JSON floats"):
+            load_vocabulary(path)
+
     def test_id_keys_optional(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(json.dumps(self.vocabulary_doc(inertia=1)))

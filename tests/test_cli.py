@@ -307,7 +307,8 @@ class TestVocabCommands:
 
     @pytest.mark.parametrize(
         "normalizers, centroid",
-        [("[1.0]", "[NaN, 0.0, 0.0]"), ("[1.0]", "[0.0, 0.0, 0.0]"), ("[1.0, 0.0, 1.0]", "[0.0, 0.0, 0.0]")],
+        [("[1.0]", "[NaN, 0.0, 0.0]"), ("[1.0]", "[0.0, 0.0, 0.0]"), ("[1.0, 0.0, 1.0]", "[0.0, 0.0, 0.0]"),
+         ('["1.0", true, 1.0]', "[0.0, 0.0, 0.0]"), ("[1.0, 1.0, 1.0]", '["0.0", 0.0, 0.0]')],
     )
     def test_assign_malformed_vocabulary_exits_3(self, measures_csv, tmp_path, capsys, normalizers, centroid):
         vocab = tmp_path / "bad_vocab.json"
@@ -382,6 +383,20 @@ class TestCompareCommand:
         doc = json.loads(out.read_text())
         assert doc["jsd_mean"] == 0.0
         assert doc["count"] == 3
+
+    def test_vocabulary_without_json_floats_exits_3(self, measures_csv, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "3", "--out", str(vocab)]) == 0
+        doc = json.loads(vocab.read_text())
+        odd = tmp_path / "odd_vocab.json"
+        odd.write_text(json.dumps(dict(doc, normalizers=[str(x) for x in doc["normalizers"]])))
+        out = tmp_path / "cmp.json"
+        code = main(["compare", "--vocab-a", str(vocab), "--vocab-b", str(odd),
+                     "--population", str(measures_csv), "--out", str(out)])
+        assert code == 3
+        assert "odd_vocab.json: bad vocabulary file (normalizers: expected JSON floats" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotCommand:

@@ -8,7 +8,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import graph_from_edges, unit_graph
-from oracles import largest_component_naive
+from oracles import largest_component_naive, model_file_naive
+from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import (
     VIEW_ORIGINAL,
@@ -213,6 +214,34 @@ class TestSerialization:
         second = tmp_path / "model2.json"
         save_model(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "arch",
+        [(1, 1), (JSON_FLOATS_PER_CALL - 1, 1, 1), (JSON_FLOATS_PER_CALL, 1, 1),
+         (1, JSON_FLOATS_PER_CALL + 1, 1), (2, JSON_FLOATS_PER_CALL + 1, 3)],
+    )
+    def test_bytes_match_one_json_dumps_of_the_document(self, tmp_path, arch):
+        edge = [-0.0, 5e-324, 1e-05, 0.1, 1e16, -1.7976931348623157e308]
+        net = init_network(arch, seed=5, dataset_id="ds")
+        weights = []
+        for w in net.weights:
+            w = w.copy()
+            w.reshape(-1)[::2] = np.resize(edge, (w.size + 1) // 2)  # every other weight, cycled
+            weights.append(w)
+        meta = dict(net.meta, notes={"schedule": ["flat", {"ëta": 0.01, "ζ": None}]}, **{"ключ": "значение €"})
+        net = LayeredNetwork(arch=net.arch, weights=tuple(weights), meta=meta)
+        path = tmp_path / "m.json"
+        save_model(net, path)
+        assert path.read_bytes() == model_file_naive(net)
+        assert load_model(path).meta == meta
+
+    def test_nan_in_unknown_meta_raises_and_leaves_no_file(self, tmp_path):
+        net = init_network((3, 2), seed=0)
+        bad = LayeredNetwork(arch=net.arch, weights=net.weights,
+                             meta=dict(net.meta, notes={"curve": [0.5, float("nan")]}))
+        with pytest.raises(ValueError):
+            save_model(bad, tmp_path / "m.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_document_key_set(self, tmp_path):
         net = init_network((2, 3), seed=1)

@@ -6,6 +6,7 @@ one of them must fail here, not only in a traced benchmark run.  A library
 module must not import a name it never uses, so deleted code leaves no
 stale import behind.  The measure table holds the public measure functions,
 so no private row kernel can drift from the function the oracles check.
+No module calls ``json.dump``, which always runs the pure-Python encoder.
 """
 
 import ast
@@ -63,3 +64,16 @@ def test_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def test_no_json_dump():
+    # json.dump writes token by token from Python; artifacts.write_json feeds
+    # json.dumps (the C encoder) bounded pieces instead
+    found = []
+    for path in sorted((ROOT / "src" / "neurotopo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "dump" and getattr(node.value, "id", None) == "json":
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json" and "dump" in {a.name for a in node.names}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
