@@ -70,13 +70,13 @@ def _replacing(path):
     The temporary name ends in ``.tmp``, so scans for ``*.json`` skip it."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # nothing to clean up if this fails
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

@@ -326,11 +326,15 @@ def occurrence(vocab, table):
 def accuracy_groups(records, group_size):
     """Split a population into (worst, median, top) accuracy groups.
 
-    records are (network_id, test_acc) pairs.  Groups are disjoint blocks of
-    the accuracy-sorted order (ties sorted by id): the lowest ``group_size``,
-    a block centered on the median, and the highest ``group_size``.
+    records are (network_id, test_acc) pairs; a NaN accuracy cannot be
+    ranked and is a StructuralError.  Groups are disjoint blocks of the
+    accuracy-sorted order (ties sorted by id): the lowest ``group_size``, a
+    block centered on the median, and the highest ``group_size``.
     """
     records = [(str(nid), float(acc)) for nid, acc in records]
+    undefined = [nid for nid, acc in records if math.isnan(acc)]
+    if undefined:
+        raise StructuralError(f"undefined test accuracy for networks {undefined}: they cannot be ranked")
     n = len(records)
     if group_size < 1 or n < 3 * group_size:
         raise StructuralError(f"population of {n} cannot hold 3 disjoint groups of {group_size}")

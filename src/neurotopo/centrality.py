@@ -324,18 +324,14 @@ def harmonic(view, nodes=None):
     return inv.sum(axis=1)
 
 
-def current_flow_closeness(view, nodes=None, mode="raw"):
+def current_flow_closeness(view, nodes=None):
     """Closeness over effective resistances from the Laplacian pseudoinverse.
 
-    mode "raw" (default) uses the signed weights directly as conductances;
-    "absolute" uses their magnitudes.  Non-finite results are flagged NaN; a
-    kernel wider than the constants raises NumericalError.
+    The signed weights are the conductances.  Non-finite results are flagged
+    NaN; a kernel wider than the constants raises NumericalError.
     """
-    if mode not in ("raw", "absolute"):
-        raise StructuralError(f"unknown cfc mode {mode!r}")
     n = view.node_count
-    w = np.where(view.edge_mask, view.weights, 0.0)
-    lp = _laplacian_pinv_diagonal(view, np.abs(w) if mode == "absolute" else w, f"cfc (mode={mode})")
+    lp = _laplacian_pinv_diagonal(view, np.where(view.edge_mask, view.weights, 0.0), "cfc")
     # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (n - 1) / (n * lp + lp.sum())
@@ -358,7 +354,7 @@ def _parity_sides(view):
 class MeasureInfo:
     view_mode: str
     needs_connected: bool
-    func: Callable  # (view, nodes=None, **kwargs) -> the values at view positions nodes
+    func: Callable  # (view, nodes=None) -> the values at view positions nodes
 
 
 MEASURES = {
@@ -389,14 +385,14 @@ def check_measure_ids(measure_ids):
     return measure_ids
 
 
-def compute_measure(measure_id, view, nodes=None, **kwargs):
+def compute_measure(measure_id, view, nodes=None):
     """Run one measure on a view it is bound to (no component handling).
 
     Returns the values at view positions ``nodes``, or at every node when
     ``nodes`` is None; hc and bc compute those rows only.
     """
     check_measure_ids([measure_id])
-    return MEASURES[measure_id].func(view, nodes, **kwargs)
+    return MEASURES[measure_id].func(view, nodes)
 
 
 @dataclass(frozen=True)
@@ -426,17 +422,15 @@ class NeuronMeasures:
         return tuple(sorted(set(self.layer.tolist())))
 
 
-def nan_table(net: LayeredNetwork, measures=MEASURE_ORDER, network_id=None) -> NeuronMeasures:
-    """Hidden-neuron measure table, all NaN; the id defaults to seed<meta.seed>."""
+def nan_table(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
+    """Hidden-neuron measure table, all NaN, with the id seed<meta.seed>."""
     layers = np.repeat(np.arange(len(net.arch)), net.arch)
     hidden_ids = np.flatnonzero((layers >= 1) & (layers < net.depth))
     offsets = np.concatenate([[0], np.cumsum(net.arch)])
-    if network_id is None:
-        seed = net.meta.get("seed")
-        network_id = f"seed{seed}" if seed is not None else "net"
+    seed = net.meta.get("seed")
     acc = net.meta.get("test_acc", math.nan)
     return NeuronMeasures(
-        network_id=str(network_id),
+        network_id=f"seed{seed}" if seed is not None else "net",
         measures=tuple(measures),
         layer=layers[hidden_ids],
         neuron=hidden_ids - offsets[layers[hidden_ids]],
@@ -445,12 +439,7 @@ def nan_table(net: LayeredNetwork, measures=MEASURE_ORDER, network_id=None) -> N
     )
 
 
-def measure_all(
-    net: LayeredNetwork,
-    measures=MEASURE_ORDER,
-    network_id=None,
-    cfc_mode="raw",
-) -> NeuronMeasures:
+def measure_all(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
     """Compute the requested measures for every hidden neuron of a network.
 
     Each measure runs on its bound view, for the hidden rows only.  Measures
@@ -458,11 +447,10 @@ def measure_all(
     their view; hidden neurons outside that component come back NaN.
     """
     measures = check_measure_ids(measures)
-    table = nan_table(net, measures, network_id)
+    table = nan_table(net, measures)
     graph = build_graph(net)
     hidden_ids = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
     views = {}
-    kwargs = {"cfc": {"mode": cfc_mode}}
     for j, m in enumerate(measures):
         info = MEASURES[m]
         if info.view_mode not in views:
@@ -475,7 +463,7 @@ def measure_all(
         # node ids ascend in both, so hidden rows and view positions align
         inside = np.isin(hidden_ids, view.node_ids)
         nodes = np.flatnonzero(np.isin(view.node_ids, hidden_ids))
-        table.values[inside, j] = compute_measure(m, view, nodes=nodes, **kwargs.get(m, {}))
+        table.values[inside, j] = compute_measure(m, view, nodes=nodes)
     return table
 
 

@@ -154,7 +154,7 @@ def cmd_measure(args):
     for path in paths:
         net = load_model(path)
         try:
-            table = centrality.measure_all(net, measures=measures, cfc_mode=args.cfc_mode)
+            table = centrality.measure_all(net, measures=measures)
         except NumericalError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             failed.append({"model": path, "error": str(exc)})
@@ -320,7 +320,6 @@ def build_parser():
     p = sub.add_parser("measure", help="compute centrality measures for trained models")
     p.add_argument("--models", required=True)
     p.add_argument("--measures", default="all", help="comma list or 'all'")
-    p.add_argument("--cfc-mode", choices=("raw", "absolute"), default="raw")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_measure)
 
@@ -379,7 +378,7 @@ def main(argv=None):
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

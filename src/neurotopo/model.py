@@ -73,10 +73,6 @@ class LayeredNetwork:
         """Number of weight matrices d."""
         return len(self.arch) - 1
 
-    @property
-    def synapse_count(self):
-        return int(sum(a * b for a, b in zip(self.arch[:-1], self.arch[1:])))
-
 
 @dataclass(frozen=True)
 class NeuronGraph:
@@ -117,17 +113,6 @@ class NeuronGraph:
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "edge_mask", _freeze(m))
         object.__setattr__(self, "layers", layers)
-
-    @classmethod
-    def from_adjacency(cls, weights, edge_mask=None, layers=None):
-        """Build a graph from a symmetric weight matrix.
-
-        With edge_mask omitted, every nonzero entry is an edge; pass the mask
-        explicitly when zero-weight edges must be represented.
-        """
-        w = np.asarray(weights, dtype=np.float64)
-        mask = (w != 0.0) if edge_mask is None else np.asarray(edge_mask, dtype=bool)
-        return cls(weights=w, edge_mask=mask, layers=layers)
 
     @property
     def node_count(self):

@@ -81,17 +81,26 @@ class Dataset:
         return Dataset(self.images[:count], self.labels[:count])
 
 
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _read_idx(path, magic, what, dims):
+    """The ``dims`` header sizes after the magic, and a view of the body, of
+    the IDX file at ``path``; FormatError for a short header or another magic."""
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+        data = memoryview(fh.read())
+    size = 4 * (1 + dims)
+    if len(data) < size:
+        raise FormatError(f"{path}: truncated while reading header (offset {len(data)})")
+    got, *shape = struct.unpack(f">{1 + dims}I", data[:size])
+    if got != magic:
+        raise FormatError(f"{path}: bad {what} magic 0x{got:08x} (offset 0)")
+    return shape, data[size:]
 
 
-def _read_exact(fh, count, path, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"{path}: truncated while reading {what} (offset {fh.tell()})")
-    return data
+def _check_body(path, body, size, offset, what):
+    """FormatError unless the body after the header holds exactly ``size`` bytes."""
+    if len(body) < size:
+        raise FormatError(f"{path}: truncated while reading {what} (offset {offset + len(body)})")
+    if len(body) > size:
+        raise FormatError(f"{path}: trailing bytes after {what}")
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -99,30 +108,22 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     Pixels are scaled to [0, 1] by dividing by 255.  Every structural defect
     (magic, dimensions, truncation, label range, count mismatch) is a
-    FormatError naming the file and offset.
+    FormatError naming the file and offset.  Only the bytes a file holds are
+    read, whatever sizes its header claims.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad images magic 0x{magic:08x} (offset 0)")
-        if rows != 28 or cols != 28:
-            raise FormatError(f"{images_path}: expected 28x28 images, got {rows}x{cols}")
-        raw = _read_exact(fh, count * rows * cols, images_path, "pixel data")
-        if fh.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after pixel data")
-    with _open_maybe_gzip(labels_path) as fh:
-        magic, lcount = struct.unpack(">II", _read_exact(fh, 8, labels_path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad labels magic 0x{magic:08x} (offset 0)")
-        if lcount != count:
-            raise FormatError(f"{labels_path}: {lcount} labels for {count} images")
-        labels = np.frombuffer(_read_exact(fh, lcount, labels_path, "label data"), dtype=np.uint8)
-        if fh.read(1):
-            raise FormatError(f"{labels_path}: trailing bytes after label data")
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "images", 3)
+    if rows != 28 or cols != 28:
+        raise FormatError(f"{images_path}: expected 28x28 images, got {rows}x{cols}")
+    _check_body(images_path, pixels, count * rows * cols, 16, "pixel data")
+    (lcount,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels", 1)
+    if lcount != count:
+        raise FormatError(f"{labels_path}: {lcount} labels for {count} images")
+    _check_body(labels_path, labels, lcount, 8, "label data")
+    labels = np.frombuffer(labels, dtype=np.uint8)
     if labels.size and labels.max() >= CLASS_COUNT:
         bad = int(np.argmax(labels >= CLASS_COUNT))
         raise FormatError(f"{labels_path}: label {int(labels[bad])} out of range at index {bad}")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
+    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
     images /= 255.0
     return Dataset(images=images, labels=labels.astype(np.int64))
 
@@ -311,10 +312,11 @@ def generate_population(
     """Train one network per weight seed and serialize models plus a manifest.
 
     Already-serialized seeds are skipped, so an interrupted run resumes where
-    it stopped; a cached model whose arch, epochs or dataset id differs from
-    this run's raises StructuralError and is left in place.  One network
-    failing does not abort the population; its entry is recorded with status
-    "failed".  ``workers`` > 1 trains networks in parallel processes; results
+    it stopped.  A cached model file is left in place when it is refused: a
+    malformed one (writes are atomic, so no run of this library left it)
+    raises FormatError, and one whose arch, epochs or dataset id differs from
+    this run's raises StructuralError.  One network failing does not abort
+    the population; its entry is recorded with status "failed".  ``workers`` > 1 trains networks in parallel processes; results
     do not depend on the schedule.
     """
     if workers < 1:
@@ -330,15 +332,11 @@ def generate_population(
     for seed in weight_seeds:
         model_path = os.path.join(out_dir, f"model_seed{seed}.json")
         if os.path.exists(model_path):
-            try:
-                cached = load_model(model_path)
-            except FormatError:
-                os.remove(model_path)
-            else:
-                _check_cached(cached, model_path, config, dataset_id)
-                entries[seed] = _manifest_entry(seed, model_path, cached.meta, "cached")
-                continue
-        todo.append((seed, model_path))
+            cached = load_model(model_path)
+            _check_cached(cached, model_path, config, dataset_id)
+            entries[seed] = _manifest_entry(seed, model_path, cached.meta, "cached")
+        else:
+            todo.append((seed, model_path))
 
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(

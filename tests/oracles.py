@@ -160,11 +160,9 @@ def laplacian_pinv_diagonal_dense(w):
     return np.diag(np.linalg.inv(np.diag(w.sum(axis=1)) - w + 1.0 / n)) - 1.0 / n
 
 
-def current_flow_closeness_naive(weights, mask, mode="raw"):
+def current_flow_closeness_naive(weights, mask):
     """Effective resistances from a grounded-node Laplacian inverse."""
     w = np.where(mask, weights, 0.0)
-    if mode == "absolute":
-        w = np.abs(w)
     n = w.shape[0]
     lap = np.diag(w.sum(axis=1)) - w
     x = np.linalg.inv(lap[1:, 1:])

@@ -1,5 +1,6 @@
 """The one on-disk text path: CSV dialect, strict JSON, atomic replacement."""
 
+import errno
 import math
 
 import numpy as np
@@ -69,6 +70,14 @@ class TestWriters:
     def test_missing_directory_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             write_text(tmp_path / "nope" / "x.svg", "<svg/>")
+
+    def test_unopenable_temporary_raises_only_its_own_error(self, tmp_path):
+        # the temporary was never created, so no cleanup error hides the cause
+        with pytest.raises(OSError) as info:
+            write_text(tmp_path / ("x" * 300 + ".svg"), "<svg/>")
+        assert info.value.errno == errno.ENAMETOOLONG
+        assert info.value.__context__ is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReaders:

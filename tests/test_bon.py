@@ -333,6 +333,12 @@ class TestAccuracyGroups:
         assert worst == ["c", "e"]
         assert median == ["a", "b"]
 
+    def test_undefined_accuracy_refused(self):
+        # NaN compares false both ways, so sorting would leave the input order
+        records = [("a", 0.9), ("b", math.nan), ("c", 0.1), ("d", 0.5), ("e", math.nan), ("f", 0.2)]
+        with pytest.raises(StructuralError, match=r"undefined test accuracy for networks \['b', 'e'\]"):
+            accuracy_groups(records, 2)
+
 
 class TestJsd:
     def test_identical_zero(self):

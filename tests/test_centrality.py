@@ -55,7 +55,7 @@ class TestStrength:
 
     def test_isolated_node_zero(self):
         g = graph_from_edges(2, [(0, 1, 1.0)])
-        padded = NeuronGraph.from_adjacency(np.pad(g.weights, (0, 1)), np.pad(g.edge_mask, (0, 1)))
+        padded = NeuronGraph(weights=np.pad(g.weights, (0, 1)), edge_mask=np.pad(g.edge_mask, (0, 1)))
         assert strength(view(padded, VIEW_ORIGINAL))[2] == 0.0
 
     def test_negative_k2(self):
@@ -285,12 +285,9 @@ class TestCurrentFlowCloseness:
         with pytest.raises(StructuralError, match="connected"):
             current_flow_closeness(view(g, VIEW_ORIGINAL))
 
-    def test_absolute_mode_flips_negative_weights(self):
+    def test_negative_weight_is_a_negative_conductance(self):
         g = graph_from_edges(2, [(0, 1, -2.0)])
-        raw = current_flow_closeness(view(g, VIEW_ORIGINAL), mode="raw")
-        absolute = current_flow_closeness(view(g, VIEW_ORIGINAL), mode="absolute")
-        np.testing.assert_allclose(raw, [-2.0, -2.0], atol=1e-12)
-        np.testing.assert_allclose(absolute, [2.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(current_flow_closeness(view(g, VIEW_ORIGINAL)), [-2.0, -2.0], atol=1e-12)
 
     def test_tree_effective_resistance_is_path_sum(self):
         g = graph_from_edges(4, [(0, 1, 2.0), (1, 2, 4.0), (1, 3, 0.5)])
@@ -307,8 +304,8 @@ class TestCurrentFlowCloseness:
     def test_singular_grounded_laplacian_raises(self):
         # a zero-weight edge connects the pair but conducts nothing: L = 0
         g = graph_from_edges(2, [(0, 1, 0.0)])
-        with pytest.raises(NumericalError, match=r"cfc \(mode=absolute\): L \+ J/n is singular"):
-            current_flow_closeness(view(g, VIEW_ORIGINAL), mode="absolute")
+        with pytest.raises(NumericalError, match=r"cfc: L \+ J/n is singular"):
+            current_flow_closeness(view(g, VIEW_ORIGINAL))
 
     def test_matches_grounded_solver(self):
         for seed in range(15):
@@ -463,7 +460,7 @@ class TestLayeredKernels:
         assert 0 in low
         with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
             table = measure_all(net, measures=("cfc",))
-        assert f"cfc (mode=raw): tau 0.0001, {low.size} of 800 even-side pivots kept in S" in caplog.text
+        assert f"cfc: tau 0.0001, {low.size} of 800 even-side pivots kept in S" in caplog.text
         n = v.node_count
         lp = oracles.laplacian_pinv_diagonal_dense(v.weights)
         hidden = np.flatnonzero((v.layers >= 1) & (v.layers < net.depth))
@@ -499,7 +496,8 @@ class TestLayeredKernels:
 
     def test_non_bipartite_layering_falls_back(self):
         # a triangle tagged with layers 0, 1, 2: the 0-2 edge joins two even layers
-        g = NeuronGraph.from_adjacency(K(3).weights, layers=[0, 1, 2])
+        w = K(3).weights
+        g = NeuronGraph(weights=w, edge_mask=w != 0, layers=[0, 1, 2])
         v = view(g)
         nodes = np.array([1, 2])
         np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), max_clique_count(v)[nodes])

@@ -1,9 +1,11 @@
 """CLI exit codes, formats, idempotence, and the end-to-end desk pipeline."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +100,28 @@ class TestTrainCommand:
         assert "model_seed0.json" in err and "cached model has arch (784, 8, 6, 10)" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_rerun_over_a_malformed_model_exits_3(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "models"
+        shutil.copytree(trained_dir, out)
+        (out / "model_seed1.json").write_text('{"notes": "kept by hand"}\n')
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code = main(["train", "--data", str(data_dir), "--count", "3", "--data-seed", "7",
+                     "--arch", "784,8,6,10", "--epochs", "1", "--batch", "50", "--out", str(out)])
+        assert code == 3
+        assert "model_seed1.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_forged_idx_header_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synthetic_benchmark(data, train_count=4, test_count=2, seed=0)
+        images = data / "train-images-idx3-ubyte"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 0xFFFFFFFF, 28, 28) + bytes(784))
+        code = main(["train", "--data", str(data), "--count", "1", "--arch", "784,4,10",
+                     "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "train-images-idx3-ubyte: truncated while reading pixel data" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, name",
         [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
@@ -146,6 +170,20 @@ class TestMeasureCommand:
         code = main(["measure", "--models", str(trained_dir), "--measures", "s,bc,s", "--out", str(out)])
         assert code == 2
         assert "repeated measures" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exits_3_with_one_error_line(self, trained_dir, tmp_path, capsys):
+        out = tmp_path / ("x" * 300 + ".csv")
+        code = main(["measure", "--models", str(trained_dir), "--measures", "s", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "File name too long" in err[0]
+
+    def test_cfc_mode_option_is_gone(self, trained_dir, tmp_path):
+        # cfc takes the signed weights as conductances; no option selects another mode
+        out = tmp_path / "m.csv"
+        code = main(["measure", "--models", str(trained_dir), "--cfc-mode", "raw", "--out", str(out)])
+        assert code == 2
         assert not out.exists()
 
     def test_one_failing_network_keeps_the_others(self, trained_dir, tmp_path, monkeypatch, capsys):
@@ -413,7 +451,8 @@ class TestPlotCommand:
         assert out_svg.read_text().startswith("<svg")
 
     def test_scatter_quotes_network_ids(self, tmp_path):
-        table = measure_all(init_network((3, 4, 2, 2), seed=0), measures=("s",), network_id="net,1")
+        table = measure_all(init_network((3, 4, 2, 2), seed=0), measures=("s",))
+        table = dataclasses.replace(table, network_id="net,1")
         write_measures_csv([table], tmp_path / "m.csv")
         out_csv = tmp_path / "scatter.csv"
         code = main(["plot", "--what", "scatter", "--measures-csv", str(tmp_path / "m.csv"),
@@ -462,6 +501,20 @@ class TestPlotCommand:
         assert "occ.csv: header must be network_id,test_acc,f1..fk" in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
 
+    def test_hist_without_accuracies_exits_2(self, measures_csv, tmp_path, capsys):
+        # vocab assign without --manifest writes NaN accuracies, which cannot be ranked
+        vocab = tmp_path / "vocab.json"
+        occ = tmp_path / "occ.csv"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "5", "--out", str(vocab)]) == 0
+        assert main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(measures_csv),
+                     "--out", str(occ)]) == 0
+        code = main(["plot", "--what", "hist", "--occurrence-csv", str(occ), "--group-size", "1",
+                     "--out-csv", str(tmp_path / "hist.csv")])
+        assert code == 2
+        assert "undefined test accuracy for networks ['seed0', 'seed1', 'seed2']" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
+
 
 class TestRunRecords:
     def test_run_record_hashes_artifacts(self, measures_csv):
@@ -469,6 +522,7 @@ class TestRunRecords:
         assert record["command"] == "measure"
         assert "measures.csv" in record["artifacts"]
         assert len(record["artifacts"]["measures.csv"]) == 64
+        assert "cfc_mode" not in record["parameters"]
 
     def test_idempotent_outputs(self, data_dir, tmp_path):
         args = ["train", "--data", str(data_dir), "--count", "1", "--arch", "784,6,4,10",

@@ -113,7 +113,7 @@ class TestThresholdView:
         g = build_graph(net)
         v = threshold_view(g, VIEW_POSITIVE)
         nonpositive = sum(int(np.sum(w <= 0.0)) for w in net.weights)
-        assert v.edge_count + nonpositive == net.synapse_count
+        assert v.edge_count + nonpositive == sum(w.size for w in net.weights)
 
     def test_unknown_mode(self):
         g = unit_graph(2, [(0, 1)])

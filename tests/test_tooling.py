@@ -5,12 +5,14 @@ callers look them up by (``perfbench/instrument.py``).  Renaming or deleting
 one of them must fail here, not only in a traced benchmark run.  A library
 module must not import a name it never uses, so deleted code leaves no
 stale import behind.  The measure table holds the public measure functions,
-so no private row kernel can drift from the function the oracles check.
+so no private row kernel can drift from the function the oracles check, and
+each of them takes ``(view, nodes=None)`` and nothing else.
 No module calls ``json.dump``, which always runs the pure-Python encoder.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,8 @@ def test_measure_table_holds_the_exported_functions():
     centrality = importlib.import_module("neurotopo.centrality")
     for measure_id, info in centrality.MEASURES.items():
         assert info.func is getattr(neurotopo, info.func.__name__, None), measure_id
+        params = [(p.name, p.default) for p in inspect.signature(info.func).parameters.values()]
+        assert params == [("view", inspect.Parameter.empty), ("nodes", None)], measure_id
     assert len({info.func for info in centrality.MEASURES.values()}) == len(centrality.MEASURES)
 
 

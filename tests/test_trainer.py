@@ -82,6 +82,31 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="28x28"):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_header_claiming_more_images_than_the_file_holds(self, tmp_path, compress):
+        # 0xFFFFFFFF images of 28x28 claimed, one image present: only what exists is read
+        data = struct.pack(">IIII", 0x00000803, 0xFFFFFFFF, 28, 28) + bytes(784)
+        ip = tmp_path / ("img.gz" if compress else "img")
+        ip.write_bytes(gzip.compress(data) if compress else data)
+        lp = tmp_path / "lab"
+        lp.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
+        with pytest.raises(FormatError, match=r"img(\.gz)?: truncated while reading pixel data \(offset 800\)"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize("which, what", [("images", "pixel data"), ("labels", "label data")])
+    def test_trailing_bytes(self, tmp_path, which, what):
+        ip, lp = idx_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+        path = ip if which == "images" else lp
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match=f"{path.name}: trailing bytes after {what}"):
+            load_idx(ip, lp)
+
+    def test_truncated_header(self, tmp_path):
+        ip, lp = idx_pair(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        lp.write_bytes(lp.read_bytes()[:6])
+        with pytest.raises(FormatError, match=r"truncated while reading header \(offset 6\)"):
+            load_idx(ip, lp)
+
     def test_gzip_transparent(self, tmp_path):
         ip, lp = idx_pair(tmp_path, np.zeros((3, 28, 28), dtype=np.uint8), np.array([0, 1, 2], dtype=np.uint8))
         gip = tmp_path / "imgs.gz"
@@ -116,7 +141,7 @@ class TestInitNetwork:
 
     def test_paper_parameter_count(self):
         net = init_network((784, 200, 100, 10), seed=0)
-        assert net.synapse_count == 177800
+        assert sum(w.size for w in net.weights) == 177800
 
 
 class TestForward:
@@ -311,6 +336,15 @@ class TestPopulation:
         with pytest.raises(StructuralError, match=rf"model_seed0\.json: cached model has {field} "):
             generate_population(train_set, test_set, config, [0, 1], tmp_path, dataset_id=dataset_id)
         assert (tmp_path / "model_seed0.json").read_bytes() == before
+        assert not (tmp_path / "model_seed1.json").exists()
+
+    def test_resume_refuses_a_malformed_model(self, tmp_path):
+        # writes are atomic, so a file that does not load was put there by hand: keep it
+        train_set, test_set = self.small_sets()
+        (tmp_path / "model_seed0.json").write_text('{"notes": "kept by hand"}\n')
+        with pytest.raises(FormatError, match=r"model_seed0\.json: "):
+            generate_population(train_set, test_set, self.config(), [0, 1], tmp_path)
+        assert (tmp_path / "model_seed0.json").read_text() == '{"notes": "kept by hand"}\n'
         assert not (tmp_path / "model_seed1.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
