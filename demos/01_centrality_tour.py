@@ -19,7 +19,7 @@ from neurotopo import (
     subgraph_centrality,
     threshold_view,
 )
-from neurotopo.model import VIEW_ORIGINAL, VIEW_POSITIVE, VIEW_POSITIVE_UNWEIGHTED
+from neurotopo.model import VIEW_ORIGINAL, VIEW_POSITIVE
 
 
 def graph(n, edges):
@@ -46,28 +46,28 @@ def main():
     print("\n== second order: return-time spread of an unbiased walk ==")
     k2 = graph(2, [(0, 1, 1.0)])
     k3 = graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-    show("so on K2", second_order(threshold_view(k2, VIEW_POSITIVE_UNWEIGHTED)),
+    show("so on K2", second_order(threshold_view(k2, VIEW_POSITIVE)),
          "(the walk bounces deterministically: zero spread)")
-    show("so on K3", second_order(threshold_view(k3, VIEW_POSITIVE_UNWEIGHTED)),
+    show("so on K3", second_order(threshold_view(k3, VIEW_POSITIVE)),
          "(exactly sqrt(2))")
 
     print("\n== subgraph centrality: closed walks weighted by 1/length! ==")
-    show("sg on K2", subgraph_centrality(threshold_view(k2, VIEW_POSITIVE_UNWEIGHTED)),
+    show("sg on K2", subgraph_centrality(threshold_view(k2, VIEW_POSITIVE)),
          f"(cosh(1) = {np.cosh(1):.5f})")
-    show("sg on K3", subgraph_centrality(threshold_view(k3, VIEW_POSITIVE_UNWEIGHTED)),
+    show("sg on K3", subgraph_centrality(threshold_view(k3, VIEW_POSITIVE)),
          "(e^2/3 + 2e^-1/3)")
 
     print("\n== maximum cliques ==")
     bowtie = graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (3, 4, 1.0)])
-    show("mc on two triangles sharing 0", max_clique_count(threshold_view(bowtie, VIEW_POSITIVE_UNWEIGHTED)),
+    show("mc on two triangles sharing 0", max_clique_count(threshold_view(bowtie, VIEW_POSITIVE)),
          "(the shared node sits in both)")
 
     print("\n== bipartite clustering: second-neighbor overlap ==")
     k22 = graph(4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
-    show("bc on K_{2,2}", bipartite_clustering(threshold_view(k22, VIEW_POSITIVE_UNWEIGHTED)),
+    show("bc on K_{2,2}", bipartite_clustering(threshold_view(k22, VIEW_POSITIVE)),
          "(every second neighbor fully overlaps)")
     p4 = graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    show("bc on P4", bipartite_clustering(threshold_view(p4, VIEW_POSITIVE_UNWEIGHTED)))
+    show("bc on P4", bipartite_clustering(threshold_view(p4, VIEW_POSITIVE)))
 
     print("\n== harmonic: reciprocal path lengths, weights as distances ==")
     p3 = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])

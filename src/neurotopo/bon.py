@@ -307,20 +307,30 @@ def assign_rows(vocab, values):
     return out
 
 
+def _types(vocab, table):
+    """Type of each hidden neuron of a network, 0 where a descriptor is undefined."""
+    return assign_rows(vocab, np.column_stack([table.column(m) for m in vocab.measures]))
+
+
 def occurrence(vocab, table):
     """Fraction of a network's hidden neurons assigned to each type.
 
     Neurons with undefined descriptors are excluded and the histogram is
     renormalized; a network with no defined neuron at all is an error.
     """
-    values = np.column_stack([table.column(m) for m in vocab.measures])
-    labels = assign_rows(vocab, values)
-    labels = labels[labels > 0]
-    if labels.size == 0:
+    labels = _types(vocab, table)
+    if not labels.any():
         raise StructuralError(f"{table.network_id!r}: every hidden neuron is undefined")
-    freq = np.bincount(labels - 1, minlength=vocab.k).astype(np.float64)
+    freq = np.bincount(labels, minlength=vocab.k + 1)[1:].astype(np.float64)
     freq /= freq.sum()
     return freq
+
+
+def split_undefined(vocab, tables):
+    """(tables, ids): the tables ``occurrence`` takes under the vocabulary,
+    and the ids of the networks it refuses for having no defined neuron."""
+    undefined = [t.network_id for t in tables if not _types(vocab, t).any()]
+    return [t for t in tables if t.network_id not in undefined], undefined
 
 
 def accuracy_groups(records, group_size):

@@ -1,16 +1,17 @@
 """Per-neuron centrality measures on weighted undirected graphs.
 
-Eight measures are provided, each bound to the graph view it is defined on:
+Eight measures are provided, each bound to the graph view it is defined on
+(so, sg, mc and bc read only that view's edge set):
 
-    id    view                 meaning
-    s     original-weighted    strength (signed weighted degree)
-    snn   original-weighted    average neighbor strength
-    so    positive-unweighted  second-order centrality (return-time std)
-    sg    positive-unweighted  subgraph centrality (closed-walk sum)
-    mc    positive-unweighted  participation in maximum cliques
-    bc    positive-unweighted  bipartite local clustering
-    hc    positive-weighted    harmonic centrality (weighted shortest paths)
-    cfc   original-weighted    current-flow closeness (effective resistance)
+    id    view               meaning
+    s     original-weighted  strength (signed weighted degree)
+    snn   original-weighted  average neighbor strength
+    so    positive-weighted  second-order centrality (return-time std)
+    sg    positive-weighted  subgraph centrality (closed-walk sum)
+    mc    positive-weighted  participation in maximum cliques
+    bc    positive-weighted  bipartite local clustering
+    hc    positive-weighted  harmonic centrality (weighted shortest paths)
+    cfc   original-weighted  current-flow closeness (effective resistance)
 
 Every function takes ``(view, nodes=None)`` and returns the float64 values at
 view positions ``nodes``, or at every node when ``nodes`` is None.  Undefined
@@ -36,7 +37,6 @@ from .errors import FormatError, NumericalError, ResourceBudgetError, Structural
 from .model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
-    VIEW_POSITIVE_UNWEIGHTED,
     LayeredNetwork,
     build_graph,
     component_labels,
@@ -139,7 +139,7 @@ def second_order(view, nodes=None):
     if n < 2:
         raise StructuralError("second-order centrality needs at least 2 nodes")
     a = view.edge_mask.astype(np.float64)
-    lp = _laplacian_pinv_diagonal(view, a, f"so ({view.mode} view)")
+    lp = _laplacian_pinv_diagonal(view, a, "so")
     # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
     radicand = 2.0 * n * n * a.sum(axis=1).max() * lp - n * n + n
     bad = radicand < -SO_RADICAND_TOL
@@ -317,7 +317,7 @@ def harmonic(view, nodes=None):
     if inputs is not None and inputs.any():
         dist = _input_eliminated_distances(view, nodes, inputs)
     else:
-        dist = dijkstra(np.where(view.edge_mask, view.weights, 0.0), directed=False, indices=nodes)
+        dist = dijkstra(view.weights, directed=False, indices=nodes)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)
@@ -331,7 +331,7 @@ def current_flow_closeness(view, nodes=None):
     NaN; a kernel wider than the constants raises NumericalError.
     """
     n = view.node_count
-    lp = _laplacian_pinv_diagonal(view, np.where(view.edge_mask, view.weights, 0.0), "cfc")
+    lp = _laplacian_pinv_diagonal(view, view.weights, "cfc")
     # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (n - 1) / (n * lp + lp.sum())
@@ -360,10 +360,10 @@ class MeasureInfo:
 MEASURES = {
     "s": MeasureInfo(VIEW_ORIGINAL, False, strength),
     "snn": MeasureInfo(VIEW_ORIGINAL, False, avg_neighbor_strength),
-    "so": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, True, second_order),
-    "sg": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, False, subgraph_centrality),
-    "mc": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, False, max_clique_count),
-    "bc": MeasureInfo(VIEW_POSITIVE_UNWEIGHTED, False, bipartite_clustering),
+    "so": MeasureInfo(VIEW_POSITIVE, True, second_order),
+    "sg": MeasureInfo(VIEW_POSITIVE, False, subgraph_centrality),
+    "mc": MeasureInfo(VIEW_POSITIVE, False, max_clique_count),
+    "bc": MeasureInfo(VIEW_POSITIVE, False, bipartite_clustering),
     "hc": MeasureInfo(VIEW_POSITIVE, False, harmonic),
     "cfc": MeasureInfo(VIEW_ORIGINAL, True, current_flow_closeness),
 }
@@ -503,8 +503,9 @@ def write_measures_csv(tables, path, sources=None):
 def read_measures_csv(path, accuracies=None):
     """Read a measures CSV back into per-network tables (input order kept).
 
-    Each network's rows must be contiguous.  accuracies, when given, maps
-    network_id to test accuracy.
+    Each network's rows must be contiguous, with (layer, neuron) strictly
+    ascending, layer >= 1 and neuron >= 0, as the writer leaves them.
+    accuracies, when given, maps network_id to test accuracy.
     """
     header, lines = read_csv_rows(path)
     if tuple(header[:3]) != CSV_FIXED_COLUMNS:
@@ -525,7 +526,11 @@ def read_measures_csv(path, accuracies=None):
             cells = (parse_int(row[1]), parse_int(row[2]), [parse_float(x) for x in row[3:]])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        rows.setdefault(nid, []).append(cells)
+        recs = rows.setdefault(nid, [])
+        if cells[0] < 1 or cells[1] < 0 or (recs and cells[:2] <= recs[-1][:2]):
+            raise FormatError(f"{path}:{lineno}: network {nid!r}: (layer {cells[0]}, neuron {cells[1]}) "
+                              "breaks the strictly ascending order, layer >= 1 and neuron >= 0")
+        recs.append(cells)
     tables = []
     for nid, recs in rows.items():
         acc = math.nan

@@ -129,7 +129,7 @@ def _model_paths(models_dir):
     names = [
         n
         for n in os.listdir(models_dir)
-        if n.endswith(".json") and n not in ("manifest.json", "run.json")
+        if n.endswith(".json") and not n.endswith(".run.json") and n not in ("manifest.json", "run.json")
     ]
     if not names:
         raise FormatError(f"{models_dir}: no model files found")
@@ -210,15 +210,27 @@ def cmd_vocab_build(args):
     return EXIT_OK
 
 
+def _split_undefined(vocab, tables):
+    """The tables with a defined neuron; each other network is named on
+    stderr, and none left is a StructuralError."""
+    tables, failed = bon.split_undefined(vocab, tables)
+    if not tables:
+        raise StructuralError(f"every hidden neuron is undefined in every network: {failed}")
+    for nid in failed:
+        print(f"{nid!r}: every hidden neuron is undefined; left out", file=sys.stderr)
+    return tables, failed
+
+
 def cmd_vocab_assign(args):
     vocab = bon.load_vocabulary(args.vocab)
     accs = _load_accuracies(args.manifest)
     tables = centrality.read_measures_csv(args.measures_csv, accuracies=accs)
+    tables, failed = _split_undefined(vocab, tables)
     records = [bon.PopulationRecord(t.network_id, t.test_acc, bon.occurrence(vocab, t)) for t in tables]
     bon.write_occurrence_csv(vocab, records, args.out)
-    _write_run_record(args.out, "vocab assign", args, [args.out])
+    _write_run_record(args.out, "vocab assign", args, [args.out], {"failed": failed})
     print(f"occurrence histograms for {len(records)} networks -> {args.out}")
-    return EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_compare(args):
@@ -227,7 +239,7 @@ def cmd_compare(args):
     population = args.population
     if os.path.isdir(population):
         population = os.path.join(population, "measures.csv")
-    tables = centrality.read_measures_csv(population)
+    tables, failed = _split_undefined(vocab_b, centrality.read_measures_csv(population))
     result = bon.cross_benchmark_jsd(vocab_a, vocab_b, tables)
     doc = {
         "vocab_a": args.vocab_a,
@@ -238,9 +250,9 @@ def cmd_compare(args):
         "per_network": result.per_network,
     }
     write_json(args.out, doc, indent=1)
-    _write_run_record(args.out, "compare", args, [args.out])
+    _write_run_record(args.out, "compare", args, [args.out], {"failed": failed})
     print(f"JSD mean {result.mean:.4f} (std {result.std:.4f}) over {doc['count']} networks")
-    return EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_plot(args):

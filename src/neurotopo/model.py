@@ -3,8 +3,8 @@
 A trained fully connected network is treated as a weighted undirected graph:
 one node per neuron (input and output layers included), one edge per synapse
 carrying its signed weight.  Centrality code consumes read-only views of that
-graph; three view modes exist because different measures are defined on the
-signed graph, on the positive subgraph, or on its binarized form.
+graph; two view modes exist because some measures are defined on the signed
+graph and the others on its positive subgraph.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +19,7 @@ MODEL_FORMAT = "nnx-json/1"
 
 VIEW_ORIGINAL = "original-weighted"
 VIEW_POSITIVE = "positive-weighted"
-VIEW_POSITIVE_UNWEIGHTED = "positive-unweighted"
-VIEW_MODES = (VIEW_ORIGINAL, VIEW_POSITIVE, VIEW_POSITIVE_UNWEIGHTED)
+VIEW_MODES = (VIEW_ORIGINAL, VIEW_POSITIVE)
 
 _META_REQUIRED = {
     "seed": (int,),
@@ -128,14 +127,14 @@ class GraphView:
     """A read-only thresholded view of a NeuronGraph.
 
     node_ids maps view positions to node ids of the base graph, so views
-    restricted to a component keep their provenance.
+    restricted to a component keep their provenance; weights are zero off
+    edge_mask, and layers holds the layer tag of each position (or None).
     """
 
-    base: NeuronGraph
-    mode: str
     node_ids: np.ndarray
     weights: np.ndarray
     edge_mask: np.ndarray
+    layers: np.ndarray | None
 
     @property
     def node_count(self):
@@ -144,12 +143,6 @@ class GraphView:
     @property
     def edge_count(self):
         return int(self.edge_mask.sum()) // 2
-
-    @property
-    def layers(self):
-        if self.base.layers is None:
-            return None
-        return self.base.layers[self.node_ids]
 
 
 class LargestComponent(NamedTuple):
@@ -180,26 +173,23 @@ def build_graph(net: LayeredNetwork) -> NeuronGraph:
 
 
 def threshold_view(graph: NeuronGraph, mode: str) -> GraphView:
-    """Produce a view of the graph in one of the three modes.
+    """Produce a view of the graph in one of the two modes.
 
-    Positive modes keep exactly the edges with weight strictly greater than
-    zero; the node set is never reduced (isolated nodes are permitted).  The
-    positive-unweighted mode assigns weight 1 to every retained edge.
+    The positive mode keeps exactly the edges with weight strictly greater
+    than zero, with their weights; the node set is never reduced (isolated
+    nodes are permitted).
     """
     if mode not in VIEW_MODES:
         raise StructuralError(f"unknown view mode {mode!r}; expected one of {VIEW_MODES}")
-    if mode == VIEW_ORIGINAL:
-        mask = graph.edge_mask
-        weights = graph.weights
-    else:
-        mask = graph.edge_mask & (graph.weights > 0.0)
-        weights = np.where(mask, graph.weights, 0.0) if mode == VIEW_POSITIVE else mask.astype(np.float64)
+    mask, weights = graph.edge_mask, graph.weights
+    if mode == VIEW_POSITIVE:
+        mask = mask & (weights > 0.0)
+        weights = np.where(mask, weights, 0.0)
     return GraphView(
-        base=graph,
-        mode=mode,
         node_ids=np.arange(graph.node_count),
-        weights=np.asarray(weights, dtype=np.float64),
-        edge_mask=np.asarray(mask, dtype=bool),
+        weights=weights,
+        edge_mask=mask,
+        layers=graph.layers,
     )
 
 
@@ -233,11 +223,10 @@ def largest_component(view: GraphView) -> LargestComponent:
     inside = labels == np.argmax(np.bincount(labels))
     keep = np.flatnonzero(inside)
     sub = view if keep.size == view.node_count else GraphView(
-        base=view.base,
-        mode=view.mode,
         node_ids=view.node_ids[keep],
         weights=view.weights[np.ix_(keep, keep)],
         edge_mask=view.edge_mask[np.ix_(keep, keep)],
+        layers=None if view.layers is None else view.layers[keep],
     )
     return LargestComponent(view=sub, dropped=view.node_ids[~inside], trivial=view.edge_count == 0)
 

@@ -40,7 +40,6 @@ from neurotopo.descriptors import (
 from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
-    VIEW_POSITIVE_UNWEIGHTED,
     largest_component,
     load_model,
     save_model,
@@ -153,23 +152,22 @@ class TestCriterion1CentralityOracles:
             g = random_signed_graph(seed)
             vo = threshold_view(g, VIEW_ORIGINAL)
             vp = threshold_view(g, VIEW_POSITIVE)
-            vu = threshold_view(g, VIEW_POSITIVE_UNWEIGHTED)
 
             np.testing.assert_array_equal(strength(vo), oracles.strength_naive(vo.weights))
             a = avg_neighbor_strength(vo)
             b = oracles.avg_neighbor_strength_naive(vo.weights)
             assert np.array_equal(a, b, equal_nan=True)
             np.testing.assert_array_equal(
-                max_clique_count(vu), oracles.max_clique_count_naive(vu.edge_mask)
+                max_clique_count(vp), oracles.max_clique_count_naive(vp.edge_mask)
             )
             np.testing.assert_array_equal(
-                bipartite_clustering(vu), oracles.bipartite_clustering_naive(vu.edge_mask)
+                bipartite_clustering(vp), oracles.bipartite_clustering_naive(vp.edge_mask)
             )
             np.testing.assert_allclose(
                 harmonic(vp), oracles.harmonic_naive(vp.weights, vp.edge_mask), atol=1e-9
             )
             np.testing.assert_allclose(
-                subgraph_centrality(vu), oracles.subgraph_series_naive(vu.edge_mask), atol=1e-8
+                subgraph_centrality(vp), oracles.subgraph_series_naive(vp.edge_mask), atol=1e-8
             )
             comp_o = largest_component(vo)
             if comp_o.view.node_count >= 2:
@@ -178,11 +176,11 @@ class TestCriterion1CentralityOracles:
                     oracles.current_flow_closeness_naive(comp_o.view.weights, comp_o.view.edge_mask),
                     atol=1e-9,
                 )
-            comp_u = largest_component(vu)
-            if comp_u.view.node_count >= 2:
+            comp_p = largest_component(vp)
+            if comp_p.view.node_count >= 2:
                 np.testing.assert_allclose(
-                    second_order(comp_u.view),
-                    oracles.second_order_naive(comp_u.view.edge_mask),
+                    second_order(comp_p.view),
+                    oracles.second_order_naive(comp_p.view.edge_mask),
                     atol=1e-6,
                 )
             mc_checked += 1
@@ -193,7 +191,7 @@ class TestCriterion1CentralityOracles:
             if mc_done >= 5:
                 break
             g = random_signed_graph(seed)
-            comp = largest_component(threshold_view(g, VIEW_POSITIVE_UNWEIGHTED))
+            comp = largest_component(threshold_view(g, VIEW_POSITIVE))
             n = comp.view.node_count
             if not 2 <= n <= 10:
                 continue
@@ -218,11 +216,11 @@ class TestCriterion1CentralityOracles:
 class TestCriterion2ClosedForms:
     def test_spot_checks(self):
         k2 = unit_graph(2, [(0, 1)])
-        sg = subgraph_centrality(threshold_view(k2, VIEW_POSITIVE_UNWEIGHTED))
+        sg = subgraph_centrality(threshold_view(k2, VIEW_POSITIVE))
         ok = bool(np.all(np.abs(sg - np.cosh(1.0)) <= 1e-9))
 
         k3 = unit_graph(3, [(0, 1), (0, 2), (1, 2)])
-        so = second_order(threshold_view(k3, VIEW_POSITIVE_UNWEIGHTED))
+        so = second_order(threshold_view(k3, VIEW_POSITIVE))
         ok &= bool(np.all(np.abs(so - np.sqrt(2.0)) <= 1e-6))
 
         p3 = unit_graph(3, [(0, 1), (1, 2)])
@@ -230,13 +228,13 @@ class TestCriterion2ClosedForms:
         ok &= abs(cfc[0] - 2.0 / 3.0) <= 1e-9 and abs(cfc[2] - 2.0 / 3.0) <= 1e-9
 
         k22 = unit_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        bc = bipartite_clustering(threshold_view(k22, VIEW_POSITIVE_UNWEIGHTED))
+        bc = bipartite_clustering(threshold_view(k22, VIEW_POSITIVE))
         ok &= bool(np.all(bc == 1.0))
 
         worst_rel = 0.0
         for seed in range(50):
             g = random_signed_graph(seed)
-            v = threshold_view(g, VIEW_POSITIVE_UNWEIGHTED)
+            v = threshold_view(g, VIEW_POSITIVE)
             sg_sum = subgraph_centrality(v).sum()
             estrada = np.exp(np.linalg.eigvalsh(v.edge_mask.astype(float))).sum()
             worst_rel = max(worst_rel, abs(sg_sum - estrada) / estrada)

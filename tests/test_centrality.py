@@ -29,7 +29,6 @@ from neurotopo.errors import FormatError, NumericalError, ResourceBudgetError, S
 from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
-    VIEW_POSITIVE_UNWEIGHTED,
     LayeredNetwork,
     NeuronGraph,
     build_graph,
@@ -43,7 +42,7 @@ def K(n):
     return unit_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def view(graph, mode=VIEW_POSITIVE_UNWEIGHTED):
+def view(graph, mode=VIEW_POSITIVE):
     return threshold_view(graph, mode)
 
 
@@ -442,7 +441,7 @@ class TestLayeredKernels:
     @pytest.mark.parametrize("net", _edge_case_nets() + [_low_pivot_net()])
     def test_grounded_inverse_matches_dense_oracle(self, net):
         graph = build_graph(net)
-        conductances = ((VIEW_POSITIVE_UNWEIGHTED, lambda v: v.edge_mask.astype(np.float64)),
+        conductances = ((VIEW_POSITIVE, lambda v: v.edge_mask.astype(np.float64)),
                         (VIEW_ORIGINAL, lambda v: v.weights), (VIEW_ORIGINAL, lambda v: np.abs(v.weights)))
         for mode, conductance in conductances:
             comp = largest_component(threshold_view(graph, mode)).view
@@ -503,6 +502,18 @@ class TestLayeredKernels:
         np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), max_clique_count(v)[nodes])
         np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), [1.0, 1.0])  # not degree 2
         np.testing.assert_array_equal(compute_measure("sg", v, nodes=nodes), subgraph_centrality(v)[nodes])
+
+    def test_two_views_per_network(self, monkeypatch):
+        modes = []
+        inner = centrality.threshold_view
+
+        def spy(graph, mode):
+            modes.append(mode)
+            return inner(graph, mode)
+
+        monkeypatch.setattr(centrality, "threshold_view", spy)
+        measure_all(init_network((12, 6, 5, 3), seed=0), measures=MEASURE_ORDER)
+        assert modes == [VIEW_ORIGINAL, VIEW_POSITIVE]
 
     def test_one_compute_measure_call_per_measure(self, monkeypatch):
         calls = []
@@ -595,6 +606,18 @@ class TestMeasuresCsv:
         header = ",".join(["network_id", "layer", "neuron", *columns])
         path.write_text(f"{header}\n" + ",".join(["a", "1", "0"] + ["0.5"] * len(columns)) + "\n")
         with pytest.raises(FormatError, match="measures.csv: bad measure columns"):
+            read_measures_csv(path)
+
+    @pytest.mark.parametrize("rows, bad_line", [
+        ("a,1,0,1.0\na,1,0,2.0\na,2,1,3.0\n", 3),  # a repeated neuron
+        ("b,2,1,1.0\nb,1,0,2.0\nb,1,-1,3.0\n", 3),  # descending
+        ("a,1,0,1.0\nb,1,0,2.0\nb,1,-1,3.0\n", 4),  # a negative neuron
+        ("a,0,3,1.0\na,1,0,2.0\n", 2),  # an input-layer row
+    ])
+    def test_rows_out_of_the_writers_order_rejected(self, tmp_path, rows, bad_line):
+        path = tmp_path / "measures.csv"
+        path.write_text("network_id,layer,neuron,s\n" + rows)
+        with pytest.raises(FormatError, match=f"measures.csv:{bad_line}: network '[ab]': .*ascending"):
             read_measures_csv(path)
 
     def test_split_network_rows_rejected(self, tmp_path):

@@ -245,6 +245,14 @@ class TestMeasureCommand:
         assert code == 3
         assert "model_seed0.json: weights[0]: expected JSON floats, got True" in capsys.readouterr().err
 
+    def test_run_record_in_the_models_dir_is_no_model(self, trained_dir, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(trained_dir, models)
+        out = models / "measures.csv"
+        for _ in range(2):
+            assert main(["measure", "--models", str(models), "--measures", "s", "--out", str(out)]) == 0
+        assert [t.network_id for t in read_measures_csv(out)] == ["seed0", "seed1", "seed2"]
+
     def test_empty_models_dir_exits_3(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -407,6 +415,52 @@ class TestVocabCommands:
         code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(sub),
                      "--out", str(tmp_path / "occ.csv")])
         assert code == 2
+
+
+class TestUndefinedNetworks:
+    """A network whose every neuron is NaN, as measure writes a failed one."""
+
+    @pytest.fixture
+    def study(self, measures_csv, tmp_path):
+        vocab = tmp_path / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "3", "--out", str(vocab)]) == 0
+        tables = read_measures_csv(measures_csv)
+        undefined = [dataclasses.replace(t, values=np.full_like(t.values, np.nan)) for t in tables]
+        one = tmp_path / "one.csv"
+        write_measures_csv([tables[0], undefined[1], tables[2]], one)
+        every = tmp_path / "every.csv"
+        write_measures_csv(undefined, every)
+        return vocab, one, every
+
+    def test_assign_leaves_it_out(self, study, tmp_path, capsys):
+        vocab, one, _ = study
+        occ = tmp_path / "occ.csv"
+        assert main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(one),
+                     "--out", str(occ)]) == 1
+        assert "'seed1': every hidden neuron is undefined" in capsys.readouterr().err
+        records = neurotopo.bon.read_occurrence_csv(occ)
+        assert [r.network_id for r in records] == ["seed0", "seed2"]
+        assert json.loads((tmp_path / "occ.csv.run.json").read_text())["failed"] == ["seed1"]
+
+    def test_compare_leaves_it_out(self, study, tmp_path, capsys):
+        vocab, one, _ = study
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--vocab-a", str(vocab), "--vocab-b", str(vocab),
+                     "--population", str(one), "--out", str(out)]) == 1
+        assert "'seed1': every hidden neuron is undefined" in capsys.readouterr().err
+        assert sorted(json.loads(out.read_text())["per_network"]) == ["seed0", "seed2"]
+        assert json.loads((tmp_path / "cmp.json.run.json").read_text())["failed"] == ["seed1"]
+
+    @pytest.mark.parametrize("command", ["assign", "compare"])
+    def test_no_network_left_exits_2(self, study, tmp_path, command):
+        vocab, _, every = study
+        out = tmp_path / "out"
+        argv = (["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(every)]
+                if command == "assign" else
+                ["compare", "--vocab-a", str(vocab), "--vocab-b", str(vocab), "--population", str(every)])
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists() and not (tmp_path / "out.run.json").exists()
 
 
 class TestCompareCommand:

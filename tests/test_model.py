@@ -1,5 +1,6 @@
 """Graph construction, thresholded views, components, and serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,8 +14,9 @@ from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import (
     VIEW_ORIGINAL,
+    VIEW_MODES,
     VIEW_POSITIVE,
-    VIEW_POSITIVE_UNWEIGHTED,
+    GraphView,
     LayeredNetwork,
     NeuronGraph,
     build_graph,
@@ -103,11 +105,6 @@ class TestThresholdView:
         assert threshold_view(g, VIEW_POSITIVE).edge_count == 0
         assert threshold_view(g, VIEW_ORIGINAL).edge_count == 1
 
-    def test_unweighted_view_assigns_unit_weights(self):
-        g = graph_from_edges(2, [(0, 1, 0.7)])
-        v = threshold_view(g, VIEW_POSITIVE_UNWEIGHTED)
-        assert v.weights[0, 1] == 1.0
-
     def test_positive_count_complements_nonpositive(self):
         net = init_network((5, 4, 3), seed=3)
         g = build_graph(net)
@@ -119,6 +116,16 @@ class TestThresholdView:
         g = unit_graph(2, [(0, 1)])
         with pytest.raises(StructuralError, match="view mode"):
             threshold_view(g, "negative")
+
+    def test_two_modes_of_four_fields(self):
+        assert VIEW_MODES == (VIEW_ORIGINAL, VIEW_POSITIVE)
+        assert [f.name for f in dataclasses.fields(GraphView)] == ["node_ids", "weights", "edge_mask", "layers"]
+
+    def test_positive_view_keeps_weights_and_layer_tags(self):
+        g = build_graph(LayeredNetwork(arch=(2, 1), weights=(np.array([[0.7], [-0.4]]),)))
+        v = threshold_view(g, VIEW_POSITIVE)
+        np.testing.assert_array_equal(v.weights, [[0.0, 0.0, 0.7], [0.0, 0.0, 0.0], [0.7, 0.0, 0.0]])
+        np.testing.assert_array_equal(v.layers, [0, 0, 1])
 
 
 class TestLargestComponent:
@@ -143,6 +150,12 @@ class TestLargestComponent:
         g = unit_graph(4, [(2, 3), (0, 1)])
         comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
         assert sorted(comp.view.node_ids.tolist()) == [0, 1]
+
+    def test_component_keeps_its_layer_tags(self):
+        g = build_graph(LayeredNetwork(arch=(2, 2), weights=(np.array([[0.5, -1.0], [-1.0, 0.5]]),)))
+        comp = largest_component(threshold_view(g, VIEW_POSITIVE))
+        assert comp.view.node_ids.tolist() == [0, 2]
+        assert comp.view.layers.tolist() == [0, 1]
 
     def test_empty_edge_set_flagged(self):
         g = graph_from_edges(3, [(0, 1, -1.0)])

@@ -8,12 +8,18 @@ stale import behind.  The measure table holds the public measure functions,
 so no private row kernel can drift from the function the oracles check, and
 each of them takes ``(view, nodes=None)`` and nothing else.
 No module calls ``json.dump``, which always runs the pure-Python encoder.
+The quick demos run against this checkout's ``src/``.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -81,3 +87,12 @@ def test_no_json_dump():
             if isinstance(node, ast.ImportFrom) and node.module == "json" and "dump" in {a.name for a in node.names}:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# 02 is left out: it trains 12 networks and rewrites the files under demos/output/
+@pytest.mark.parametrize("demo", ["01_centrality_tour.py", "03_bag_of_neurons.py"])
+def test_quick_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
