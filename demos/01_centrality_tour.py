@@ -8,12 +8,12 @@ see at a glance what it responds to and on which graph view it operates.
 import numpy as np
 
 from neurotopo import (
-    NeuronGraph,
     avg_neighbor_strength,
     bipartite_clustering,
     current_flow_closeness,
     harmonic,
     max_clique_count,
+    neuron_graph,
     second_order,
     strength,
     subgraph_centrality,
@@ -28,7 +28,7 @@ def graph(n, edges):
     for i, j, weight in edges:
         w[i, j] = w[j, i] = weight
         mask[i, j] = mask[j, i] = True
-    return NeuronGraph(weights=w, edge_mask=mask)
+    return neuron_graph(weights=w, edge_mask=mask)
 
 
 def show(title, values, note=""):

@@ -54,10 +54,10 @@ from .errors import (
 from .model import (
     GraphView,
     LayeredNetwork,
-    NeuronGraph,
     build_graph,
     largest_component,
     load_model,
+    neuron_graph,
     save_model,
     threshold_view,
 )

@@ -1,4 +1,4 @@
-"""On-disk text formats: every CSV, JSON and SVG artifact is written and read here.
+"""On-disk formats: every artifact is written here, every CSV and JSON one read here.
 
 CSV files use the csv module with minimal quoting and ``\\n`` line endings;
 float cells are the shortest round-trip ``repr`` and undefined values the
@@ -78,6 +78,12 @@ def _replacing(path):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_bytes(path, chunks):
+    """Write an iterable of byte strings one after another."""
+    with _replacing(path) as fh:
+        fh.buffer.writelines(chunks)
 
 
 def write_csv(path, header, rows):

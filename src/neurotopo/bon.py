@@ -231,6 +231,8 @@ def kmeans(
         raise StructuralError(f"k must lie in [2, {x.shape[0]}], got {k}")
     if restarts < 1:
         raise StructuralError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise StructuralError(f"seed must be >= 0, got {seed}")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
     block = max(1, _BLOCK_BYTES // (8 * x.shape[0] * k))
     fits = [_lockstep(x, k, rngs[i : i + block]) for i in range(0, restarts, block)]
@@ -285,6 +287,8 @@ def elbow_scan(fm, kmin=2, kmax=18, restarts=100, seed=0):
         raise StructuralError(f"need 2 <= kmin < kmax, got ({kmin}, {kmax})")
     if kmax > fm.row_count:
         raise StructuralError(f"kmax {kmax} exceeds the {fm.row_count} available rows")
+    if seed < 0:
+        raise StructuralError(f"seed must be >= 0, got {seed}")
     ks = np.arange(kmin, kmax + 1)
     inertias = np.empty(len(ks))
     hits = np.empty(len(ks), dtype=np.int64)

@@ -133,11 +133,12 @@ def second_order(view, nodes=None):
     that the walk's stationary law is uniform (without the balancing the
     radicand can go negative on irregular graphs).  The walk's fundamental
     matrix (I - P + J/n)⁻¹ has diagonal d_max·L⁺_ii + 1/n, since I - P =
-    L/d_max, and unit column sums; that gives the first-passage times.
+    L/d_max, and unit column sums; that gives the first-passage times.  A
+    lone node has no return times to spread: NaN, where the radicand is 0.
     """
     n = view.node_count
-    if n < 2:
-        raise StructuralError("second-order centrality needs at least 2 nodes")
+    if n == 1:
+        return _at(np.full(1, np.nan), nodes)
     a = view.edge_mask.astype(np.float64)
     lp = _laplacian_pinv_diagonal(view, a, "so")
     # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
@@ -327,10 +328,13 @@ def harmonic(view, nodes=None):
 def current_flow_closeness(view, nodes=None):
     """Closeness over effective resistances from the Laplacian pseudoinverse.
 
-    The signed weights are the conductances.  Non-finite results are flagged
-    NaN; a kernel wider than the constants raises NumericalError.
+    The signed weights are the conductances.  Non-finite results and a lone
+    node are flagged NaN; a kernel wider than the constants raises
+    NumericalError.
     """
     n = view.node_count
+    if n == 1:
+        return _at(np.full(1, np.nan), nodes)  # no other node to be close to
     lp = _laplacian_pinv_diagonal(view, view.weights, "cfc")
     # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -458,8 +462,6 @@ def measure_all(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
         view = views[info.view_mode]
         if info.needs_connected:
             view = largest_component(view).view
-        if view.node_count < 2:
-            continue  # a lone node: so and cfc are undefined there
         # node ids ascend in both, so hidden rows and view positions align
         inside = np.isin(hidden_ids, view.node_ids)
         nodes = np.flatnonzero(np.isin(view.node_ids, hidden_ids))

@@ -124,21 +124,15 @@ def cmd_train(args):
 
 
 def _model_paths(models_dir):
+    """The model files ``train`` writes, model_seed<N>.json, ascending by N;
+    every other file in the directory is left alone."""
     if not os.path.isdir(models_dir):
         raise FileNotFoundError(f"models directory {models_dir!r} does not exist")
-    names = [
-        n
-        for n in os.listdir(models_dir)
-        if n.endswith(".json") and not n.endswith(".run.json") and n not in ("manifest.json", "run.json")
-    ]
-    if not names:
-        raise FormatError(f"{models_dir}: no model files found")
-
-    def key(name):
-        m = re.fullmatch(r"model_seed(\d+)\.json", name)
-        return (0, int(m.group(1)), name) if m else (1, 0, name)
-
-    return [os.path.join(models_dir, n) for n in sorted(names, key=key)]
+    found = (re.fullmatch(r"model_seed(0|[1-9][0-9]*)\.json", n) for n in os.listdir(models_dir))
+    seeds = sorted(int(m.group(1)) for m in found if m)
+    if not seeds:
+        raise FormatError(f"{models_dir}: no model_seed<N>.json files found")
+    return [os.path.join(models_dir, f"model_seed{s}.json") for s in seeds]
 
 
 def _parse_measures(text):

@@ -8,10 +8,12 @@ benchmark archives cannot be downloaded; the files it writes are structurally
 indistinguishable from the official ones.
 """
 
+import os
 import struct
 
 import numpy as np
 
+from .artifacts import write_bytes
 from .errors import StructuralError
 from .trainer import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 
@@ -64,24 +66,19 @@ def synthetic_digits(count, seed):
 
 
 def write_idx(images, labels, images_path, labels_path):
-    """Serialize a uint8 image stack and labels in the IDX byte format."""
+    """Serialize a uint8 image stack and labels in the IDX byte format; each
+    file is replaced atomically, as every artifact is."""
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
     if images.ndim != 3 or images.shape[0] != labels.shape[0]:
         raise StructuralError("need (N, rows, cols) images and N labels")
     n, rows, cols = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(labels.tobytes())
+    write_bytes(images_path, [struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols), images.tobytes()])
+    write_bytes(labels_path, [struct.pack(">II", IDX_LABELS_MAGIC, n), labels.tobytes()])
 
 
 def write_synthetic_benchmark(out_dir, train_count=5000, test_count=1000, seed=1234):
     """Write a train/test surrogate benchmark in the standard four-file layout."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     train_images, train_labels = synthetic_digits(train_count, seed)
     test_images, test_labels = synthetic_digits(test_count, seed + 1)

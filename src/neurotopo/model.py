@@ -2,12 +2,12 @@
 
 A trained fully connected network is treated as a weighted undirected graph:
 one node per neuron (input and output layers included), one edge per synapse
-carrying its signed weight.  Centrality code consumes read-only views of that
-graph; two view modes exist because some measures are defined on the signed
-graph and the others on its positive subgraph.
+carrying its signed weight.  One type, GraphView, holds that graph and
+every read-only view of it; two view modes exist because some measures are
+defined on the signed graph and the others on its positive subgraph.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,61 +74,16 @@ class LayeredNetwork:
 
 
 @dataclass(frozen=True)
-class NeuronGraph:
-    """Weighted undirected graph over all neurons.
+class GraphView:
+    """A read-only weighted undirected graph over neurons, or a view of one.
 
+    node_ids  -- (N,) node id of each position: 0..N-1 for a whole graph, the
+                 ids kept for a view restricted to a component
     weights   -- (N, N) symmetric signed weight matrix, zero off the edge set
     edge_mask -- (N, N) symmetric boolean edge-existence matrix (a synapse of
                  weight zero is still an edge)
-    layers    -- (N,) layer index per node, or None for graphs that did not
-                 come from a layered network
-    """
-
-    weights: np.ndarray
-    edge_mask: np.ndarray
-    layers: np.ndarray | None = None
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        m = np.ascontiguousarray(self.edge_mask, dtype=bool)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise StructuralError(f"weight matrix must be square, got {w.shape}")
-        if m.shape != w.shape:
-            raise StructuralError("edge mask and weight matrix shapes differ")
-        if not np.array_equal(w, w.T) or not np.array_equal(m, m.T):
-            raise StructuralError("graph must be symmetric")
-        if not np.all(np.isfinite(w)):
-            raise StructuralError("non-finite edge weights")
-        if np.any(np.diag(m)):
-            raise StructuralError("self-loops are not allowed")
-        if np.any(w[~m] != 0.0):
-            raise StructuralError("nonzero weight outside the edge set")
-        layers = self.layers
-        if layers is not None:
-            layers = np.ascontiguousarray(layers, dtype=np.int64)
-            if layers.shape != (w.shape[0],):
-                raise StructuralError("layer tags must be one per node")
-            layers = _freeze(layers)
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "edge_mask", _freeze(m))
-        object.__setattr__(self, "layers", layers)
-
-    @property
-    def node_count(self):
-        return self.weights.shape[0]
-
-    @property
-    def edge_count(self):
-        return int(self.edge_mask.sum()) // 2
-
-
-@dataclass(frozen=True)
-class GraphView:
-    """A read-only thresholded view of a NeuronGraph.
-
-    node_ids maps view positions to node ids of the base graph, so views
-    restricted to a component keep their provenance; weights are zero off
-    edge_mask, and layers holds the layer tag of each position (or None).
+    layers    -- (N,) layer index per position, or None for graphs that did
+                 not come from a layered network
     """
 
     node_ids: np.ndarray
@@ -147,15 +102,49 @@ class GraphView:
 
 class LargestComponent(NamedTuple):
     view: GraphView
-    dropped: np.ndarray  # base-graph node ids not in the component
+    dropped: np.ndarray  # node ids not in the component
     trivial: bool  # True when the view had no edges at all
 
 
-def build_graph(net: LayeredNetwork) -> NeuronGraph:
+def _whole_graph(weights, edge_mask, layers):
+    """A whole graph: node ids 0..N-1, every array read-only."""
+    arrays = (np.arange(weights.shape[0]), weights, edge_mask, layers)
+    return GraphView(*(None if a is None else _freeze(a) for a in arrays))
+
+
+def neuron_graph(weights, edge_mask, layers=None) -> GraphView:
+    """The graph of arrays from outside the library, read-only; StructuralError
+    unless the weights are square, symmetric, finite and zero off the mask, the
+    mask is symmetric, loop-free and of their shape, and layers tags each node."""
+    w = np.array(weights, dtype=np.float64, order="C")  # copies: the caller's arrays stay writable
+    m = np.array(edge_mask, dtype=bool, order="C")
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise StructuralError(f"weight matrix must be square, got {w.shape}")
+    if m.shape != w.shape:
+        raise StructuralError("edge mask and weight matrix shapes differ")
+    if not np.array_equal(w, w.T) or not np.array_equal(m, m.T):
+        raise StructuralError("graph must be symmetric")
+    if not np.all(np.isfinite(w)):
+        raise StructuralError("non-finite edge weights")
+    if np.any(np.diag(m)):
+        raise StructuralError("self-loops are not allowed")
+    if np.any(w[~m] != 0.0):
+        raise StructuralError("nonzero weight outside the edge set")
+    if layers is not None:
+        layers = np.array(layers, dtype=np.int64, order="C")
+        if layers.shape != (w.shape[0],):
+            raise StructuralError("layer tags must be one per node")
+    return _whole_graph(w, m, layers)
+
+
+def build_graph(net: LayeredNetwork) -> GraphView:
     """Assemble the neuron graph of a layered network.
 
     Nodes are ordered layer-major: all of layer 0, then layer 1, and so on.
     Edges connect consecutive layers only; the graph is layered-bipartite.
+    The network was checked when it was made, and the graph is symmetric,
+    loop-free and zero off its mask by construction: neuron_graph's checks
+    would find nothing.
     """
     n = int(sum(net.arch))
     weights = np.zeros((n, n), dtype=np.float64)
@@ -167,30 +156,23 @@ def build_graph(net: LayeredNetwork) -> NeuronGraph:
         c0, c1 = offsets[a + 1], offsets[a + 2]
         weights[r0:r1, c0:c1] = w
         weights[c0:c1, r0:r1] = w.T
-        mask[r0:r1, c0:c1] = True
-        mask[c0:c1, r0:r1] = True
-    return NeuronGraph(weights=weights, edge_mask=mask, layers=layers)
+        mask[r0:r1, c0:c1] = mask[c0:c1, r0:r1] = True
+    return _whole_graph(weights, mask, layers)
 
 
-def threshold_view(graph: NeuronGraph, mode: str) -> GraphView:
-    """Produce a view of the graph in one of the two modes.
+def threshold_view(view: GraphView, mode: str) -> GraphView:
+    """A view of the graph in one of the two modes.
 
-    The positive mode keeps exactly the edges with weight strictly greater
-    than zero, with their weights; the node set is never reduced (isolated
-    nodes are permitted).
+    The original mode is the view itself.  The positive mode keeps exactly
+    the edges with weight strictly greater than zero, with their weights;
+    the node set is never reduced (isolated nodes are permitted).
     """
     if mode not in VIEW_MODES:
         raise StructuralError(f"unknown view mode {mode!r}; expected one of {VIEW_MODES}")
-    mask, weights = graph.edge_mask, graph.weights
-    if mode == VIEW_POSITIVE:
-        mask = mask & (weights > 0.0)
-        weights = np.where(mask, weights, 0.0)
-    return GraphView(
-        node_ids=np.arange(graph.node_count),
-        weights=weights,
-        edge_mask=mask,
-        layers=graph.layers,
-    )
+    if mode == VIEW_ORIGINAL:
+        return view
+    mask = _freeze(view.edge_mask & (view.weights > 0.0))
+    return replace(view, weights=_freeze(np.where(mask, view.weights, 0.0)), edge_mask=mask)
 
 
 def component_labels(edge_mask):

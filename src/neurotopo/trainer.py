@@ -12,6 +12,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ class TrainingConfig:
             raise StructuralError("batch_size must be >= 1")
         if self.epochs < 0:
             raise StructuralError("epochs must be >= 0")
+        if self.seed < 0:
+            raise StructuralError(f"data seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,13 @@ class Dataset:
 
 def _read_idx(path, magic, what, dims):
     """The ``dims`` header sizes after the magic, and a view of the body, of
-    the IDX file at ``path``; FormatError for a short header or another magic."""
-    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
-        data = memoryview(fh.read())
+    the IDX file at ``path``; FormatError for a short header, another magic,
+    or a ``.gz`` file that is not whole, valid gzip."""
+    try:
+        with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+            data = memoryview(fh.read())
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise FormatError(f"{path}: not a valid gzip file ({exc})") from exc
     size = 4 * (1 + dims)
     if len(data) < size:
         raise FormatError(f"{path}: truncated while reading header (offset {len(data)})")
@@ -324,6 +331,8 @@ def generate_population(
     weight_seeds = [int(s) for s in weight_seeds]
     if len(set(weight_seeds)) != len(weight_seeds):
         raise StructuralError("weight seeds must be distinct")
+    if min(weight_seeds, default=0) < 0:
+        raise StructuralError(f"weight seeds must be >= 0, got {min(weight_seeds)}")
     if train_set.images.shape[1] != config.arch[0]:
         raise StructuralError("dataset feature count does not match the configured input layer")
     os.makedirs(out_dir, exist_ok=True)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from neurotopo.model import NeuronGraph
+from neurotopo.model import neuron_graph
 
 # entropy prefix keeping the test-graph stream independent of other seeded draws
 GRAPH_STREAM = 940221
@@ -21,7 +21,7 @@ def random_signed_graph(seed, n_range=(6, 13), edge_prob=0.5):
     w = np.zeros((n, n))
     w[upper] = rng.uniform(-1.0, 1.0, size=int(upper.sum()))
     w = w + w.T
-    return NeuronGraph(weights=w, edge_mask=mask)
+    return neuron_graph(weights=w, edge_mask=mask)
 
 
 def graph_from_edges(n, edges):
@@ -31,7 +31,7 @@ def graph_from_edges(n, edges):
     for i, j, weight in edges:
         w[i, j] = w[j, i] = weight
         mask[i, j] = mask[j, i] = True
-    return NeuronGraph(weights=w, edge_mask=mask)
+    return neuron_graph(weights=w, edge_mask=mask)
 
 
 def unit_graph(n, pairs):

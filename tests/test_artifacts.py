@@ -1,4 +1,4 @@
-"""The one on-disk text path: CSV dialect, strict JSON, atomic replacement."""
+"""The one on-disk writer path: CSV dialect, strict JSON, bytes, atomic replacement."""
 
 import errno
 import math
@@ -13,6 +13,7 @@ from neurotopo.artifacts import (
     read_csv_rows,
     read_json,
     write_csv,
+    write_bytes,
     write_json,
     write_text,
 )
@@ -66,6 +67,20 @@ class TestWriters:
             write_csv(path, ["h"], rows())
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_bytes_written_as_given_or_not_at_all(self, tmp_path):
+        path = tmp_path / "b.idx"
+        write_bytes(path, [b"\x00\x00\x08\x01", b"\r\n\xff"])
+        assert path.read_bytes() == b"\x00\x00\x08\x01\r\n\xff"
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            write_bytes(path, chunks())
+        assert path.read_bytes() == b"\x00\x00\x08\x01\r\n\xff"
+        assert [p.name for p in tmp_path.iterdir()] == ["b.idx"]
 
     def test_missing_directory_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

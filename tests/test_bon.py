@@ -235,6 +235,13 @@ class TestElbow:
         with pytest.raises(StructuralError, match="kmin"):
             elbow_scan(fm_from(data), 5, 5)
 
+    def test_negative_seed_rejected(self):
+        data = np.random.default_rng(0).normal(size=(30, 2))
+        with pytest.raises(StructuralError, match="seed must be >= 0, got -1"):
+            elbow_scan(fm_from(data), 2, 4, restarts=2, seed=-1)
+        with pytest.raises(StructuralError, match="seed must be >= 0, got -2"):
+            kmeans(fm_from(data), 2, restarts=2, seed=-2)
+
 
 class TestAssign:
     def vocab(self):

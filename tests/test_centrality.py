@@ -30,9 +30,9 @@ from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
     LayeredNetwork,
-    NeuronGraph,
     build_graph,
     largest_component,
+    neuron_graph,
     threshold_view,
 )
 from neurotopo.trainer import init_network
@@ -54,7 +54,7 @@ class TestStrength:
 
     def test_isolated_node_zero(self):
         g = graph_from_edges(2, [(0, 1, 1.0)])
-        padded = NeuronGraph(weights=np.pad(g.weights, (0, 1)), edge_mask=np.pad(g.edge_mask, (0, 1)))
+        padded = neuron_graph(weights=np.pad(g.weights, (0, 1)), edge_mask=np.pad(g.edge_mask, (0, 1)))
         assert strength(view(padded, VIEW_ORIGINAL))[2] == 0.0
 
     def test_negative_k2(self):
@@ -249,7 +249,7 @@ class TestHarmonic:
             w[i, j] = w[j, i] = float(rng.uniform(0.1, 1.0))
             mask[i, j] = mask[j, i] = True
             before = harmonic(view(g, VIEW_POSITIVE))
-            after = harmonic(view(NeuronGraph(weights=w, edge_mask=mask), VIEW_POSITIVE))
+            after = harmonic(view(neuron_graph(weights=w, edge_mask=mask), VIEW_POSITIVE))
             assert np.all(after >= before - 1e-12)
 
     def test_matches_floyd_warshall(self):
@@ -315,6 +315,16 @@ class TestCurrentFlowCloseness:
             got = current_flow_closeness(comp.view)
             want = oracles.current_flow_closeness_naive(comp.view.weights, comp.view.edge_mask)
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("layers", [None, [0], [1]], ids=["untagged", "layer 0", "layer 1"])
+@pytest.mark.parametrize("func", [second_order, current_flow_closeness])
+def test_lone_node_is_nan(func, layers):
+    # undefined at one node whatever its tag: the so radicand there is 0, not a value
+    g = neuron_graph(np.zeros((1, 1)), np.zeros((1, 1), dtype=bool), layers)
+    assert np.isnan(func(g)).tolist() == [True]
+    assert np.isnan(func(g, np.array([0]))).tolist() == [True]
+    assert func(g, np.array([], dtype=np.int64)).shape == (0,)
 
 
 class TestVertexTransitiveConstancy:
@@ -388,7 +398,7 @@ def _edge_case_nets():
 
 def _untagged(graph):
     """The graph without layer tags: every measure takes its general path."""
-    return NeuronGraph(graph.weights, graph.edge_mask)
+    return neuron_graph(graph.weights, graph.edge_mask)
 
 
 def _low_pivot_net():
@@ -425,9 +435,7 @@ class TestLayeredKernels:
             else:
                 want = np.full(graph.node_count, np.nan)
                 comp = largest_component(v).view
-                if comp.node_count >= 2:
-                    func = second_order if m == "so" else current_flow_closeness
-                    want[comp.node_ids] = func(comp)
+                want[comp.node_ids] = (second_order if m == "so" else current_flow_closeness)(comp)
                 want = want[hidden]
             got = table.column(m)
             if m in ("s", "snn", "mc"):
@@ -496,7 +504,7 @@ class TestLayeredKernels:
     def test_non_bipartite_layering_falls_back(self):
         # a triangle tagged with layers 0, 1, 2: the 0-2 edge joins two even layers
         w = K(3).weights
-        g = NeuronGraph(weights=w, edge_mask=w != 0, layers=[0, 1, 2])
+        g = neuron_graph(weights=w, edge_mask=w != 0, layers=[0, 1, 2])
         v = view(g)
         nodes = np.array([1, 2])
         np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), max_clique_count(v)[nodes])

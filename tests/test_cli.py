@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gzip
 import json
 import os
 import shutil
@@ -133,6 +134,31 @@ class TestTrainCommand:
         assert code == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--weight-seed-base", "-1", "weight seeds must be >= 0, got -1"),
+         ("--data-seed", "-3", "data seed must be >= 0, got -3")],
+    )
+    def test_negative_seed_exits_2(self, data_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(data_dir), "--count", "2", "--arch", "784,4,10",
+                     "--epochs", "1", flag, value, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_gzip_idx_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synthetic_benchmark(data, train_count=4, test_count=2, seed=0)
+        plain = data / "train-labels-idx1-ubyte"
+        (data / "train-labels-idx1-ubyte.gz").write_bytes(gzip.compress(plain.read_bytes())[:-4])
+        plain.unlink()
+        code = main(["train", "--data", str(data), "--count", "1", "--arch", "784,4,10",
+                     "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "train-labels-idx1-ubyte.gz: not a valid gzip file" in capsys.readouterr().err
+
     def test_bad_arch_exits_2(self, data_dir, tmp_path):
         code = main(["train", "--data", str(data_dir), "--count", "1", "--arch", "784,oops",
                      "--out", str(tmp_path / "o")])
@@ -218,12 +244,12 @@ class TestMeasureCommand:
         models = tmp_path / "models"
         models.mkdir()
         shutil.copy(trained_dir / "model_seed0.json", models / "model_seed0.json")
-        shutil.copy(trained_dir / "model_seed0.json", models / "copy.json")
+        shutil.copy(trained_dir / "model_seed0.json", models / "model_seed5.json")
         code = main(["measure", "--models", str(models), "--measures", "s", "--out", str(tmp_path / "m.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert "'seed0' appears in more than one table" in err
-        assert "model_seed0.json" in err and "copy.json" in err
+        assert "model_seed0.json" in err and "model_seed5.json" in err
 
     def test_string_weight_exits_3(self, trained_dir, tmp_path, capsys):
         models = tmp_path / "models"
@@ -252,6 +278,33 @@ class TestMeasureCommand:
         for _ in range(2):
             assert main(["measure", "--models", str(models), "--measures", "s", "--out", str(out)]) == 0
         assert [t.network_id for t in read_measures_csv(out)] == ["seed0", "seed1", "seed2"]
+
+    def test_only_model_seed_files_are_models(self, trained_dir, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(trained_dir, models)
+        out = models / "desc.csv"
+        assert main(["measure", "--models", str(models), "--measures", "s,bc,sg", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        vocab = models / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(out), "--k", "3", "--restarts", "2",
+                     "--out", str(vocab)]) == 0
+        assert main(["compare", "--vocab-a", str(vocab), "--vocab-b", str(vocab), "--population", str(out),
+                     "--out", str(models / "jsd.json")]) == 0
+        for name in ("model_seed01.json", "model_seed-1.json", "model_seed2.json.bak"):
+            shutil.copy(models / "vocab.json", models / name)
+        assert main(["measure", "--models", str(models), "--measures", "s,bc,sg", "--out", str(out)]) == 0
+        assert out.read_bytes() == before
+
+    def test_models_are_read_in_seed_order(self, trained_dir, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for seed in (10, 9, 2):
+            doc = json.loads((trained_dir / "model_seed0.json").read_text())
+            doc["meta"]["seed"] = seed
+            (models / f"model_seed{seed}.json").write_text(json.dumps(doc))
+        out = tmp_path / "m.csv"
+        assert main(["measure", "--models", str(models), "--measures", "s", "--out", str(out)]) == 0
+        assert [t.network_id for t in read_measures_csv(out)] == ["seed2", "seed9", "seed10"]
 
     def test_empty_models_dir_exits_3(self, tmp_path):
         empty = tmp_path / "empty"
@@ -301,6 +354,15 @@ class TestVocabCommands:
                      "--restarts", restarts, "--out", str(out)])
         assert code == 2
         assert "restarts" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [["--k", "3"], ["--elbow", "2", "4"]])
+    def test_negative_seed_exits_2(self, measures_csv, tmp_path, capsys, mode):
+        out = tmp_path / "v.json"
+        code = main(["vocab", "build", "--measures-csv", str(measures_csv), *mode, "--restarts", "2",
+                     "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_int_cell_exits_3(self, tmp_path, capsys):

@@ -18,11 +18,11 @@ from neurotopo.model import (
     VIEW_POSITIVE,
     GraphView,
     LayeredNetwork,
-    NeuronGraph,
     build_graph,
     component_labels,
     largest_component,
     load_model,
+    neuron_graph,
     save_model,
     threshold_view,
 )
@@ -55,7 +55,92 @@ class TestLayeredNetwork:
             net.weights[0][0, 0] = 1.0
 
 
+def _path3(weights=(1.0, 1.0)):
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = weights[0]
+    w[1, 2] = w[2, 1] = weights[1]
+    return w, w != 0.0
+
+
+def _refusals():
+    """(weights, mask, layers, message) that neuron_graph must refuse."""
+    w, m = _path3()
+    skew_w = w.copy()
+    skew_w[0, 1] = 0.5
+    skew_m = m.copy()
+    skew_m[2, 0] = True
+    loop_w, loop_m = w.copy(), m.copy()
+    loop_m[1, 1] = True
+    bad_w = w.copy()
+    bad_w[0, 1] = bad_w[1, 0] = np.inf
+    off_w = w.copy()
+    off_w[0, 2] = off_w[2, 0] = 0.3
+    return {
+        "non-square": (np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), None, "weight matrix must be square"),
+        "one-dimensional": (np.zeros(3), np.zeros(3, dtype=bool), None, "weight matrix must be square"),
+        "mask shape": (w, np.zeros((2, 2), dtype=bool), None, "edge mask and weight matrix shapes differ"),
+        "asymmetric weights": (skew_w, m, None, "graph must be symmetric"),
+        "asymmetric mask": (w, skew_m, None, "graph must be symmetric"),
+        "non-finite": (bad_w, m, None, "non-finite edge weights"),
+        "self-loop": (loop_w, loop_m, None, "self-loops are not allowed"),
+        "weight off the mask": (off_w, m, None, "nonzero weight outside the edge set"),
+        "too few layer tags": (w, m, [0, 1], "layer tags must be one per node"),
+        "layer tags not a vector": (w, m, [[0, 1, 2]], "layer tags must be one per node"),
+    }
+
+
+class TestNeuronGraph:
+    @pytest.mark.parametrize("case", list(_refusals()))
+    def test_refuses(self, case):
+        weights, mask, layers, message = _refusals()[case]
+        with pytest.raises(StructuralError, match=f"^{message}"):
+            neuron_graph(weights, mask, layers)
+
+    def test_whole_graph_read_only(self):
+        w, m = _path3((0.5, -0.25))
+        g = neuron_graph(w.tolist(), m.astype(int), layers=[0, 1, 2])
+        assert isinstance(g, GraphView)
+        assert g.weights.dtype == np.float64 and g.edge_mask.dtype == bool and g.layers.dtype == np.int64
+        np.testing.assert_array_equal(g.node_ids, [0, 1, 2])
+        np.testing.assert_array_equal(g.weights, w)
+        for a in (g.node_ids, g.weights, g.edge_mask, g.layers):
+            assert not a.flags.writeable
+        assert neuron_graph(w, m).layers is None
+
+    def test_callers_arrays_stay_theirs(self):
+        w, m = _path3()
+        layers = np.arange(3)
+        g = neuron_graph(w, m, layers)
+        w[0, 1] = w[1, 0] = 5.0
+        m[0, 2] = True
+        layers[0] = 7
+        assert g.weights[0, 1] == 1.0 and not g.edge_mask[0, 2] and g.layers[0] == 0
+
+    def test_largest_component_of_a_whole_graph(self):
+        g = unit_graph(4, [(0, 1), (1, 2)])
+        comp = largest_component(g)
+        assert comp.view.node_ids.tolist() == [0, 1, 2]
+        assert comp.dropped.tolist() == [3]
+
+    def test_model_defines_one_graph_class(self):
+        from neurotopo import model
+
+        classes = [name for name, obj in vars(model).items()
+                   if dataclasses.is_dataclass(obj) and obj.__module__ == model.__name__]
+        assert sorted(classes) == ["GraphView", "LayeredNetwork"]
+        assert not hasattr(model, "NeuronGraph")
+
+
 class TestBuildGraph:
+    @pytest.mark.parametrize("arch", [(1, 1), (4, 3, 2), (784, 32, 16, 10)])
+    def test_passes_the_checks_and_is_read_only(self, arch):
+        g = build_graph(init_network(arch, seed=2))
+        checked = neuron_graph(g.weights, g.edge_mask, g.layers)
+        for a, b in zip(dataclasses.astuple(g), dataclasses.astuple(checked)):
+            np.testing.assert_array_equal(a, b)
+        for a in (g.node_ids, g.weights, g.edge_mask, g.layers):
+            assert not a.flags.writeable
+
     def test_paper_architecture_counts(self):
         net = init_network((784, 200, 100, 10), seed=0)
         g = build_graph(net)
@@ -111,6 +196,17 @@ class TestThresholdView:
         v = threshold_view(g, VIEW_POSITIVE)
         nonpositive = sum(int(np.sum(w <= 0.0)) for w in net.weights)
         assert v.edge_count + nonpositive == sum(w.size for w in net.weights)
+
+    def test_original_mode_is_the_view_itself(self):
+        g = unit_graph(3, [(0, 1), (1, 2)])
+        assert threshold_view(g, VIEW_ORIGINAL) is g
+
+    def test_positive_view_keeps_node_ids(self):
+        comp = largest_component(graph_from_edges(5, [(0, 1, 1.0), (1, 2, -1.0), (3, 4, 0.5)])).view
+        v = threshold_view(comp, VIEW_POSITIVE)
+        assert v.node_ids is comp.node_ids
+        assert v.node_ids.tolist() == [0, 1, 2]
+        assert v.edge_count == 1
 
     def test_unknown_mode(self):
         g = unit_graph(2, [(0, 1)])
@@ -195,7 +291,7 @@ class TestLargestComponent:
         mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
         n = mask.shape[0]
         weights = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
-        g = NeuronGraph(weights=np.triu(weights) + np.triu(weights, 1).T, edge_mask=mask)
+        g = neuron_graph(weights=np.triu(weights) + np.triu(weights, 1).T, edge_mask=mask)
         comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
         keep = largest_component_naive(mask)
         assert comp.view.node_ids.tolist() == keep

@@ -7,7 +7,9 @@ module must not import a name it never uses, so deleted code leaves no
 stale import behind.  The measure table holds the public measure functions,
 so no private row kernel can drift from the function the oracles check, and
 each of them takes ``(view, nodes=None)`` and nothing else.
-No module calls ``json.dump``, which always runs the pure-Python encoder.
+No module calls ``json.dump``, which always runs the pure-Python encoder, and
+no module but ``artifacts`` opens a file for writing, so every artifact is
+replaced atomically.
 The quick demos run against this checkout's ``src/``.
 """
 
@@ -85,6 +87,31 @@ def test_no_json_dump():
             if isinstance(node, ast.Attribute) and node.attr == "dump" and getattr(node.value, "id", None) == "json":
                 found.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and node.module == "json" and "dump" in {a.name for a in node.names}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _open_mode(call):
+    """The mode of an ``open`` call (``open``, ``gzip.open``, or a conditional
+    choosing between such): its literal, "?" when it is not one, or None for
+    any other call."""
+    if "open" not in {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(call.func)}:
+        return None
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else "?"
+
+
+def test_only_artifacts_opens_files_for_writing():
+    # the other modules write through artifacts, which replaces each file atomically
+    found = []
+    for path in sorted((ROOT / "src" / "neurotopo").glob("*.py")):
+        if path.name == "artifacts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            mode = _open_mode(node) if isinstance(node, ast.Call) else None
+            if mode is not None and set(mode) & set("wxa+?"):  # a mode that is not a literal may write
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

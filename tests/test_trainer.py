@@ -116,6 +116,19 @@ class TestLoadIdx:
         ds = load_idx(gip, glp)
         assert len(ds) == 3
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda gz: gz[:-12], lambda gz: gz[:10] + bytes(b ^ 0xFF for b in gz[10:40]) + gz[40:],
+         lambda gz: b"no gzip here"],
+        ids=["truncated", "corrupt", "not gzip"],
+    )
+    def test_bad_gzip_names_the_file(self, tmp_path, damage):
+        ip, lp = idx_pair(tmp_path, np.zeros((3, 28, 28), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+        gip = tmp_path / "imgs.gz"
+        gip.write_bytes(damage(gzip.compress(ip.read_bytes())))
+        with pytest.raises(FormatError, match=r"imgs\.gz: not a valid gzip file"):
+            load_idx(gip, lp)
+
     def test_synthetic_corpus_round_trip(self, tmp_path):
         images, labels = synthetic_digits(50, seed=3)
         ip, lp = idx_pair(tmp_path, images, labels)
@@ -300,6 +313,16 @@ class TestPopulation:
         train_set, test_set = self.small_sets()
         with pytest.raises(StructuralError, match="distinct"):
             generate_population(train_set, test_set, self.config(), [1, 1], tmp_path)
+
+    def test_negative_weight_seed_rejected(self, tmp_path):
+        train_set, test_set = self.small_sets()
+        with pytest.raises(StructuralError, match="weight seeds must be >= 0, got -1"):
+            generate_population(train_set, test_set, self.config(), [-1, 0], tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_data_seed_rejected(self):
+        with pytest.raises(StructuralError, match="data seed must be >= 0, got -3"):
+            TrainingConfig(arch=(784, 6, 4, 10), seed=-3)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, tmp_path, workers):
