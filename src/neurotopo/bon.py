@@ -52,6 +52,8 @@ class Vocabulary:
         c = np.asarray(self.centroids, dtype=np.float64)
         if self.k < 2 or c.shape != (self.k, len(self.measures)):
             raise StructuralError(f"need k >= 2 centroids of length {len(self.measures)}")
+        if self.seed < 0 or self.inertia < 0.0:
+            raise StructuralError(f"seed and inertia must be >= 0, got {self.seed} and {self.inertia}")
         if not np.all(np.isfinite(c)):
             raise StructuralError("centroids contain non-finite values")
         norm = np.asarray(self.normalizers, dtype=np.float64)
@@ -463,14 +465,19 @@ def write_occurrence_csv(vocab, rows, path):
 
 def read_occurrence_csv(path):
     """Read an occurrence CSV: header network_id,test_acc,f1..fk with k >= 2,
-    and rows of non-negative frequencies that sum to 1 (within 1e-9)."""
+    and at least one row; each row a distinct network id and non-negative
+    frequencies that sum to 1 (within 1e-9)."""
     header, lines = read_csv_rows(path)
     k = len(header) - 2
     if k < 2 or header != ["network_id", "test_acc"] + [f"f{i}" for i in range(1, k + 1)]:
         raise FormatError(f"{path}: header must be network_id,test_acc,f1..fk with k >= 2")
-    records = []
+    if not lines:
+        raise FormatError(f"{path}: no occurrence rows")
+    records, first = [], {}
     for lineno, row in lines:
         try:
+            if first.setdefault(row[0], lineno) != lineno:
+                raise ValueError(f"network id {row[0]!r} repeats line {first[row[0]]}")
             freq = np.array([parse_float(x) for x in row[2:]])
             if not (np.all(freq >= 0.0) and abs(float(freq.sum()) - 1.0) <= 1e-9):
                 raise ValueError(f"frequencies {row[2:]} are not a histogram (>= 0, sum 1)")

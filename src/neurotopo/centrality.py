@@ -15,11 +15,12 @@ Eight measures are provided, each bound to the graph view it is defined on
 
 Every function takes ``(view, nodes=None)`` and returns the float64 values at
 view positions ``nodes``, or at every node when ``nodes`` is None.  Undefined
-values are NaN, never silent zeros.  On a view whose layer parity bipartitions
-its edges (a layered network's) sg, mc, hc, so and cfc take layered rules; the
-same graph without layer tags takes the general path.  ``measure_all`` runs a
-selection of measures on a layered network and computes the hidden-neuron rows
-only.
+values are NaN, never silent zeros; so and cfc, defined on connected graphs,
+take the view's largest component and are NaN off it.  On a view whose layer
+parity bipartitions its edges (a layered network's) sg, mc, hc, so and cfc
+take layered rules; the same graph without layer tags takes the general path.
+``measure_all`` runs a selection of measures on a layered network and
+computes the hidden-neuron rows only.
 """
 
 import logging
@@ -39,7 +40,6 @@ from .model import (
     VIEW_POSITIVE,
     LayeredNetwork,
     build_graph,
-    component_labels,
     largest_component,
     threshold_view,
 )
@@ -82,6 +82,16 @@ def avg_neighbor_strength(view, nodes=None):
     return _at(out, nodes)
 
 
+def _on_largest_component(view, nodes, rule):
+    """``rule`` on the largest component of a view, at view positions
+    ``nodes``: NaN off the component and at a lone node."""
+    keep, comp = largest_component(view)
+    out = np.full(view.node_count, np.nan)
+    if keep.size > 1:
+        out[keep] = rule(comp)
+    return _at(out, nodes)
+
+
 def _laplacian_pinv_diagonal(view, w, what):
     """diag(L⁺) for the Laplacian L of conductances ``w`` on a connected view.
 
@@ -94,8 +104,6 @@ def _laplacian_pinv_diagonal(view, w, what):
     kernel) or a non-finite result raises NumericalError naming ``what``.
     """
     n = view.node_count
-    if component_labels(view.edge_mask)[0] != 1:
-        raise StructuralError(f"{what} requires a connected view")
     d = w.sum(axis=1)
     sides = _parity_sides(view)
     # without parity sides nothing is eliminated and node 0 is grounded
@@ -133,22 +141,23 @@ def second_order(view, nodes=None):
     that the walk's stationary law is uniform (without the balancing the
     radicand can go negative on irregular graphs).  The walk's fundamental
     matrix (I - P + J/n)⁻¹ has diagonal d_max·L⁺_ii + 1/n, since I - P =
-    L/d_max, and unit column sums; that gives the first-passage times.  A
-    lone node has no return times to spread: NaN, where the radicand is 0.
+    L/d_max, and unit column sums; that gives the first-passage times.  The
+    walk is taken on the view's largest component: NaN off it, and NaN at a
+    lone node, which has no return times to spread (its radicand is 0).
     """
-    n = view.node_count
-    if n == 1:
-        return _at(np.full(1, np.nan), nodes)
-    a = view.edge_mask.astype(np.float64)
-    lp = _laplacian_pinv_diagonal(view, a, "so")
-    # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
-    radicand = 2.0 * n * n * a.sum(axis=1).max() * lp - n * n + n
-    bad = radicand < -SO_RADICAND_TOL
-    if np.any(bad):
-        raise NumericalError(
-            f"so: radicand fell below -{SO_RADICAND_TOL:g} at node {int(np.argmax(bad))}"
-        )
-    return _at(np.sqrt(np.clip(radicand, 0.0, None)), nodes)
+
+    def rule(comp):
+        n = comp.node_count
+        a = comp.edge_mask.astype(np.float64)
+        lp = _laplacian_pinv_diagonal(comp, a, "so")
+        # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
+        radicand = 2.0 * n * n * a.sum(axis=1).max() * lp - n * n + n
+        bad = np.flatnonzero(radicand < -SO_RADICAND_TOL)
+        if bad.size:
+            raise NumericalError(f"so: radicand fell below -{SO_RADICAND_TOL:g} at node {bad[0]}")
+        return np.sqrt(np.clip(radicand, 0.0, None))
+
+    return _on_largest_component(view, nodes, rule)
 
 
 def subgraph_centrality(view, nodes=None):
@@ -328,19 +337,21 @@ def harmonic(view, nodes=None):
 def current_flow_closeness(view, nodes=None):
     """Closeness over effective resistances from the Laplacian pseudoinverse.
 
-    The signed weights are the conductances.  Non-finite results and a lone
-    node are flagged NaN; a kernel wider than the constants raises
+    The signed weights are the conductances, on the view's largest
+    component.  Nodes off it, a lone node (no other node to be close to) and
+    non-finite results are NaN; a kernel wider than the constants raises
     NumericalError.
     """
-    n = view.node_count
-    if n == 1:
-        return _at(np.full(1, np.nan), nodes)  # no other node to be close to
-    lp = _laplacian_pinv_diagonal(view, view.weights, "cfc")
-    # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (n - 1) / (n * lp + lp.sum())
-    out[~np.isfinite(out)] = np.nan
-    return _at(out, nodes)
+
+    def rule(comp):
+        n = comp.node_count
+        lp = _laplacian_pinv_diagonal(comp, comp.weights, "cfc")
+        # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (n - 1) / (n * lp + lp.sum())
+        return np.where(np.isfinite(out), out, np.nan)
+
+    return _on_largest_component(view, nodes, rule)
 
 
 def _parity_sides(view):
@@ -357,19 +368,18 @@ def _parity_sides(view):
 @dataclass(frozen=True)
 class MeasureInfo:
     view_mode: str
-    needs_connected: bool
     func: Callable  # (view, nodes=None) -> the values at view positions nodes
 
 
 MEASURES = {
-    "s": MeasureInfo(VIEW_ORIGINAL, False, strength),
-    "snn": MeasureInfo(VIEW_ORIGINAL, False, avg_neighbor_strength),
-    "so": MeasureInfo(VIEW_POSITIVE, True, second_order),
-    "sg": MeasureInfo(VIEW_POSITIVE, False, subgraph_centrality),
-    "mc": MeasureInfo(VIEW_POSITIVE, False, max_clique_count),
-    "bc": MeasureInfo(VIEW_POSITIVE, False, bipartite_clustering),
-    "hc": MeasureInfo(VIEW_POSITIVE, False, harmonic),
-    "cfc": MeasureInfo(VIEW_ORIGINAL, True, current_flow_closeness),
+    "s": MeasureInfo(VIEW_ORIGINAL, strength),
+    "snn": MeasureInfo(VIEW_ORIGINAL, avg_neighbor_strength),
+    "so": MeasureInfo(VIEW_POSITIVE, second_order),
+    "sg": MeasureInfo(VIEW_POSITIVE, subgraph_centrality),
+    "mc": MeasureInfo(VIEW_POSITIVE, max_clique_count),
+    "bc": MeasureInfo(VIEW_POSITIVE, bipartite_clustering),
+    "hc": MeasureInfo(VIEW_POSITIVE, harmonic),
+    "cfc": MeasureInfo(VIEW_ORIGINAL, current_flow_closeness),
 }
 
 MEASURE_ORDER = tuple(MEASURES)
@@ -390,7 +400,7 @@ def check_measure_ids(measure_ids):
 
 
 def compute_measure(measure_id, view, nodes=None):
-    """Run one measure on a view it is bound to (no component handling).
+    """Run one measure on a view it is bound to.
 
     Returns the values at view positions ``nodes``, or at every node when
     ``nodes`` is None; hc and bc compute those rows only.
@@ -446,26 +456,17 @@ def nan_table(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
 def measure_all(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
     """Compute the requested measures for every hidden neuron of a network.
 
-    Each measure runs on its bound view, for the hidden rows only.  Measures
-    needing connectivity (so, cfc) run on the largest connected component of
-    their view; hidden neurons outside that component come back NaN.
+    Each measure runs on its bound view, for the hidden rows only; so and
+    cfc are NaN at hidden neurons off their view's largest component.
     """
     measures = check_measure_ids(measures)
     table = nan_table(net, measures)
     graph = build_graph(net)
-    hidden_ids = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
-    views = {}
+    hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
+    modes = dict.fromkeys(MEASURES[m].view_mode for m in measures)
+    views = {mode: threshold_view(graph, mode) for mode in modes}
     for j, m in enumerate(measures):
-        info = MEASURES[m]
-        if info.view_mode not in views:
-            views[info.view_mode] = threshold_view(graph, info.view_mode)
-        view = views[info.view_mode]
-        if info.needs_connected:
-            view = largest_component(view).view
-        # node ids ascend in both, so hidden rows and view positions align
-        inside = np.isin(hidden_ids, view.node_ids)
-        nodes = np.flatnonzero(np.isin(view.node_ids, hidden_ids))
-        table.values[inside, j] = compute_measure(m, view, nodes=nodes)
+        table.values[:, j] = compute_measure(m, views[MEASURES[m].view_mode], nodes=hidden)
     return table
 
 

@@ -57,8 +57,8 @@ def _render(rng, digit):
 
 def synthetic_digits(count, seed):
     """Deterministic labeled 28x28 grayscale corpus with ten glyph classes."""
-    if count < 1:
-        raise StructuralError("count must be positive")
+    if count < 1 or seed < 0:
+        raise StructuralError(f"count must be >= 1 and seed >= 0, got count {count} and seed {seed}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=count).astype(np.uint8)
     images = np.stack([_render(rng, int(d)) for d in labels])
@@ -79,9 +79,9 @@ def write_idx(images, labels, images_path, labels_path):
 
 def write_synthetic_benchmark(out_dir, train_count=5000, test_count=1000, seed=1234):
     """Write a train/test surrogate benchmark in the standard four-file layout."""
-    os.makedirs(out_dir, exist_ok=True)
     train_images, train_labels = synthetic_digits(train_count, seed)
     test_images, test_labels = synthetic_digits(test_count, seed + 1)
+    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "train_images": os.path.join(out_dir, "train-images-idx3-ubyte"),
         "train_labels": os.path.join(out_dir, "train-labels-idx1-ubyte"),

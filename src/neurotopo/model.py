@@ -8,7 +8,6 @@ defined on the signed graph and the others on its positive subgraph.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +76,6 @@ class LayeredNetwork:
 class GraphView:
     """A read-only weighted undirected graph over neurons, or a view of one.
 
-    node_ids  -- (N,) node id of each position: 0..N-1 for a whole graph, the
-                 ids kept for a view restricted to a component
     weights   -- (N, N) symmetric signed weight matrix, zero off the edge set
     edge_mask -- (N, N) symmetric boolean edge-existence matrix (a synapse of
                  weight zero is still an edge)
@@ -86,7 +83,6 @@ class GraphView:
                  not come from a layered network
     """
 
-    node_ids: np.ndarray
     weights: np.ndarray
     edge_mask: np.ndarray
     layers: np.ndarray | None
@@ -100,16 +96,9 @@ class GraphView:
         return int(self.edge_mask.sum()) // 2
 
 
-class LargestComponent(NamedTuple):
-    view: GraphView
-    dropped: np.ndarray  # node ids not in the component
-    trivial: bool  # True when the view had no edges at all
-
-
-def _whole_graph(weights, edge_mask, layers):
-    """A whole graph: node ids 0..N-1, every array read-only."""
-    arrays = (np.arange(weights.shape[0]), weights, edge_mask, layers)
-    return GraphView(*(None if a is None else _freeze(a) for a in arrays))
+def _read_only_view(weights, edge_mask, layers):
+    """A graph or view of these arrays, every one of them read-only."""
+    return GraphView(*(None if a is None else _freeze(a) for a in (weights, edge_mask, layers)))
 
 
 def neuron_graph(weights, edge_mask, layers=None) -> GraphView:
@@ -134,7 +123,7 @@ def neuron_graph(weights, edge_mask, layers=None) -> GraphView:
         layers = np.array(layers, dtype=np.int64, order="C")
         if layers.shape != (w.shape[0],):
             raise StructuralError("layer tags must be one per node")
-    return _whole_graph(w, m, layers)
+    return _read_only_view(w, m, layers)
 
 
 def build_graph(net: LayeredNetwork) -> GraphView:
@@ -157,7 +146,7 @@ def build_graph(net: LayeredNetwork) -> GraphView:
         weights[r0:r1, c0:c1] = w
         weights[c0:c1, r0:r1] = w.T
         mask[r0:r1, c0:c1] = mask[c0:c1, r0:r1] = True
-    return _whole_graph(weights, mask, layers)
+    return _read_only_view(weights, mask, layers)
 
 
 def threshold_view(view: GraphView, mode: str) -> GraphView:
@@ -176,7 +165,7 @@ def threshold_view(view: GraphView, mode: str) -> GraphView:
 
 
 def component_labels(edge_mask):
-    """Connected components of a boolean adjacency matrix as (count, labels),
+    """Connected-component label of each node of a boolean adjacency matrix,
     by breadth-first search on the dense mask, one frontier at a time.
     Components are numbered in the order of their smallest node."""
     labels = np.full(edge_mask.shape[0], -1)
@@ -188,29 +177,27 @@ def component_labels(edge_mask):
                 labels[frontier] = count
                 frontier = np.flatnonzero(edge_mask[frontier].any(axis=0) & (labels < 0))
             count += 1
-    return count, labels
+    return labels
 
 
-def largest_component(view: GraphView) -> LargestComponent:
-    """Restrict a view to its largest connected component.
+def largest_component(view: GraphView):
+    """The largest connected component of a view as (keep, view): its
+    positions, ascending, and the view restricted to them, which is the
+    argument itself when the view is one component.
 
-    Ties in component size go to the component containing the smallest node
-    id.  A view with no edges at all yields the single smallest node, with
-    the result flagged trivial.
+    Ties in component size go to the component containing the smallest
+    position.  A view with no edges at all yields its first node alone.
     """
     if view.node_count == 0:
         raise StructuralError("empty view")
-    _, labels = component_labels(view.edge_mask)
+    labels = component_labels(view.edge_mask)
     # argmax takes the first largest label, the one holding the smallest node
-    inside = labels == np.argmax(np.bincount(labels))
-    keep = np.flatnonzero(inside)
-    sub = view if keep.size == view.node_count else GraphView(
-        node_ids=view.node_ids[keep],
-        weights=view.weights[np.ix_(keep, keep)],
-        edge_mask=view.edge_mask[np.ix_(keep, keep)],
-        layers=None if view.layers is None else view.layers[keep],
-    )
-    return LargestComponent(view=sub, dropped=view.node_ids[~inside], trivial=view.edge_count == 0)
+    keep = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    if keep.size == view.node_count:
+        return keep, view
+    ix = np.ix_(keep, keep)
+    layers = None if view.layers is None else view.layers[keep]
+    return keep, _read_only_view(view.weights[ix], view.edge_mask[ix], layers)
 
 
 def save_model(net: LayeredNetwork, path) -> None:

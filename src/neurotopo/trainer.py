@@ -323,8 +323,9 @@ def generate_population(
     malformed one (writes are atomic, so no run of this library left it)
     raises FormatError, and one whose arch, epochs or dataset id differs from
     this run's raises StructuralError.  One network failing does not abort
-    the population; its entry is recorded with status "failed".  ``workers`` > 1 trains networks in parallel processes; results
-    do not depend on the schedule.
+    the population; its entry is recorded with status "failed".  With
+    ``workers`` > 1, networks train in parallel processes; results do not
+    depend on the schedule.
     """
     if workers < 1:
         raise StructuralError(f"workers must be >= 1, got {workers}")
@@ -365,7 +366,7 @@ def generate_population(
 
 def load_manifest(path):
     """Read a population manifest: a JSON list of objects carrying distinct
-    seeds and test_acc."""
+    non-negative seeds and test_acc."""
     manifest = read_json(path)
     if not isinstance(manifest, list) or not all(
         isinstance(e, dict)
@@ -379,6 +380,8 @@ def load_manifest(path):
         )
     seen = set()
     for e in manifest:
+        if e["seed"] < 0:
+            raise FormatError(f"{path}: seed {e['seed']} is negative")
         if e["seed"] in seen:
             raise FormatError(f"{path}: seed {e['seed']} appears more than once")
         seen.add(e["seed"])

@@ -478,6 +478,14 @@ class TestVocabularyIo:
         with pytest.raises(FormatError, match=f"v.json: bad vocabulary file \\({key}: expected JSON floats"):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize("changes", [{"seed": -5}, {"inertia": -3.0}, {"seed": -5, "inertia": -3.0}])
+    def test_negative_seed_or_inertia_rejected(self, tmp_path, changes):
+        # no fit produces either: kmeans refuses a negative seed, and inertia is a sum of squares
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(self.vocabulary_doc(**changes)))
+        with pytest.raises(FormatError, match="v.json: bad vocabulary file .*seed and inertia must be >= 0"):
+            load_vocabulary(path)
+
     def test_id_keys_optional(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(json.dumps(self.vocabulary_doc(inertia=1)))
@@ -531,4 +539,17 @@ class TestVocabularyIo:
         path = tmp_path / "occ.csv"
         path.write_text(f"network_id,test_acc,f1,f2\na,NaN,0.25,0.75\n{row}\n")
         with pytest.raises(FormatError, match="occ.csv:3: "):
+            read_occurrence_csv(path)
+
+    def test_occurrence_csv_rejects_a_repeated_network_id(self, tmp_path):
+        path = tmp_path / "occ.csv"
+        path.write_text("network_id,test_acc,f1,f2\nseed0,0.5,0.5,0.5\nseed1,0.6,0.25,0.75\n"
+                        "seed0,0.7,1.0,0.0\n")
+        with pytest.raises(FormatError, match="occ.csv:4: network id 'seed0' repeats line 2"):
+            read_occurrence_csv(path)
+
+    def test_occurrence_csv_needs_a_row(self, tmp_path):
+        path = tmp_path / "occ.csv"
+        path.write_text("network_id,test_acc,f1,f2\n")
+        with pytest.raises(FormatError, match="occ.csv: no occurrence rows"):
             read_occurrence_csv(path)

@@ -102,20 +102,17 @@ class TestSecondOrder:
         so = second_order(view(cycle))
         np.testing.assert_allclose(so, so[0], atol=1e-9)
 
-    def test_disconnected_rejected(self):
-        g = unit_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(StructuralError, match="connected"):
-            second_order(view(g))
+    def test_nan_off_largest_component(self):
+        check_on_largest_component(second_order, VIEW_POSITIVE)
 
     def test_matches_per_target_solves(self):
         for seed in range(10):
-            g = random_signed_graph(seed)
-            comp = largest_component(view(g))
-            if comp.view.node_count < 2:
+            v = view(random_signed_graph(seed))
+            keep, comp = largest_component(v)
+            if keep.size < 2:
                 continue
-            got = second_order(comp.view)
-            want = oracles.second_order_naive(comp.view.edge_mask)
-            np.testing.assert_allclose(got, want, atol=1e-6)
+            want = oracles.second_order_naive(comp.edge_mask)
+            np.testing.assert_allclose(second_order(v)[keep], want, atol=1e-6)
 
 
 class TestSubgraphCentrality:
@@ -279,10 +276,8 @@ class TestCurrentFlowCloseness:
         cfc = current_flow_closeness(view(K(3), VIEW_ORIGINAL))
         np.testing.assert_allclose(cfc, 1.5, atol=1e-9)
 
-    def test_disconnected_rejected(self):
-        g = unit_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(StructuralError, match="connected"):
-            current_flow_closeness(view(g, VIEW_ORIGINAL))
+    def test_nan_off_largest_component(self):
+        check_on_largest_component(current_flow_closeness, VIEW_ORIGINAL)
 
     def test_negative_weight_is_a_negative_conductance(self):
         g = graph_from_edges(2, [(0, 1, -2.0)])
@@ -308,13 +303,35 @@ class TestCurrentFlowCloseness:
 
     def test_matches_grounded_solver(self):
         for seed in range(15):
-            g = random_signed_graph(seed)
-            comp = largest_component(view(g, VIEW_ORIGINAL))
-            if comp.view.node_count < 2:
+            v = view(random_signed_graph(seed), VIEW_ORIGINAL)
+            keep, comp = largest_component(v)
+            if keep.size < 2:
                 continue
-            got = current_flow_closeness(comp.view)
-            want = oracles.current_flow_closeness_naive(comp.view.weights, comp.view.edge_mask)
-            np.testing.assert_allclose(got, want, atol=1e-9)
+            want = oracles.current_flow_closeness_naive(comp.weights, comp.edge_mask)
+            np.testing.assert_allclose(current_flow_closeness(v)[keep], want, atol=1e-9)
+
+
+def check_on_largest_component(func, mode):
+    """func on a view of two components and a lone node: NaN off the largest
+    component, and there the bits func gives on the component alone."""
+    edges = [(0, 2, 0.5), (2, 5, 1.5), (5, 3, 0.75), (0, 5, 1.0), (1, 4, 2.0)]
+    v = view(graph_from_edges(7, edges), mode)
+    alone = view(graph_from_edges(4, [(0, 1, 0.5), (1, 3, 1.5), (3, 2, 0.75), (0, 3, 1.0)]), mode)
+    keep, _ = largest_component(v)
+    assert keep.tolist() == [0, 2, 3, 5]
+    got = func(v)
+    assert np.flatnonzero(np.isnan(got)).tolist() == [1, 4, 6]
+    np.testing.assert_array_equal(got[keep], func(alone))
+    np.testing.assert_array_equal(func(v, np.array([4, 3, 1])), got[[4, 3, 1]])
+
+
+@pytest.mark.parametrize("func", [second_order, current_flow_closeness])
+def test_edgeless_view_is_nan(func):
+    # the positive view of a graph whose one edge is negative has no edge either
+    for v in (neuron_graph(np.zeros((3, 3)), np.zeros((3, 3), dtype=bool)),
+              view(graph_from_edges(3, [(1, 2, -1.0)]), VIEW_POSITIVE)):
+        assert np.isnan(func(v)).tolist() == [True] * 3
+        assert np.isnan(func(v, np.array([2, 0]))).tolist() == [True] * 2
 
 
 @pytest.mark.parametrize("layers", [None, [0], [1]], ids=["untagged", "layer 0", "layer 1"])
@@ -426,17 +443,11 @@ class TestLayeredKernels:
         table = measure_all(net)
         graph = build_graph(net)
         hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
-        general = {"s": strength, "snn": avg_neighbor_strength, "sg": subgraph_centrality,
-                   "mc": max_clique_count, "bc": bipartite_clustering, "hc": harmonic}
+        general = {"s": strength, "snn": avg_neighbor_strength, "so": second_order,
+                   "sg": subgraph_centrality, "mc": max_clique_count, "bc": bipartite_clustering,
+                   "hc": harmonic, "cfc": current_flow_closeness}
         for m in MEASURE_ORDER:
-            v = threshold_view(_untagged(graph), MEASURES[m].view_mode)
-            if m in general:
-                want = general[m](v)[hidden]
-            else:
-                want = np.full(graph.node_count, np.nan)
-                comp = largest_component(v).view
-                want[comp.node_ids] = (second_order if m == "so" else current_flow_closeness)(comp)
-                want = want[hidden]
+            want = general[m](threshold_view(_untagged(graph), MEASURES[m].view_mode))[hidden]
             got = table.column(m)
             if m in ("s", "snn", "mc"):
                 np.testing.assert_array_equal(got, want, err_msg=m)
@@ -452,7 +463,7 @@ class TestLayeredKernels:
         conductances = ((VIEW_POSITIVE, lambda v: v.edge_mask.astype(np.float64)),
                         (VIEW_ORIGINAL, lambda v: v.weights), (VIEW_ORIGINAL, lambda v: np.abs(v.weights)))
         for mode, conductance in conductances:
-            comp = largest_component(threshold_view(graph, mode)).view
+            _, comp = largest_component(threshold_view(graph, mode))
             if comp.node_count < 2:
                 continue
             w = conductance(comp)

@@ -538,6 +538,23 @@ class TestCompareCommand:
         assert doc["jsd_mean"] == 0.0
         assert doc["count"] == 3
 
+    @pytest.mark.parametrize("command", ["assign", "compare"])
+    def test_vocabulary_with_negative_seed_exits_3(self, measures_csv, tmp_path, capsys, command):
+        vocab = tmp_path / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "3", "--out", str(vocab)]) == 0
+        odd = tmp_path / "odd_vocab.json"
+        odd.write_text(json.dumps(dict(json.loads(vocab.read_text()), seed=-5)))
+        out = tmp_path / "out"
+        if command == "assign":
+            argv = ["vocab", "assign", "--vocab", str(odd), "--measures-csv", str(measures_csv), "--out", str(out)]
+        else:
+            argv = ["compare", "--vocab-a", str(vocab), "--vocab-b", str(odd),
+                    "--population", str(measures_csv), "--out", str(out)]
+        assert main(argv) == 3
+        assert "odd_vocab.json: bad vocabulary file (seed and inertia must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vocabulary_without_json_floats_exits_3(self, measures_csv, tmp_path, capsys):
         vocab = tmp_path / "vocab.json"
         assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
@@ -615,6 +632,22 @@ class TestPlotCommand:
                      "--out-csv", str(tmp_path / "hist.csv")])
         assert code == 3
         assert "occ.csv: header must be network_id,test_acc,f1..fk" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("seed0,0.5,0.5,0.5\nseed0,0.7,1.0,0.0\nseed1,0.6,0.25,0.75\n",
+          "occ.csv:3: network id 'seed0' repeats line 2"),
+         ("", "occ.csv: no occurrence rows")],
+        ids=["repeated id", "no rows"],
+    )
+    def test_hist_on_occurrence_the_writer_never_writes_exits_3(self, tmp_path, capsys, rows, message):
+        occ = tmp_path / "occ.csv"
+        occ.write_text("network_id,test_acc,f1,f2\n" + rows)
+        code = main(["plot", "--what", "hist", "--occurrence-csv", str(occ), "--group-size", "1",
+                     "--out-csv", str(tmp_path / "hist.csv")])
+        assert code == 3
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
 
     def test_hist_without_accuracies_exits_2(self, measures_csv, tmp_path, capsys):

@@ -101,9 +101,8 @@ class TestNeuronGraph:
         g = neuron_graph(w.tolist(), m.astype(int), layers=[0, 1, 2])
         assert isinstance(g, GraphView)
         assert g.weights.dtype == np.float64 and g.edge_mask.dtype == bool and g.layers.dtype == np.int64
-        np.testing.assert_array_equal(g.node_ids, [0, 1, 2])
         np.testing.assert_array_equal(g.weights, w)
-        for a in (g.node_ids, g.weights, g.edge_mask, g.layers):
+        for a in (g.weights, g.edge_mask, g.layers):
             assert not a.flags.writeable
         assert neuron_graph(w, m).layers is None
 
@@ -118,9 +117,9 @@ class TestNeuronGraph:
 
     def test_largest_component_of_a_whole_graph(self):
         g = unit_graph(4, [(0, 1), (1, 2)])
-        comp = largest_component(g)
-        assert comp.view.node_ids.tolist() == [0, 1, 2]
-        assert comp.dropped.tolist() == [3]
+        keep, comp = largest_component(g)
+        assert keep.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(comp.edge_mask, g.edge_mask[:3, :3])
 
     def test_model_defines_one_graph_class(self):
         from neurotopo import model
@@ -138,7 +137,7 @@ class TestBuildGraph:
         checked = neuron_graph(g.weights, g.edge_mask, g.layers)
         for a, b in zip(dataclasses.astuple(g), dataclasses.astuple(checked)):
             np.testing.assert_array_equal(a, b)
-        for a in (g.node_ids, g.weights, g.edge_mask, g.layers):
+        for a in (g.weights, g.edge_mask, g.layers):
             assert not a.flags.writeable
 
     def test_paper_architecture_counts(self):
@@ -201,11 +200,11 @@ class TestThresholdView:
         g = unit_graph(3, [(0, 1), (1, 2)])
         assert threshold_view(g, VIEW_ORIGINAL) is g
 
-    def test_positive_view_keeps_node_ids(self):
-        comp = largest_component(graph_from_edges(5, [(0, 1, 1.0), (1, 2, -1.0), (3, 4, 0.5)])).view
+    def test_positive_view_of_a_component_keeps_its_nodes(self):
+        keep, comp = largest_component(graph_from_edges(5, [(0, 1, 1.0), (1, 2, -1.0), (3, 4, 0.5)]))
         v = threshold_view(comp, VIEW_POSITIVE)
-        assert v.node_ids is comp.node_ids
-        assert v.node_ids.tolist() == [0, 1, 2]
+        assert keep.tolist() == [0, 1, 2]
+        assert v.node_count == 3
         assert v.edge_count == 1
 
     def test_unknown_mode(self):
@@ -213,9 +212,9 @@ class TestThresholdView:
         with pytest.raises(StructuralError, match="view mode"):
             threshold_view(g, "negative")
 
-    def test_two_modes_of_four_fields(self):
+    def test_two_modes_of_three_fields(self):
         assert VIEW_MODES == (VIEW_ORIGINAL, VIEW_POSITIVE)
-        assert [f.name for f in dataclasses.fields(GraphView)] == ["node_ids", "weights", "edge_mask", "layers"]
+        assert [f.name for f in dataclasses.fields(GraphView)] == ["weights", "edge_mask", "layers"]
 
     def test_positive_view_keeps_weights_and_layer_tags(self):
         g = build_graph(LayeredNetwork(arch=(2, 1), weights=(np.array([[0.7], [-0.4]]),)))
@@ -227,38 +226,38 @@ class TestThresholdView:
 class TestLargestComponent:
     def test_connected_graph_unchanged(self):
         g = unit_graph(3, [(0, 1), (1, 2)])
-        comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
-        assert comp.view.node_count == 3
-        assert comp.dropped.size == 0
-        assert not comp.trivial
+        keep, comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
+        assert keep.tolist() == [0, 1, 2]
+        assert comp.edge_count == 2
 
     def test_connected_view_is_not_copied(self):
         v = threshold_view(unit_graph(3, [(0, 1), (1, 2)]), VIEW_ORIGINAL)
-        assert largest_component(v).view is v
+        assert largest_component(v)[1] is v
 
     def test_two_components(self):
         g = unit_graph(5, [(0, 1), (1, 2), (3, 4)])
-        comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
-        assert sorted(comp.view.node_ids.tolist()) == [0, 1, 2]
-        assert sorted(comp.dropped.tolist()) == [3, 4]
+        keep, comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
+        assert keep.tolist() == [0, 1, 2]
+        assert comp.node_count == 3 and comp.edge_count == 2
 
     def test_size_tie_takes_smallest_node_id(self):
         g = unit_graph(4, [(2, 3), (0, 1)])
-        comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
-        assert sorted(comp.view.node_ids.tolist()) == [0, 1]
+        keep, _ = largest_component(threshold_view(g, VIEW_ORIGINAL))
+        assert keep.tolist() == [0, 1]
 
     def test_component_keeps_its_layer_tags(self):
         g = build_graph(LayeredNetwork(arch=(2, 2), weights=(np.array([[0.5, -1.0], [-1.0, 0.5]]),)))
-        comp = largest_component(threshold_view(g, VIEW_POSITIVE))
-        assert comp.view.node_ids.tolist() == [0, 2]
-        assert comp.view.layers.tolist() == [0, 1]
+        keep, comp = largest_component(threshold_view(g, VIEW_POSITIVE))
+        assert keep.tolist() == [0, 2]
+        assert comp.layers.tolist() == [0, 1]
+        for a in (comp.weights, comp.edge_mask, comp.layers):
+            assert not a.flags.writeable
 
     def test_empty_edge_set_flagged(self):
         g = graph_from_edges(3, [(0, 1, -1.0)])
-        comp = largest_component(threshold_view(g, VIEW_POSITIVE))
-        assert comp.trivial
-        assert comp.view.node_ids.tolist() == [0]
-        assert sorted(comp.dropped.tolist()) == [1, 2]
+        keep, comp = largest_component(threshold_view(g, VIEW_POSITIVE))
+        assert keep.tolist() == [0]
+        assert comp.node_count == 1 and comp.edge_count == 0
 
     @staticmethod
     def tied_blocks(rng):
@@ -292,23 +291,20 @@ class TestLargestComponent:
         n = mask.shape[0]
         weights = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
         g = neuron_graph(weights=np.triu(weights) + np.triu(weights, 1).T, edge_mask=mask)
-        comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
-        keep = largest_component_naive(mask)
-        assert comp.view.node_ids.tolist() == keep
-        assert comp.dropped.tolist() == sorted(set(range(n)) - set(keep))
-        assert comp.trivial == (not mask.any())
-        np.testing.assert_array_equal(comp.view.edge_mask, mask[np.ix_(keep, keep)])
-        np.testing.assert_array_equal(comp.view.weights, g.weights[np.ix_(keep, keep)])
+        keep, comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
+        want = largest_component_naive(mask)
+        assert keep.tolist() == want
+        assert (comp is g) == (len(want) == n)
+        np.testing.assert_array_equal(comp.edge_mask, mask[np.ix_(want, want)])
+        np.testing.assert_array_equal(comp.weights, g.weights[np.ix_(want, want)])
 
 
     @pytest.mark.parametrize("seed", range(20))
     def test_component_labels_match_scipy(self, seed):
         rng = np.random.default_rng(100 + seed)
         mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
-        count, labels = component_labels(mask)
-        want_count, want_labels = connected_components(csr_matrix(mask), directed=False)
-        assert count == want_count
-        np.testing.assert_array_equal(labels, want_labels)
+        _, want = connected_components(csr_matrix(mask), directed=False)
+        np.testing.assert_array_equal(component_labels(mask), want)
 
 
 class TestSerialization:

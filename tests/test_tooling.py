@@ -4,9 +4,11 @@
 callers look them up by (``perfbench/instrument.py``).  Renaming or deleting
 one of them must fail here, not only in a traced benchmark run.  A library
 module must not import a name it never uses, so deleted code leaves no
-stale import behind.  The measure table holds the public measure functions,
-so no private row kernel can drift from the function the oracles check, and
-each of them takes ``(view, nodes=None)`` and nothing else.
+stale import behind, and every module-level private name must be read
+somewhere in the package, so it leaves no orphaned helper either.  The
+measure table holds the public measure functions, so no private row kernel
+can drift from the function the oracles check, and each of them takes
+``(view, nodes=None)`` and nothing else.
 No module calls ``json.dump``, which always runs the pure-Python encoder, and
 no module but ``artifacts`` opens a file for writing, so every artifact is
 replaced atomically.
@@ -76,6 +78,32 @@ def test_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
     assert unused == []
+
+
+def _module_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(target, ast.Name):
+                yield target.id, node.lineno
+
+
+def test_no_dead_private_helpers():
+    # a private name that no module of the package reads is dead code
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "neurotopo").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{name}:{line}: {helper}" for name, tree in trees.items()
+            for helper, line in _module_level_names(tree)
+            if helper.startswith("_") and not helper.startswith("__") and helper not in read]
+    assert dead == []
 
 
 def test_no_json_dump():

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from neurotopo.datagen import synthetic_digits, write_idx
+from neurotopo.datagen import synthetic_digits, write_idx, write_synthetic_benchmark
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import load_model
 from neurotopo.trainer import (
@@ -136,6 +136,15 @@ class TestLoadIdx:
         assert len(ds) == 50
         assert ds.images.shape == (50, 784)
         assert set(np.unique(ds.labels)) <= set(range(10))
+
+
+class TestSyntheticDigits:
+    def test_negative_seed_rejected_before_anything_is_written(self, tmp_path):
+        with pytest.raises(StructuralError, match="got count 3 and seed -1$"):
+            synthetic_digits(3, -1)
+        with pytest.raises(StructuralError, match="seed -2$"):
+            write_synthetic_benchmark(tmp_path / "data", train_count=4, test_count=2, seed=-2)
+        assert not (tmp_path / "data").exists()
 
 
 class TestInitNetwork:
@@ -392,6 +401,13 @@ class TestPopulation:
         path.write_text('[{"seed": 4, "test_acc": 0.5}, {"seed": 7, "test_acc": null}, '
                         '{"seed": 4, "test_acc": 0.25}]')
         with pytest.raises(FormatError, match="manifest.json: seed 4 appears more than once"):
+            load_manifest(path)
+
+    def test_manifest_with_negative_seed_rejected(self, tmp_path):
+        # generate_population refuses negative weight seeds, so no manifest holds one
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"seed": -3, "test_acc": 0.5}]')
+        with pytest.raises(FormatError, match="manifest.json: seed -3 is negative"):
             load_manifest(path)
 
     def test_bit_reproducible_across_runs(self, tmp_path):
