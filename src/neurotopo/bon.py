@@ -132,6 +132,21 @@ def _squared_distances(x, centers):
     return acc
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # an all-zero row's NaN cdf is never read
+def _weighted_picks(weights, rngs):
+    """Per row of weights (R, r) and its generator, ``rng.choice(r, p=row / row.sum())``
+    replayed at once: one ``random()``, counted in the renormalized cdf as choice's
+    ``searchsorted(side="right")``; ``rng.integers(r)`` for an all-zero row."""
+    total = weights.sum(axis=1)
+    cdf = np.cumsum(weights / total[:, np.newaxis], axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() if t > 0.0 else np.nan for rng, t in zip(rngs, total)])
+    picks = np.count_nonzero(cdf <= u[:, np.newaxis], axis=1)
+    for a in np.flatnonzero(total == 0.0):
+        picks[a] = rngs[a].integers(weights.shape[1])
+    return picks
+
+
 def _kmeanspp(x, k, rngs):
     """k-means++ centers (R, k, d), one restart per generator.
 
@@ -143,11 +158,7 @@ def _kmeanspp(x, k, rngs):
     centers[:, 0] = x[[rng.integers(r) for rng in rngs]]
     d2 = _squared_distances(x, centers[:, 0])
     for c in range(1, k):
-        picks = []
-        for rng, row in zip(rngs, d2):
-            total = row.sum()
-            picks.append(rng.choice(r, p=row / total) if total > 0.0 else rng.integers(r))
-        centers[:, c] = x[picks]
+        centers[:, c] = x[_weighted_picks(d2, rngs)]
         np.minimum(d2, _squared_distances(x, centers[:, c]), out=d2)
     return centers
 
@@ -465,8 +476,8 @@ def write_occurrence_csv(vocab, rows, path):
 
 def read_occurrence_csv(path):
     """Read an occurrence CSV: header network_id,test_acc,f1..fk with k >= 2,
-    and at least one row; each row a distinct network id and non-negative
-    frequencies that sum to 1 (within 1e-9)."""
+    and at least one row; each row a distinct network id, a test_acc in
+    [0, 1] or NaN, and non-negative frequencies that sum to 1 (within 1e-9)."""
     header, lines = read_csv_rows(path)
     k = len(header) - 2
     if k < 2 or header != ["network_id", "test_acc"] + [f"f{i}" for i in range(1, k + 1)]:
@@ -481,7 +492,10 @@ def read_occurrence_csv(path):
             freq = np.array([parse_float(x) for x in row[2:]])
             if not (np.all(freq >= 0.0) and abs(float(freq.sum()) - 1.0) <= 1e-9):
                 raise ValueError(f"frequencies {row[2:]} are not a histogram (>= 0, sum 1)")
-            records.append(PopulationRecord(row[0], parse_float(row[1]), freq))
+            acc = parse_float(row[1])
+            if not (math.isnan(acc) or 0.0 <= acc <= 1.0):
+                raise ValueError(f"test_acc {row[1]} is outside [0, 1]")
+            records.append(PopulationRecord(row[0], acc, freq))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return records

@@ -31,37 +31,42 @@ _GLYPHS = [
     ["01110", "10001", "10001", "01111", "00001", "00010", "01100"],
 ]
 
-
-def _render(rng, digit):
-    canvas = np.zeros((28, 28))
-    glyph = np.array([[c == "1" for c in row] for row in _GLYPHS[digit]], dtype=float)
-    scale = int(rng.integers(3, 5))  # cell size 3 or 4 -> glyph 21x15 or 28x20
-    big = np.kron(glyph, np.ones((scale, scale)))
-    h, w = big.shape
-    # roughly centered with small jitter, like the classic digit benchmarks
-    dy = (28 - h) // 2 + int(rng.integers(-2, 3))
-    dx = (28 - w) // 2 + int(rng.integers(-2, 3))
-    dy = min(max(dy, 0), 28 - h)
-    dx = min(max(dx, 0), 28 - w)
-    canvas[dy : dy + h, dx : dx + w] = big
-    # soften edges with a single 3x3 box-blur pass
-    padded = np.pad(canvas, 1)
-    blurred = sum(
-        padded[1 + a : 29 + a, 1 + b : 29 + b] for a in (-1, 0, 1) for b in (-1, 0, 1)
-    ) / 9.0
-    contrast = rng.uniform(0.6, 1.0)
-    noise = rng.uniform(0.0, 0.15, size=(28, 28))
-    img = np.clip(blurred * contrast + noise, 0.0, 1.0)
-    return (img * 255).astype(np.uint8)
+# the 20 glyph bitmaps, [digit][scale - 3]: cell size 3 or 4 -> glyph 21x15 or 28x20
+_BITMAPS = [
+    [np.kron(np.array([[c == "1" for c in row] for row in g], dtype=float), np.ones((s, s))) for s in (3, 4)]
+    for g in _GLYPHS
+]
+_BLOCK = 64  # images rendered together: few Python-level array ops, a cache-sized working set
 
 
 def synthetic_digits(count, seed):
-    """Deterministic labeled 28x28 grayscale corpus with ten glyph classes."""
+    """Deterministic labeled 28x28 grayscale corpus with ten glyph classes.
+    Each image draws in turn; the float operations a lone image would take
+    then run on a block of images, so the bytes do not depend on _BLOCK."""
     if count < 1 or seed < 0:
         raise StructuralError(f"count must be >= 1 and seed >= 0, got count {count} and seed {seed}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=count).astype(np.uint8)
-    images = np.stack([_render(rng, int(d)) for d in labels])
+    images = np.empty((count, 28, 28), dtype=np.uint8)
+    for start in range(0, count, _BLOCK):
+        digits = labels[start : start + _BLOCK].tolist()
+        padded = np.zeros((len(digits), 30, 30))  # each 28x28 canvas with a zero border
+        contrast, noise = [], np.empty((len(digits), 28, 28))
+        for i, digit in enumerate(digits):
+            big = _BITMAPS[digit][int(rng.integers(3, 5)) - 3]
+            h, w = big.shape
+            # roughly centered with small jitter, like the classic digit benchmarks
+            dy = min(max((28 - h) // 2 + int(rng.integers(-2, 3)), 0), 28 - h)
+            dx = min(max((28 - w) // 2 + int(rng.integers(-2, 3)), 0), 28 - w)
+            padded[i, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] = big
+            contrast.append(rng.uniform(0.6, 1.0))
+            noise[i] = rng.uniform(0.0, 0.15, size=(28, 28))
+        # soften edges with a single 3x3 box-blur pass
+        blurred = sum(
+            padded[:, 1 + a : 29 + a, 1 + b : 29 + b] for a in (-1, 0, 1) for b in (-1, 0, 1)
+        ) / 9.0
+        img = np.clip(blurred * np.array(contrast)[:, np.newaxis, np.newaxis] + noise, 0.0, 1.0)
+        images[start : start + _BLOCK] = (img * 255).astype(np.uint8)
     return images, labels
 
 

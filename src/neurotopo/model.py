@@ -243,6 +243,8 @@ def load_model(path) -> LayeredNetwork:
             raise FormatError(f"{path}: meta.{key}: missing")
         if not isinstance(meta[key], types) or isinstance(meta[key], bool):
             raise FormatError(f"{path}: meta.{key}: expected {types[0].__name__}")
+        if key in ("train_acc", "test_acc") and not 0 <= meta[key] <= 1:
+            raise FormatError(f"{path}: meta.{key}: {meta[key]} is outside [0, 1]")
     try:
         return LayeredNetwork(arch=tuple(arch), weights=tuple(weights), meta=meta)
     except StructuralError as exc:

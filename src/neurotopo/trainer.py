@@ -366,7 +366,7 @@ def generate_population(
 
 def load_manifest(path):
     """Read a population manifest: a JSON list of objects carrying distinct
-    non-negative seeds and test_acc."""
+    non-negative seeds and test_acc in [0, 1] or null."""
     manifest = read_json(path)
     if not isinstance(manifest, list) or not all(
         isinstance(e, dict)
@@ -384,5 +384,7 @@ def load_manifest(path):
             raise FormatError(f"{path}: seed {e['seed']} is negative")
         if e["seed"] in seen:
             raise FormatError(f"{path}: seed {e['seed']} appears more than once")
+        if e.get("test_acc") is not None and not 0 <= e["test_acc"] <= 1:
+            raise FormatError(f"{path}: seed {e['seed']}: test_acc {e['test_acc']} is outside [0, 1]")
         seen.add(e["seed"])
     return manifest

@@ -1,11 +1,12 @@
 """Naive reference implementations for verifying the centrality measures,
-the k-means fit and the model file writer.
+the k-means fit, the model file writer and the surrogate digit corpus.
 
 Everything here favors directness over speed: explicit neighbor loops,
 exhaustive subset enumeration, per-target linear systems, textbook
 Floyd-Warshall, a grounded-node resistance solver, one dense (L + J/n)⁻¹,
 breadth-first search for components, Lloyd's algorithm run one restart
-at a time, and one ``json.dumps`` of a whole model document.  Final scalar
+at a time, one ``json.dumps`` of a whole model document, and the digit
+corpus rendered one image at a time.  Final scalar
 reductions use np.sum over operand arrays assembled in ascending index
 order, which is what makes exact comparison against the vectorized library
 implementations meaningful.
@@ -288,3 +289,32 @@ def model_file_naive(net):
         "meta": dict(net.meta),
     }
     return (json.dumps(doc, allow_nan=False) + "\n").encode("utf-8")
+
+
+def _render_digit(rng, glyph_rows):
+    canvas = np.zeros((28, 28))
+    glyph = np.array([[c == "1" for c in row] for row in glyph_rows], dtype=float)
+    scale = int(rng.integers(3, 5))
+    big = np.kron(glyph, np.ones((scale, scale)))
+    h, w = big.shape
+    dy = (28 - h) // 2 + int(rng.integers(-2, 3))
+    dx = (28 - w) // 2 + int(rng.integers(-2, 3))
+    dy = min(max(dy, 0), 28 - h)
+    dx = min(max(dx, 0), 28 - w)
+    canvas[dy : dy + h, dx : dx + w] = big
+    padded = np.pad(canvas, 1)
+    blurred = sum(
+        padded[1 + a : 29 + a, 1 + b : 29 + b] for a in (-1, 0, 1) for b in (-1, 0, 1)
+    ) / 9.0
+    contrast = rng.uniform(0.6, 1.0)
+    noise = rng.uniform(0.0, 0.15, size=(28, 28))
+    img = np.clip(blurred * contrast + noise, 0.0, 1.0)
+    return (img * 255).astype(np.uint8)
+
+
+def synthetic_digits_naive(count, seed, glyphs):
+    """The surrogate corpus, one image at a time from ``glyphs`` (ten lists
+    of 0/1 row strings): labels first, then each image's draws in turn."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, size=count).astype(np.uint8)
+    return np.stack([_render_digit(rng, glyphs[d]) for d in labels]), labels

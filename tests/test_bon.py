@@ -192,6 +192,23 @@ class TestLockstepOracle:
         hits = assert_matches_oracle(fm_from(data, ("s", "bc", "sg")), 6, 7, seed=2)
         assert hits > 0
 
+    def test_weighted_picks_replay_choice(self):
+        # 1,200 rows with zero entries (every 97th row all zero) against one
+        # Generator.choice, or integers for an all-zero row, per row
+        src = np.random.default_rng(14)
+        weights = src.exponential(size=(1200, 40)) * (src.random((1200, 40)) < 0.6)
+        weights[::97] = 0.0
+        weights[5, :-1] = 0.0
+        weights[6, 1:] = 0.0
+        seeds = np.random.SeedSequence(15).spawn(len(weights))
+        batched = [np.random.default_rng(s) for s in seeds]
+        picks = bon._weighted_picks(weights, batched)
+        lone = [np.random.default_rng(s) for s in seeds]
+        want = [rng.choice(40, p=row / row.sum()) if row.sum() > 0.0 else rng.integers(40)
+                for rng, row in zip(lone, weights)]
+        assert picks.tolist() == want
+        assert [rng.random() for rng in batched] == [rng.random() for rng in lone]
+
     def test_blocks_not_dividing_restarts(self, monkeypatch):
         data = np.random.default_rng(13).normal(size=(60, 2))
         k = 4
@@ -510,6 +527,8 @@ class TestVocabularyIo:
             PopulationRecord("a", 0.75, np.array([0.25, 0.75])),
             PopulationRecord("b", math.nan, np.array([1.0, 0.0])),
             PopulationRecord("c", np.float64(0.5), np.array([0.5, 0.5])),
+            PopulationRecord("d", 1.0, np.array([0.5, 0.5])),
+            PopulationRecord("e", 0.0, np.array([0.5, 0.5])),
         ]
         path = tmp_path / "occ.csv"
         write_occurrence_csv(vocab, rows, path)
@@ -518,6 +537,7 @@ class TestVocabularyIo:
         np.testing.assert_array_equal(back[0].occurrence, [0.25, 0.75])
         assert math.isnan(back[1].test_acc)
         assert back[2].test_acc == 0.5
+        assert [r.test_acc for r in back[3:]] == [1.0, 0.0]
 
     @pytest.mark.parametrize(
         "text",
@@ -533,7 +553,8 @@ class TestVocabularyIo:
     @pytest.mark.parametrize(
         "row",
         ["b,inf,0.5,0.5", "b,0.5,nan,0.5", "b,0.5, 0.5,0.5", "b,0.5,0.50,0.5",
-         "b,0.5,-0.2,1.2", "b,0.5,0.5,0.4", "b,0.5,0.5,0.5000001", "b,0.5,NaN,1.0"],
+         "b,0.5,-0.2,1.2", "b,0.5,0.5,0.4", "b,0.5,0.5,0.5000001", "b,0.5,NaN,1.0",
+         "b,7.5,0.5,0.5", "b,-0.25,0.5,0.5", "b,1.0000000000000002,0.5,0.5"],
     )
     def test_occurrence_csv_rejects_cells_the_writer_never_writes(self, tmp_path, row):
         path = tmp_path / "occ.csv"

@@ -650,6 +650,16 @@ class TestPlotCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
 
+    @pytest.mark.parametrize("acc", ["7.5", "-3.0"])
+    def test_hist_on_accuracy_outside_unit_interval_exits_3(self, tmp_path, capsys, acc):
+        occ = tmp_path / "occ.csv"
+        occ.write_text(f"network_id,test_acc,f1,f2\nseed0,0.6,0.5,0.5\nseed1,{acc},1.0,0.0\n")
+        code = main(["plot", "--what", "hist", "--occurrence-csv", str(occ), "--group-size", "1",
+                     "--out-csv", str(tmp_path / "hist.csv")])
+        assert code == 3
+        assert f"occ.csv:3: test_acc {acc} is outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
+
     def test_hist_without_accuracies_exits_2(self, measures_csv, tmp_path, capsys):
         # vocab assign without --manifest writes NaN accuracies, which cannot be ranked
         vocab = tmp_path / "vocab.json"

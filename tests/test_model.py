@@ -444,6 +444,15 @@ class TestSerialization:
         with pytest.raises(FormatError, match="meta.test_acc"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [("train_acc", -0.1), ("test_acc", 1.5), ("test_acc", 2)])
+    def test_accuracy_outside_unit_interval_rejected(self, tmp_path, key, value):
+        meta = {"seed": 0, "dataset_id": "", "epochs": 0, "train_acc": 0.0, "test_acc": 1.0}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "nnx-json/1", "arch": [1, 1], "weights": [[0.5]],
+                                    "meta": dict(meta, **{key: value})}))
+        with pytest.raises(FormatError, match=rf"m.json: meta.{key}: {value} is outside \[0, 1\]"):
+            load_model(path)
+
     def test_non_finite_weight_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": "nnx-json/1", "arch": [1, 1], "weights": [[Infinity]], '

@@ -2,12 +2,17 @@
 
 import dataclasses
 import gzip
+import hashlib
 import json
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
+from neurotopo import datagen
 from neurotopo.datagen import synthetic_digits, write_idx, write_synthetic_benchmark
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import load_model
@@ -145,6 +150,38 @@ class TestSyntheticDigits:
         with pytest.raises(StructuralError, match="seed -2$"):
             write_synthetic_benchmark(tmp_path / "data", train_count=4, test_count=2, seed=-2)
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("seed", [0, 3, 1234])
+    def test_blocks_match_one_image_at_a_time(self, seed):
+        b = datagen._BLOCK
+        for count in (1, b - 1, b, b + 1, 2 * b + 7):
+            images, labels = synthetic_digits(count, seed)
+            want_images, want_labels = oracles.synthetic_digits_naive(count, seed, datagen._GLYPHS)
+            assert images.dtype == np.uint8 and images.shape == (count, 28, 28)
+            assert images.tobytes() == want_images.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
+
+    def test_walkthrough_corpus_bytes_pinned(self, tmp_path):
+        # the README walkthrough's corpus; any change to draws or rendering moves these
+        paths = write_synthetic_benchmark(tmp_path, 5000, 1000, seed=1234)
+        digests = {name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for name, p in paths.items()}
+        assert digests == {
+            "train_images": "0b8018acf225d1ec720fef12ca09d8ab9937c9f3516a747f204835cef0717c72",
+            "train_labels": "840d438e0bb3bf86b9734fc32f91ad1d3bc79d2d20f3e273d645ce468c7f66fa",
+            "test_images": "f0ffdd7f35ced2115204f31c1acf64c1a96035f06f11ea879c73fe30c89c0664",
+            "test_labels": "fd3ac1fcfee22e028c74cb465e43a39e40bc1c3d8616dfaa8ac4c31b431329c6",
+        }
+
+    def test_peak_memory_stays_near_the_output(self):
+        # float64 canvases for all 20,000 images would take 144 MB; the uint8 output takes 15.7 MB
+        count = 20_000
+        tracemalloc.start()
+        try:
+            images, labels = synthetic_digits(count, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes + labels.nbytes + 16 * 2**20
 
 
 class TestInitNetwork:
@@ -409,6 +446,19 @@ class TestPopulation:
         path.write_text('[{"seed": -3, "test_acc": 0.5}]')
         with pytest.raises(FormatError, match="manifest.json: seed -3 is negative"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("acc", ["-2", "1.5", "7"])
+    def test_manifest_with_accuracy_outside_unit_interval_rejected(self, tmp_path, acc):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"seed": 0, "test_acc": 0.5}, {"seed": 1, "test_acc": %s}, '
+                        '{"seed": 2, "test_acc": null}]' % acc)
+        with pytest.raises(FormatError, match=rf"manifest.json: seed 1: test_acc {acc} is outside \[0, 1\]"):
+            load_manifest(path)
+
+    def test_manifest_accuracy_bounds_accepted(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('[{"seed": 0, "test_acc": 0}, {"seed": 1, "test_acc": 1.0}, {"seed": 2, "test_acc": null}]')
+        assert [e["test_acc"] for e in load_manifest(path)] == [0, 1.0, None]
 
     def test_bit_reproducible_across_runs(self, tmp_path):
         train_set, test_set = self.small_sets()
