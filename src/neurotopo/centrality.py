@@ -19,6 +19,7 @@ values are NaN, never silent zeros; so and cfc, defined on connected graphs,
 take the view's largest component and are NaN off it.  On a view whose layer
 parity bipartitions its edges (a layered network's) sg, mc, hc, so and cfc
 take layered rules; the same graph without layer tags takes the general path.
+numpy is the only dependency; both hc paths share one Floyd-Warshall routine.
 ``measure_all`` runs a selection of measures on a layered network and
 computes the hidden-neuron rows only.
 """
@@ -30,8 +31,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
@@ -171,8 +170,8 @@ def subgraph_centrality(view, nodes=None):
     sides = _parity_sides(view)
     if sides is None:
         try:
-            lam, u = scipy.linalg.eigh(view.edge_mask.astype(np.float64))
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
+            lam, u = np.linalg.eigh(view.edge_mask.astype(np.float64))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
             raise NumericalError(f"sg: eigendecomposition failed: {exc}") from exc
         return _at((u * u) @ np.exp(lam), nodes)
     even, odd = sides
@@ -287,6 +286,15 @@ def _minplus(a, b):
     return out
 
 
+def _floyd_warshall(d):
+    """All-pairs shortest paths, in place, from symmetric lengths ``d`` (inf off
+    the edges), adding as scipy's floyd_warshall does, in order, so bit for bit."""
+    np.fill_diagonal(d, 0.0)
+    for k in range(len(d)):
+        np.minimum(d, d[:, k, np.newaxis] + d[k], out=d)
+    return d
+
+
 def _input_eliminated_distances(view, nodes, inputs):
     """Shortest-path lengths from ``nodes`` to every node, the layer-0 nodes
     eliminated in the min-plus semiring.  The inputs are an independent set,
@@ -300,7 +308,7 @@ def _input_eliminated_distances(view, nodes, inputs):
     hub_in = length[np.ix_(rest[hub], ins)]
     d = length[np.ix_(rest, rest)]
     d[np.ix_(hub, hub)] = np.minimum(d[np.ix_(hub, hub)], _minplus(hub_in, hub_in.T))
-    d = floyd_warshall(d, directed=False)
+    d = _floyd_warshall(d)
     from_input = inputs[nodes]
     pos = np.cumsum(~inputs) - 1  # node -> position among rest
     near = np.empty((len(nodes), rest.size))
@@ -316,9 +324,10 @@ def harmonic(view, nodes=None):
     """Sum of reciprocal shortest-path distances, edge weights as lengths.
 
     Unreachable pairs contribute zero, so disconnected views are fine.  With
-    ``nodes`` (view positions), distances run from those sources only: by
-    ``_input_eliminated_distances`` when layer parity bipartitions the view's
-    edges and it has layer-0 nodes, otherwise by Dijkstra.
+    ``nodes`` (view positions), only those rows are summed; their distances
+    come from ``_input_eliminated_distances`` when layer parity bipartitions
+    the view's edges and it has layer-0 nodes, otherwise from Floyd-Warshall
+    over the whole view, O(n³).
     """
     if np.any(view.weights[view.edge_mask] <= 0.0):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
@@ -327,7 +336,7 @@ def harmonic(view, nodes=None):
     if inputs is not None and inputs.any():
         dist = _input_eliminated_distances(view, nodes, inputs)
     else:
-        dist = dijkstra(view.weights, directed=False, indices=nodes)
+        dist = _floyd_warshall(np.where(view.edge_mask, view.weights, np.inf))[nodes]
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 import oracles
 from conftest import graph_from_edges, random_signed_graph, unit_graph
@@ -500,9 +501,30 @@ class TestLayeredKernels:
         everything = np.arange(graph.node_count)
         mixed = np.flatnonzero(graph.layers != 1)[::2]  # inputs, deeper layers and the output
         for nodes in (everything, mixed):
+            got = harmonic(v, nodes)
             want = harmonic(threshold_view(_untagged(graph), VIEW_POSITIVE), nodes)
-            np.testing.assert_allclose(harmonic(v, nodes), want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            # both paths share one shortest-path routine; Dijkstra checks it independently
+            dist = dijkstra(v.weights, directed=False, indices=nodes)
+            dist[np.arange(len(nodes)), nodes] = np.inf
+            np.testing.assert_allclose(got, np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1),
+                                       rtol=1e-12, atol=0.0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
+    def test_floyd_warshall_matches_scipy_bit_for_bit(self, arch, monkeypatch):
+        # the layered hc bits rest on the routine adding as scipy does, in the same order
+        reduced = []
+        routine = centrality._floyd_warshall
+
+        def spy(d):
+            reduced.append(d.copy())
+            return routine(d)
+
+        monkeypatch.setattr(centrality, "_floyd_warshall", spy)
+        measure_all(init_network(arch, seed=0), measures=("hc",))
+        assert len(reduced) == 1 and len(reduced[0]) == sum(arch[1:])
+        np.testing.assert_array_equal(routine(reduced[0].copy()), floyd_warshall(reduced[0], directed=False))
 
     def test_isolated_hidden_neuron(self):
         table = measure_all(_edge_case_nets()[4])

@@ -12,6 +12,8 @@ can drift from the function the oracles check, and each of them takes
 No module calls ``json.dump``, which always runs the pure-Python encoder, and
 no module but ``artifacts`` opens a file for writing, so every artifact is
 replaced atomically.
+numpy is the only runtime dependency: no module imports scipy, directly or
+through another import.
 The quick demos run against this checkout's ``src/``.
 """
 
@@ -142,6 +144,29 @@ def test_only_artifacts_opens_files_for_writing():
             if mode is not None and set(mode) & set("wxa+?"):  # a mode that is not a literal may write
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted((ROOT / "src" / "neurotopo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # catches a scipy import reached through another package
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, neurotopo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # 02 is left out: it trains 12 networks and rewrites the files under demos/output/
