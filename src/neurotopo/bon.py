@@ -88,7 +88,7 @@ class CrossBenchmarkJsd(NamedTuple):
     per_network: dict
 
 
-# Bytes of one (restarts, k, rows) float64 distance block.  Restarts run in
+# Bytes of one (restarts, rows) float64 distance block.  Restarts run in
 # blocks of as many as fit (at least one), which bounds the temporaries at
 # population scale.
 _BLOCK_BYTES = 1 << 22
@@ -163,6 +163,18 @@ def _kmeanspp(x, k, rngs):
     return centers
 
 
+def _nearest(x, centers):
+    """Labels and squared distances (R, r) of the nearest of centers (R, k, d) to
+    the rows x, one centre at a time; a tie goes to the first, as in argmin."""
+    best = _squared_distances(x, centers[:, 0])
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, centers.shape[1]):
+        d2 = _squared_distances(x, centers[:, c])
+        labels[d2 < best] = c
+        np.minimum(best, d2, out=best)
+    return labels, best
+
+
 def _lockstep(x, k, rngs):
     """Lloyd's algorithm for one block of restarts, all advanced together.
 
@@ -182,9 +194,7 @@ def _lockstep(x, k, rngs):
         if active.size == 0:
             break
         old = centers[active]
-        d2 = _squared_distances(x, old)
-        labels = d2.argmin(axis=1)
-        point_d2 = d2.min(axis=1)
+        labels, point_d2 = _nearest(x, old)
         bins = (labels + k * np.arange(active.size)[:, np.newaxis]).ravel()
         size = active.size * k
         counts = np.bincount(bins, minlength=size).reshape(-1, k)
@@ -204,7 +214,7 @@ def _lockstep(x, k, rngs):
             moving[a] = not shift / scale < _REL_TOL
         centers[active] = new
         active = active[moving]
-    inertias = np.array([float(row.sum()) for row in _squared_distances(x, centers).min(axis=1)])
+    inertias = np.array([float(row.sum()) for row in _nearest(x, centers)[1]])
     return centers, inertias, traces, int(active.size)
 
 
@@ -232,7 +242,7 @@ def kmeans(
     when the Frobenius norm of the center shift drops below ``_REL_TOL``
     relative to the previous centers.  Each restart draws from its own
     generator spawned from ``seed``; restarts advance in lockstep, in blocks
-    whose (restarts, k, rows) distance array fits ``_BLOCK_BYTES``, with the
+    whose (restarts, rows) distance array fits ``_BLOCK_BYTES``, with the
     same result bit for bit as fitting them one by one.  The number of
     restarts that stopped at ``_MAX_ITER`` is logged as a warning and kept in
     ``Vocabulary.max_iter_hits``.
@@ -247,7 +257,7 @@ def kmeans(
     if seed < 0:
         raise StructuralError(f"seed must be >= 0, got {seed}")
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
-    block = max(1, _BLOCK_BYTES // (8 * x.shape[0] * k))
+    block = max(1, _BLOCK_BYTES // (8 * x.shape[0]))
     fits = [_lockstep(x, k, rngs[i : i + block]) for i in range(0, restarts, block)]
     centers, inertias, traces, hits = zip(*fits)
     inertias = np.concatenate(inertias)

@@ -35,6 +35,7 @@ import numpy as np
 from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
 from .model import (
+    VIEW_MODES,
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
     LayeredNetwork,
@@ -55,6 +56,9 @@ PIVOT_TAU = 1e-4
 # enumeration is NP-complete, and only graphs with same-parity edges reach it
 MC_MAX_CLIQUES = 10_000_000
 MC_TIME_BUDGET = 300.0
+
+# bipartite_clustering casts the 0/1 adjacency to float64 this many columns at a time
+_BC_COLUMNS = 512
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +96,8 @@ def _on_largest_component(view, nodes, rule):
 
 
 def _laplacian_pinv_diagonal(view, w, what):
-    """diag(L⁺) for the Laplacian L of conductances ``w`` on a connected view.
+    """diag(L⁺) for the Laplacian L of conductances ``w`` on a connected view;
+    a boolean ``w`` is cast to float64 only in the blocks gathered from it.
 
     Kron reduction (Dörfler & Bullo, IEEE TCAS-I 2013): with one odd-side node
     grounded, M = L_g⁻¹ is taken by blocks.  Layer parity makes the even side
@@ -103,7 +108,7 @@ def _laplacian_pinv_diagonal(view, w, what):
     kernel) or a non-finite result raises NumericalError naming ``what``.
     """
     n = view.node_count
-    d = w.sum(axis=1)
+    d = w.sum(axis=1, dtype=np.float64)
     sides = _parity_sides(view)
     # without parity sides nothing is eliminated and node 0 is grounded
     even, odd = (np.zeros(0, dtype=np.int64), np.arange(n)) if sides is None else sides
@@ -114,9 +119,9 @@ def _laplacian_pinv_diagonal(view, w, what):
               what, PIVOT_TAU, even.size - elim.size, even.size, kept.size,
               np.abs(d[even]).min() / scale if even.size and scale else math.nan)
     piv = 1.0 / d[elim]
-    w_ek = w[np.ix_(elim, kept)]
+    w_ek = w[np.ix_(elim, kept)].astype(np.float64, copy=False)
     v = w_ek * piv[:, np.newaxis]  # D⁻¹·W_EK
-    s = np.diag(d[kept]) - w[np.ix_(kept, kept)] - w_ek.T @ v
+    s = np.diag(d[kept]) - w[np.ix_(kept, kept)].astype(np.float64, copy=False) - w_ek.T @ v
     try:
         x = np.linalg.inv(s)  # M_KK; M_EK = V·X and M_EE = D⁻¹ + V·X·Vᵀ
     except np.linalg.LinAlgError as exc:
@@ -147,10 +152,9 @@ def second_order(view, nodes=None):
 
     def rule(comp):
         n = comp.node_count
-        a = comp.edge_mask.astype(np.float64)
-        lp = _laplacian_pinv_diagonal(comp, a, "so")
+        lp = _laplacian_pinv_diagonal(comp, comp.edge_mask, "so")
         # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
-        radicand = 2.0 * n * n * a.sum(axis=1).max() * lp - n * n + n
+        radicand = 2.0 * n * n * comp.edge_mask.sum(axis=1).max() * lp - n * n + n
         bad = np.flatnonzero(radicand < -SO_RADICAND_TOL)
         if bad.size:
             raise NumericalError(f"so: radicand fell below -{SO_RADICAND_TOL:g} at node {bad[0]}")
@@ -261,10 +265,12 @@ def bipartite_clustering(view, nodes=None):
     itself); nodes without second-order neighbors score a defined zero.
     With ``nodes`` (view positions), only those rows are computed.
     """
-    a = view.edge_mask.astype(np.float64)
     nodes = np.arange(view.node_count) if nodes is None else nodes
-    deg = a.sum(axis=1)
-    common = a[nodes] @ a  # common[k, u] = |N(nodes[k]) ∩ N(u)|, exact small integers
+    deg = view.edge_mask.sum(axis=1, dtype=np.float64)
+    rows = view.edge_mask[nodes].astype(np.float64)
+    common = np.empty((len(nodes), view.node_count))  # |N(nodes[k]) ∩ N(u)|, exact in any order
+    for c in range(0, view.node_count, _BC_COLUMNS):
+        common[:, c : c + _BC_COLUMNS] = rows @ view.edge_mask[:, c : c + _BC_COLUMNS].astype(np.float64)
     out = np.zeros(len(nodes))
     idx = np.arange(view.node_count)
     for k, v in enumerate(nodes):
@@ -273,6 +279,17 @@ def bipartite_clustering(view, nodes=None):
             continue
         pc = common[k, cand] / np.maximum(deg[v], deg[cand])
         out[k] = np.mean(pc)
+    return out
+
+
+def _minplus_gram(a):
+    """``_minplus(a, a.T)``, bit for bit: it is symmetric, as addition commutes,
+    so each column is computed from its diagonal down and mirrored."""
+    at = np.ascontiguousarray(a.T)
+    out = np.empty((a.shape[0], a.shape[0]))
+    for j, finite in enumerate(np.isfinite(a)):
+        k = np.flatnonzero(finite)
+        out[j:, j] = out[j, j:] = np.min(at[k, j:] + a[j, k, np.newaxis], axis=0, initial=np.inf)
     return out
 
 
@@ -302,18 +319,18 @@ def _input_eliminated_distances(view, nodes, inputs):
     l_ai + l_ib; with those via-input lengths the other nodes' all-pairs
     distances (Floyd-Warshall) are exact, and one more min-plus product over
     the inputs' neighbors gives the distances to the inputs."""
-    length = np.where(view.edge_mask, view.weights, np.inf)
     ins, rest = np.flatnonzero(inputs), np.flatnonzero(~inputs)
-    hub = np.flatnonzero(np.isfinite(length[np.ix_(ins, rest)]).any(axis=0))  # rest positions
-    hub_in = length[np.ix_(rest[hub], ins)]
-    d = length[np.ix_(rest, rest)]
-    d[np.ix_(hub, hub)] = np.minimum(d[np.ix_(hub, hub)], _minplus(hub_in, hub_in.T))
+    length = np.where(view.edge_mask[rest], view.weights[rest], np.inf)  # the rest's rows only
+    hub = np.flatnonzero(np.isfinite(length[:, ins]).any(axis=1))  # rest positions
+    hub_in = length[np.ix_(hub, ins)]
+    d = np.ascontiguousarray(length[:, rest])  # a[:, idx] comes out column-major
+    d[np.ix_(hub, hub)] = np.minimum(d[np.ix_(hub, hub)], _minplus_gram(hub_in))
     d = _floyd_warshall(d)
     from_input = inputs[nodes]
     pos = np.cumsum(~inputs) - 1  # node -> position among rest
     near = np.empty((len(nodes), rest.size))
     near[~from_input] = d[pos[nodes[~from_input]]]
-    near[from_input] = _minplus(length[np.ix_(nodes[from_input], rest[hub])], d[hub])
+    near[from_input] = _minplus(length[np.ix_(hub, nodes[from_input])].T, d[hub])
     dist = np.empty((len(nodes), view.node_count))
     dist[:, rest] = near
     dist[:, ins] = _minplus(near[:, hub], hub_in)
@@ -466,16 +483,20 @@ def measure_all(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
     """Compute the requested measures for every hidden neuron of a network.
 
     Each measure runs on its bound view, for the hidden rows only; so and
-    cfc are NaN at hidden neurons off their view's largest component.
+    cfc are NaN at hidden neurons off their view's largest component.  One
+    dense view is held at a time: the original-view measures run first, and
+    the positive view then takes the graph's place.
     """
     measures = check_measure_ids(measures)
     table = nan_table(net, measures)
-    graph = build_graph(net)
-    hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
-    modes = dict.fromkeys(MEASURES[m].view_mode for m in measures)
-    views = {mode: threshold_view(graph, mode) for mode in modes}
-    for j, m in enumerate(measures):
-        table.values[:, j] = compute_measure(m, views[MEASURES[m].view_mode], nodes=hidden)
+    view = build_graph(net)
+    hidden = np.flatnonzero((view.layers >= 1) & (view.layers < net.depth))
+    for mode in VIEW_MODES:  # the original view first: the positive one replaces it
+        columns = [j for j, m in enumerate(measures) if MEASURES[m].view_mode == mode]
+        if columns:
+            view = threshold_view(view, mode)
+            for j in columns:
+                table.values[:, j] = compute_measure(measures[j], view, nodes=hidden)
     return table
 
 

@@ -58,18 +58,18 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Flattened grayscale images in [0, 1] with integer class labels."""
+    """Flattened uint8 grayscale images, scaled to [0, 1] batch by batch, and class labels."""
 
-    images: np.ndarray  # (N, pixels) float64
+    images: np.ndarray  # (N, pixels) uint8
     labels: np.ndarray  # (N,) int64 in [0, 9]
 
     def __post_init__(self):
-        images = np.ascontiguousarray(self.images, dtype=np.float64)
+        images = np.ascontiguousarray(self.images)
+        if images.dtype != np.uint8:
+            raise StructuralError(f"images must be uint8 pixels, got {images.dtype}")
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if images.ndim != 2 or labels.ndim != 1 or images.shape[0] != labels.shape[0]:
             raise StructuralError("images and labels must agree on sample count")
-        if images.size and (images.min() < 0.0 or images.max() > 1.0):
-            raise StructuralError("pixel values must lie in [0, 1]")
         if labels.size and (labels.min() < 0 or labels.max() >= CLASS_COUNT):
             raise StructuralError(f"labels must lie in [0, {CLASS_COUNT - 1}]")
         object.__setattr__(self, "images", images)
@@ -113,7 +113,7 @@ def _check_body(path, body, size, offset, what):
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair (plain or .gz) as a Dataset.
 
-    Pixels are scaled to [0, 1] by dividing by 255.  Every structural defect
+    Pixels stay uint8, as the file holds them.  Every structural defect
     (magic, dimensions, truncation, label range, count mismatch) is a
     FormatError naming the file and offset.  Only the bytes a file holds are
     read, whatever sizes its header claims.
@@ -130,8 +130,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     if labels.size and labels.max() >= CLASS_COUNT:
         bad = int(np.argmax(labels >= CLASS_COUNT))
         raise FormatError(f"{labels_path}: label {int(labels[bad])} out of range at index {bad}")
-    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
-    images /= 255.0
+    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
     return Dataset(images=images, labels=labels.astype(np.int64))
 
 
@@ -231,7 +230,7 @@ def train(net: LayeredNetwork, train_set: Dataset, config: TrainingConfig):
         correct = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            x = train_set.images[idx]
+            x = train_set.images[idx] / 255.0
             y = train_set.labels[idx]
             loss, grads, logits = _loss_grads(weights, x, y)
             if not math.isfinite(loss):
@@ -253,7 +252,7 @@ def train(net: LayeredNetwork, train_set: Dataset, config: TrainingConfig):
 @_QUIET
 def evaluate(net: LayeredNetwork, test_set: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
-    logits = _forward_trace(net.weights, test_set.images)[-1]
+    logits = _forward_trace(net.weights, test_set.images / 255.0)[-1]
     preds = np.argmax(logits, axis=1)
     return float(np.mean(preds == test_set.labels))
 

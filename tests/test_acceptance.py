@@ -271,7 +271,7 @@ class TestCriterion3Trainer:
         uniform_ok = bool(np.all(np.abs(probs - 0.1) < 1e-12))
 
         images, labels10 = synthetic_digits(300, seed=5)
-        ds = Dataset(images=images.reshape(300, -1) / 255.0, labels=labels10)
+        ds = Dataset(images=images.reshape(300, -1), labels=labels10)
         config = TrainingConfig(arch=(784, 8, 10), learning_rate=0.01, batch_size=50, epochs=2, seed=3)
         paths = []
         for run in range(2):

@@ -212,7 +212,7 @@ class TestLockstepOracle:
     def test_blocks_not_dividing_restarts(self, monkeypatch):
         data = np.random.default_rng(13).normal(size=(60, 2))
         k = 4
-        monkeypatch.setattr(bon, "_BLOCK_BYTES", 3 * 8 * 60 * k)
+        monkeypatch.setattr(bon, "_BLOCK_BYTES", 3 * 8 * 60)  # blocks of 3 restarts
         assert_matches_oracle(fm_from(data), k, 10, seed=3)
 
     @pytest.mark.parametrize("d", [1, 3, 7, 8])
@@ -222,6 +222,17 @@ class TestLockstepOracle:
         centers = rng.normal(size=(2, 3, d))
         naive = ((x[:, np.newaxis, :] - centers[:, np.newaxis, :, :]) ** 2).sum(axis=-1)
         assert bon._squared_distances(x, centers).tobytes() == naive.transpose(0, 2, 1).tobytes()
+
+    def test_nearest_centre_pass_matches_argmin_on_ties(self):
+        # integer points and a repeated centre: many rows are equally near two centres
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
+        centers = x[rng.integers(0, 60, size=(4, 6))]
+        centers[:, 4] = centers[:, 1]
+        labels, d2 = bon._nearest(x, centers)
+        full = bon._squared_distances(x, centers)
+        assert labels.tolist() == full.argmin(axis=1).tolist()
+        assert d2.tobytes() == full.min(axis=1).tobytes()
 
     def test_nine_column_fit_refused(self):
         # eight distinct measures is the widest descriptor; a ninth column repeats one

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,19 @@ class TestMeasureAll:
         assert table.measures == MEASURE_ORDER
         assert set(table.layer.tolist()) == {1, 2}
 
+    def test_peak_memory_below_three_dense_matrices(self):
+        # one dense view at a time: the graph, then its positive view, and no
+        # N×N float64 copy in the positive-view kernels
+        net = init_network((784, 200, 100, 10), seed=1)
+        n = sum(net.arch)
+        tracemalloc.start()
+        try:
+            measure_all(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
+
     def test_no_hidden_layer_gives_empty_table(self, tmp_path):
         table = measure_all(init_network((3, 2), seed=0), measures=MEASURE_ORDER)
         assert table.values.shape == (0, 8)
@@ -470,6 +484,8 @@ class TestLayeredKernels:
             w = conductance(comp)
             got = centrality._laplacian_pinv_diagonal(comp, w, "test")
             np.testing.assert_allclose(got, oracles.laplacian_pinv_diagonal_dense(w), rtol=1e-9, atol=0.0)
+            if mode == VIEW_POSITIVE:  # so hands over the boolean mask: the same bits
+                assert centrality._laplacian_pinv_diagonal(comp, comp.edge_mask, "test").tobytes() == got.tobytes()
 
     def test_low_pivot_stays_in_schur_block(self, caplog):
         net = _low_pivot_net()
@@ -500,16 +516,40 @@ class TestLayeredKernels:
         monkeypatch.setattr(centrality, "_input_eliminated_distances", spy)
         everything = np.arange(graph.node_count)
         mixed = np.flatnonzero(graph.layers != 1)[::2]  # inputs, deeper layers and the output
+        # the general path and Dijkstra run once over every node; each source set takes its rows
+        want = harmonic(threshold_view(_untagged(graph), VIEW_POSITIVE), everything)
+        # both paths share one shortest-path routine; Dijkstra checks it independently
+        dist = dijkstra(v.weights, directed=False)
+        np.fill_diagonal(dist, np.inf)
+        by_dijkstra = np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1)
         for nodes in (everything, mixed):
             got = harmonic(v, nodes)
-            want = harmonic(threshold_view(_untagged(graph), VIEW_POSITIVE), nodes)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-            # both paths share one shortest-path routine; Dijkstra checks it independently
-            dist = dijkstra(v.weights, directed=False, indices=nodes)
-            dist[np.arange(len(nodes)), nodes] = np.inf
-            np.testing.assert_allclose(got, np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1),
-                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got, want[nodes], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got, by_dijkstra[nodes], rtol=1e-12, atol=0.0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
+    def test_symmetric_minplus_on_reduced_graphs(self, arch, monkeypatch):
+        hub_in = []
+        routine = centrality._minplus_gram
+
+        def spy(a):
+            hub_in.append(a)
+            return routine(a)
+
+        monkeypatch.setattr(centrality, "_minplus_gram", spy)
+        measure_all(init_network(arch, seed=0), measures=("hc",))
+        (a,) = hub_in
+        assert routine(a).tobytes() == centrality._minplus(a, a.T).tobytes()
+
+    def test_symmetric_minplus_with_inf_entries(self):
+        rng = np.random.default_rng(8)
+        a = rng.exponential(size=(40, 70))
+        a[rng.random(a.shape) < 0.6] = np.inf
+        a[3] = np.inf  # a row with no finite entry
+        got = centrality._minplus_gram(a)
+        assert got.tobytes() == centrality._minplus(a, a.T).tobytes()
+        assert np.isinf(got[3]).all() and np.isfinite(got).any()
 
     @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
     def test_floyd_warshall_matches_scipy_bit_for_bit(self, arch, monkeypatch):

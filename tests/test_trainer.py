@@ -42,7 +42,7 @@ class TestLoadIdx:
         ip, lp = idx_pair(tmp_path, np.full((1, 28, 28), 255, dtype=np.uint8), np.array([7], dtype=np.uint8))
         ds = load_idx(ip, lp)
         assert len(ds) == 1
-        assert np.all(ds.images == 1.0)
+        assert ds.images.dtype == np.uint8 and np.all(ds.images == 255)
         assert ds.labels[0] == 7
 
     def test_label_out_of_range(self, tmp_path):
@@ -184,6 +184,53 @@ class TestSyntheticDigits:
         assert peak < images.nbytes + labels.nbytes + 16 * 2**20
 
 
+class TestDataset:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+    def test_pixels_other_than_uint8_refused(self, dtype):
+        with pytest.raises(StructuralError, match="images must be uint8 pixels"):
+            Dataset(images=np.zeros((2, 4), dtype=dtype), labels=np.zeros(2, dtype=np.int64))
+
+    def test_batches_scaled_as_load_idx_scaled_them(self):
+        # dividing each uint8 batch by 255 gives the bits of scaling the whole set up front
+        rng = np.random.default_rng(2)
+        pixels = rng.integers(0, 256, size=(90, 12), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=90)
+        config = TrainingConfig(arch=(12, 7, 10), learning_rate=0.05, batch_size=20, epochs=2, seed=4)
+        net = init_network(config.arch, seed=6)
+        trained, history = train(net, Dataset(images=pixels, labels=labels), config)
+        scaled = pixels.astype(np.float64)
+        scaled /= 255.0
+        weights = list(net.weights)
+        order_rng = np.random.default_rng(config.seed)
+        for _ in range(config.epochs):
+            perm = order_rng.permutation(90)
+            for start in range(0, 90, 20):
+                idx = perm[start : start + 20]
+                _, grads = loss_and_gradients(type(net)(arch=net.arch, weights=weights), scaled[idx], labels[idx])
+                weights = [w - config.learning_rate * g for w, g in zip(weights, grads)]
+        for got, want in zip(trained.weights, weights):
+            assert got.tobytes() == want.tobytes()
+        want_acc = np.mean(np.argmax(forward(trained, scaled), axis=1) == labels)
+        assert evaluate(trained, Dataset(images=pixels, labels=labels)) == want_acc
+
+    def test_training_peak_memory_holds_no_float_copy_of_the_set(self):
+        # 20,000 uint8 images take 15 MB; one float64 copy of them would take 120 MB
+        rng = np.random.default_rng(0)
+        train_set = Dataset(images=rng.integers(0, 256, size=(20_000, 784), dtype=np.uint8),
+                            labels=rng.integers(0, 10, size=20_000))
+        test_set = Dataset(images=rng.integers(0, 256, size=(500, 784), dtype=np.uint8),
+                           labels=rng.integers(0, 10, size=500))
+        config = TrainingConfig(arch=(784, 8, 10), epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            net, _ = train(init_network(config.arch, seed=0), train_set, config)
+            evaluate(net, test_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestInitNetwork:
     def test_same_seed_identical(self):
         a = init_network((784, 200, 100, 10), seed=42)
@@ -270,8 +317,8 @@ class TestTrain:
         prototypes = np.zeros((10, 20))
         for c in range(10):
             prototypes[c, 2 * c : 2 * c + 2] = 1.0
-        images = np.clip(prototypes[labels] * 0.9 + rng.uniform(0, 0.05, size=(n, 20)), 0, 1)
-        return Dataset(images=images, labels=labels)
+        pixels = prototypes[labels] * 0.9 + rng.uniform(0, 0.05, size=(n, 20))
+        return Dataset(images=np.round(pixels * 255.0).astype(np.uint8), labels=labels)
 
     def test_learns_separable_data(self):
         ds = self.separable_dataset()
@@ -295,13 +342,14 @@ class TestTrain:
     def test_single_sample_step_matches_analytic_update(self):
         # hand-derived single-sample softmax regression update on a 3-5 net
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(1, 3))
+        pixels = rng.integers(0, 256, size=(1, 3), dtype=np.uint8)
+        x = pixels / 255.0
         label = np.array([2])
         w = rng.uniform(-0.5, 0.5, size=(3, 5))
         net = type(init_network((3, 5), 0))(arch=(3, 5), weights=(w.copy(),))
         lr = 0.1
         config = TrainingConfig(arch=(3, 5), learning_rate=lr, batch_size=1, epochs=1, seed=0)
-        trained, _ = train(net, Dataset(images=x, labels=label), config)
+        trained, _ = train(net, Dataset(images=pixels, labels=label), config)
         z = x @ w
         p = np.exp(z - z.max())
         p /= p.sum()
@@ -322,7 +370,7 @@ class TestTrain:
 class TestEvaluate:
     def test_chance_level_for_random_net(self):
         rng = np.random.default_rng(5)
-        ds = Dataset(images=rng.uniform(size=(1000, 10)), labels=np.tile(np.arange(10), 100))
+        ds = Dataset(images=rng.integers(0, 256, size=(1000, 10), dtype=np.uint8), labels=np.tile(np.arange(10), 100))
         net = init_network((10, 8, 10), seed=9)
         acc = evaluate(net, ds)
         assert abs(acc - 0.10) < 0.03
@@ -331,15 +379,16 @@ class TestEvaluate:
         w = np.zeros((4, 10))
         w[:, 0] = 1.0
         net = type(init_network((4, 10), 0))(arch=(4, 10), weights=(w,))
-        ds = Dataset(images=np.random.default_rng(0).uniform(size=(50, 4)), labels=np.zeros(50, dtype=np.int64))
+        pixels = np.random.default_rng(0).integers(1, 256, size=(50, 4), dtype=np.uint8)
+        ds = Dataset(images=pixels, labels=np.zeros(50, dtype=np.int64))
         assert evaluate(net, ds) == 1.0
 
 
 class TestPopulation:
     def small_sets(self):
         images, labels = synthetic_digits(80, seed=11)
-        train_set = Dataset(images=images[:60].reshape(60, -1) / 255.0, labels=labels[:60])
-        test_set = Dataset(images=images[60:].reshape(20, -1) / 255.0, labels=labels[60:])
+        train_set = Dataset(images=images[:60].reshape(60, -1), labels=labels[:60])
+        test_set = Dataset(images=images[60:].reshape(20, -1), labels=labels[60:])
         return train_set, test_set
 
     def config(self):
