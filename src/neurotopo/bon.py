@@ -330,7 +330,7 @@ def assign_rows(vocab, values):
     out = np.zeros(x.shape[0], dtype=np.int64)
     ok = ~np.isnan(x).any(axis=1)
     if np.any(ok):
-        out[ok] = _squared_distances(x[ok], vocab.centroids).argmin(axis=0) + 1
+        out[ok] = _nearest(x[ok], vocab.centroids[np.newaxis])[0][0] + 1
     return out
 
 

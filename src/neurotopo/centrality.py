@@ -19,7 +19,7 @@ values are NaN, never silent zeros; so and cfc, defined on connected graphs,
 take the view's largest component and are NaN off it.  On a view whose layer
 parity bipartitions its edges (a layered network's) sg, mc, hc, so and cfc
 take layered rules; the same graph without layer tags takes the general path.
-numpy is the only dependency; both hc paths share one Floyd-Warshall routine.
+numpy is the only dependency.
 ``measure_all`` runs a selection of measures on a layered network and
 computes the hidden-neuron rows only.
 """
@@ -57,9 +57,6 @@ PIVOT_TAU = 1e-4
 MC_MAX_CLIQUES = 10_000_000
 MC_TIME_BUDGET = 300.0
 
-# bipartite_clustering casts the 0/1 adjacency to float64 this many columns at a time
-_BC_COLUMNS = 512
-
 log = logging.getLogger(__name__)
 
 
@@ -78,7 +75,9 @@ def strength(view, nodes=None):
 def avg_neighbor_strength(view, nodes=None):
     """Edge-weighted mean of neighbor strengths; NaN where strength is zero."""
     s = strength(view)
-    num = (view.weights * s[np.newaxis, :]).sum(axis=1)
+    num = np.empty(view.node_count)
+    for r in range(0, view.node_count, 64):  # no N×N temporary; each row reduces as in one product
+        num[r : r + 64] = (view.weights[r : r + 64] * s).sum(axis=1)
     out = np.full(view.node_count, np.nan)
     nz = s != 0.0
     out[nz] = num[nz] / s[nz]
@@ -267,10 +266,8 @@ def bipartite_clustering(view, nodes=None):
     """
     nodes = np.arange(view.node_count) if nodes is None else nodes
     deg = view.edge_mask.sum(axis=1, dtype=np.float64)
-    rows = view.edge_mask[nodes].astype(np.float64)
-    common = np.empty((len(nodes), view.node_count))  # |N(nodes[k]) ∩ N(u)|, exact in any order
-    for c in range(0, view.node_count, _BC_COLUMNS):
-        common[:, c : c + _BC_COLUMNS] = rows @ view.edge_mask[:, c : c + _BC_COLUMNS].astype(np.float64)
+    # |N(nodes[k]) ∩ N(u)|: sums of 0/1 products below 2**24 are exact in float32, in any order
+    common = view.edge_mask[nodes].astype(np.float32) @ view.edge_mask.astype(np.float32)
     out = np.zeros(len(nodes))
     idx = np.arange(view.node_count)
     for k, v in enumerate(nodes):
@@ -313,12 +310,12 @@ def _floyd_warshall(d):
 
 
 def _input_eliminated_distances(view, nodes, inputs):
-    """Shortest-path lengths from ``nodes`` to every node, the layer-0 nodes
-    eliminated in the min-plus semiring.  The inputs are an independent set,
-    so a path through input i joins two of its neighbors a, b at length
-    l_ai + l_ib; with those via-input lengths the other nodes' all-pairs
-    distances (Floyd-Warshall) are exact, and one more min-plus product over
-    the inputs' neighbors gives the distances to the inputs."""
+    """Shortest-path lengths from ``nodes`` to every node, the ``inputs`` (an
+    independent set, possibly empty) eliminated in the min-plus semiring: a
+    path through input i joins two of its neighbors a, b at length l_ai + l_ib;
+    with those via-input lengths the other nodes' all-pairs distances
+    (Floyd-Warshall) are exact, and one more min-plus product over the
+    inputs' neighbors gives the distances to the inputs."""
     ins, rest = np.flatnonzero(inputs), np.flatnonzero(~inputs)
     length = np.where(view.edge_mask[rest], view.weights[rest], np.inf)  # the rest's rows only
     hub = np.flatnonzero(np.isfinite(length[:, ins]).any(axis=1))  # rest positions
@@ -330,7 +327,8 @@ def _input_eliminated_distances(view, nodes, inputs):
     pos = np.cumsum(~inputs) - 1  # node -> position among rest
     near = np.empty((len(nodes), rest.size))
     near[~from_input] = d[pos[nodes[~from_input]]]
-    near[from_input] = _minplus(length[np.ix_(hub, nodes[from_input])].T, d[hub])
+    if from_input.any():
+        near[from_input] = _minplus(length[np.ix_(hub, nodes[from_input])].T, d[hub])
     dist = np.empty((len(nodes), view.node_count))
     dist[:, rest] = near
     dist[:, ins] = _minplus(near[:, hub], hub_in)
@@ -341,19 +339,16 @@ def harmonic(view, nodes=None):
     """Sum of reciprocal shortest-path distances, edge weights as lengths.
 
     Unreachable pairs contribute zero, so disconnected views are fine.  With
-    ``nodes`` (view positions), only those rows are summed; their distances
-    come from ``_input_eliminated_distances`` when layer parity bipartitions
-    the view's edges and it has layer-0 nodes, otherwise from Floyd-Warshall
-    over the whole view, O(n³).
+    ``nodes`` (view positions), only those rows are summed.  Their distances
+    come from ``_input_eliminated_distances``, which eliminates the layer-0
+    nodes when layer parity bipartitions the view's edges and nothing
+    otherwise; Floyd-Warshall over what is left costs O(n³).
     """
     if np.any(view.weights[view.edge_mask] <= 0.0):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
-    nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes)
-    inputs = None if _parity_sides(view) is None else view.layers == 0
-    if inputs is not None and inputs.any():
-        dist = _input_eliminated_distances(view, nodes, inputs)
-    else:
-        dist = _floyd_warshall(np.where(view.edge_mask, view.weights, np.inf))[nodes]
+    nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.intp)
+    inputs = np.zeros(view.node_count, dtype=bool) if _parity_sides(view) is None else view.layers == 0
+    dist = _input_eliminated_distances(view, nodes, inputs)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)

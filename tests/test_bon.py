@@ -26,7 +26,7 @@ from neurotopo.bon import (
     save_vocabulary,
     write_occurrence_csv,
 )
-from neurotopo.centrality import NeuronMeasures
+from neurotopo.centrality import MEASURE_ORDER, NeuronMeasures
 from neurotopo.descriptors import FeatureMatrix, feature_matrix_from_values
 from neurotopo.errors import FormatError, StructuralError
 
@@ -313,6 +313,22 @@ class TestAssign:
         )
         raw = np.array([-0.40, 0.57, 0.11])
         assert assign_rows(scaled, raw * np.array([10.0, 2.0, 0.5])).tolist() == [1]
+
+    def test_matches_argmin_of_the_distances(self):
+        # integer points and a repeated centre give ties; NaN rows get type 0
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            k, d = int(rng.integers(2, 8)), int(rng.integers(1, 9))
+            centroids = rng.integers(-2, 3, size=(k, d)).astype(np.float64)
+            centroids[-1] = centroids[0]
+            vocab = Vocabulary(centroids=centroids, measures=MEASURE_ORDER[:d], normalizers=np.ones(d),
+                               inertia=0.0, k=k, seed=0)
+            x = rng.integers(-3, 4, size=(60, d)).astype(np.float64)
+            x[::7, int(rng.integers(d))] = np.nan
+            ok = ~np.isnan(x).any(axis=1)
+            want = np.zeros(60, dtype=np.int64)
+            want[ok] = bon._squared_distances(x[ok], centroids).argmin(axis=0) + 1
+            assert assign_rows(vocab, x).tolist() == want.tolist()
 
 
 class TestOccurrence:

@@ -91,6 +91,20 @@ class TestAvgNeighborStrength:
         snn = avg_neighbor_strength(view(g, VIEW_ORIGINAL))
         assert math.isnan(snn[0])
 
+    def test_no_dense_temporary(self):
+        # row blocks of products: the peak stays far below one N×N float64 matrix
+        net = init_network((784, 200, 100, 10), seed=1)
+        graph = build_graph(net)
+        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
+        n = graph.node_count
+        tracemalloc.start()
+        try:
+            compute_measure("snn", graph, nodes=hidden)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
 
 class TestSecondOrder:
     def test_k2_zero_variance(self):
@@ -213,6 +227,25 @@ class TestBipartiteClustering:
             want = oracles.bipartite_clustering_naive(v.edge_mask)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("source", ["random", (784, 32, 16, 10), (784, 200, 100, 10)])
+    def test_float32_counts_match_float64_product(self, source):
+        if source == "random":
+            cases = [(view(random_signed_graph(seed)), None) for seed in range(20)]
+        else:
+            net = init_network(source, seed=0)
+            graph = build_graph(net)
+            cases = [(view(graph), np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth)))]
+        for v, nodes in cases:
+            rows = np.arange(v.node_count) if nodes is None else nodes
+            deg = v.edge_mask.sum(axis=1, dtype=np.float64)
+            common = v.edge_mask[rows].astype(np.float64) @ v.edge_mask.astype(np.float64)
+            want = np.zeros(len(rows))
+            for k, node in enumerate(rows):
+                cand = (common[k] >= 1.0) & (np.arange(v.node_count) != node)
+                if cand.any():
+                    want[k] = np.mean(common[k, cand] / np.maximum(deg[node], deg[cand]))
+            assert bipartite_clustering(v, nodes).tobytes() == want.tobytes()
+
 
 class TestHarmonic:
     def test_p3_unit(self):
@@ -263,6 +296,33 @@ class TestHarmonic:
         g = graph_from_edges(2, [(0, 1, -1.0)])
         with pytest.raises(StructuralError, match="positive edge lengths"):
             harmonic(view(g, VIEW_ORIGINAL))
+
+    def test_without_parity_sides_eliminates_nothing(self, monkeypatch):
+        # no parity sides or no layer-0 node: Floyd-Warshall over the whole view, bit for bit
+        inputs = []
+        routine = centrality._input_eliminated_distances
+
+        def spy(v, nodes, eliminated):
+            inputs.append(eliminated)
+            return routine(v, nodes, eliminated)
+
+        monkeypatch.setattr(centrality, "_input_eliminated_distances", spy)
+        cases = [(view(random_signed_graph(seed)), None) for seed in range(10)]
+        net = init_network((12, 6, 5, 3), seed=0)
+        graph = build_graph(net)
+        shifted = neuron_graph(graph.weights, graph.edge_mask, layers=graph.layers + 1)  # no layer 0
+        cases.append((view(shifted), np.flatnonzero(graph.layers != 2)))
+        desk = init_network((784, 32, 16, 10), seed=0)
+        graph = build_graph(desk)
+        cases.append((view(_untagged(graph)), np.flatnonzero((graph.layers >= 1) & (graph.layers < desk.depth))))
+        for v, nodes in cases:
+            rows = np.arange(v.node_count) if nodes is None else nodes
+            dist = centrality._floyd_warshall(np.where(v.edge_mask, v.weights, np.inf))[rows]
+            dist[np.arange(len(rows)), rows] = np.inf
+            with np.errstate(divide="ignore"):
+                want = np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1)
+            assert harmonic(v, nodes).tobytes() == want.tobytes()
+        assert len(inputs) == len(cases) and not any(x.any() for x in inputs)
 
 
 class TestCurrentFlowCloseness:
@@ -526,7 +586,8 @@ class TestLayeredKernels:
             got = harmonic(v, nodes)
             np.testing.assert_allclose(got, want[nodes], rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(got, by_dijkstra[nodes], rtol=1e-12, atol=0.0)
-        assert len(calls) == 2
+        # the untagged view eliminates nothing; both layered calls eliminate the inputs
+        assert [args[2].any() for args in calls] == [False, True, True]
 
     @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
     def test_symmetric_minplus_on_reduced_graphs(self, arch, monkeypatch):
@@ -550,6 +611,30 @@ class TestLayeredKernels:
         got = centrality._minplus_gram(a)
         assert got.tobytes() == centrality._minplus(a, a.T).tobytes()
         assert np.isinf(got[3]).all() and np.isfinite(got).any()
+
+    def test_hidden_sources_skip_the_from_input_product(self, monkeypatch):
+        # no source is an input: only the product for the distances to the inputs runs
+        calls = []
+        routine = centrality._minplus
+
+        def spy(a, b):
+            calls.append(a.shape)
+            return routine(a, b)
+
+        monkeypatch.setattr(centrality, "_minplus", spy)
+        net = init_network((12, 6, 5, 3), seed=0)
+        graph = build_graph(net)
+        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
+        harmonic(threshold_view(graph, VIEW_POSITIVE), hidden)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_empty_nodes_give_empty_arrays(self, tagged):
+        graph = build_graph(init_network((6, 4, 3, 2), seed=0))
+        graph = graph if tagged else _untagged(graph)
+        for measure_id, info in MEASURES.items():
+            got = info.func(threshold_view(graph, info.view_mode), [])
+            assert got.dtype == np.float64 and got.shape == (0,), measure_id
 
     @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
     def test_floyd_warshall_matches_scipy_bit_for_bit(self, arch, monkeypatch):

@@ -15,12 +15,16 @@ replaced atomically.
 numpy is the only runtime dependency: no module imports scipy, directly or
 through another import.
 The quick demos run against this checkout's ``src/``.
+README names only code that exists: every backticked ``<module>.<name>`` of
+a neurotopo module resolves, and every backticked private name is defined at
+module level somewhere in the package.
 """
 
 import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +110,21 @@ def test_no_dead_private_helpers():
             for helper, line in _module_level_names(tree)
             if helper.startswith("_") and not helper.startswith("__") and helper not in read]
     assert dead == []
+
+
+def test_readme_names_only_existing_code():
+    text = (ROOT / "README.md").read_text()
+    modules = {path.stem for path in (ROOT / "src" / "neurotopo").glob("*.py")} - {"__init__", "__main__"}
+    defined = {name for path in (ROOT / "src" / "neurotopo").glob("*.py")
+               for name, _ in _module_level_names(ast.parse(path.read_text(), filename=str(path)))}
+    missing = []
+    for quoted in re.findall(r"`([^`]+)`", text):
+        ref = re.match(r"(\w+)\.(\w+)", quoted)
+        if ref and ref[1] in modules and not hasattr(importlib.import_module(f"neurotopo.{ref[1]}"), ref[2]):
+            missing.append(quoted)
+        if re.fullmatch(r"_\w+", quoted) and quoted not in defined:
+            missing.append(quoted)
+    assert missing == []
 
 
 def test_no_json_dump():
