@@ -35,6 +35,7 @@ import numpy as np
 from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
 from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
 from .model import (
+    ALL,
     VIEW_MODES,
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
@@ -52,6 +53,10 @@ SO_RADICAND_TOL = 1e-9
 # of 3.4e-4 and 4e-7 at 2.9e-6, so cfc stays inside its 1e-9 tolerance
 PIVOT_TAU = 1e-4
 
+# a grounded Schur block S with κ₁ = ‖S‖₁·‖S⁻¹‖₁ above this raises (about 4 digits
+# left); 500 seeded nets, 110 trained, read at most 3.8e8 (cfc) and 527 (so)
+COND_MAX = 1e12
+
 # max_clique_count gives up past this many maximal cliques or seconds: the
 # enumeration is NP-complete, and only graphs with same-parity edges reach it
 MC_MAX_CLIQUES = 10_000_000
@@ -67,17 +72,24 @@ def _at(values, nodes):
     return values if nodes is None else values[nodes]
 
 
+def _row_sums(view, term=lambda w: w):
+    """Row sums of ``term(weights)``, 64 rows at a time: each assembled row
+    holds the N entries of its dense row, so its sum keeps their bits."""
+    out = np.empty(view.node_count)
+    for r in range(0, view.node_count, 64):
+        out[r : r + 64] = term(view.block(slice(r, r + 64), ALL)).sum(axis=1)
+    return out
+
+
 def strength(view, nodes=None):
     """Signed weighted degree: sum of incident edge weights per node."""
-    return _at(view.weights.sum(axis=1), nodes)
+    return _at(_row_sums(view), nodes)
 
 
 def avg_neighbor_strength(view, nodes=None):
     """Edge-weighted mean of neighbor strengths; NaN where strength is zero."""
     s = strength(view)
-    num = np.empty(view.node_count)
-    for r in range(0, view.node_count, 64):  # no N×N temporary; each row reduces as in one product
-        num[r : r + 64] = (view.weights[r : r + 64] * s).sum(axis=1)
+    num = _row_sums(view, lambda w: w * s)
     out = np.full(view.node_count, np.nan)
     nz = s != 0.0
     out[nz] = num[nz] / s[nz]
@@ -94,9 +106,10 @@ def _on_largest_component(view, nodes, rule):
     return _at(out, nodes)
 
 
-def _laplacian_pinv_diagonal(view, w, what):
-    """diag(L⁺) for the Laplacian L of conductances ``w`` on a connected view;
-    a boolean ``w`` is cast to float64 only in the blocks gathered from it.
+def _laplacian_pinv_diagonal(view, binary, what):
+    """diag(L⁺) for the Laplacian L on a connected view, its conductances the
+    view's weights, or its edge mask when ``binary`` (cast to float64 only in
+    the blocks gathered from it).
 
     Kron reduction (Dörfler & Bullo, IEEE TCAS-I 2013): with one odd-side node
     grounded, M = L_g⁻¹ is taken by blocks.  Layer parity makes the even side
@@ -104,27 +117,32 @@ def _laplacian_pinv_diagonal(view, w, what):
     diagonal block D and the others stay in the dense Schur complement
     S = L_KK - W_KE·D⁻¹·W_EK.  Then diag(L⁺) = diag(M) - 2·M1/n + 1ᵀM1/n².
     A singular S (then L + J/n is singular: signed weights can widen the
-    kernel) or a non-finite result raises NumericalError naming ``what``.
+    kernel), κ₁(S) above COND_MAX or a non-finite result raises
+    NumericalError naming ``what``.
     """
     n = view.node_count
-    d = w.sum(axis=1, dtype=np.float64)
+    d = view.degrees if binary else _row_sums(view)
     sides = _parity_sides(view)
     # without parity sides nothing is eliminated and node 0 is grounded
     even, odd = (np.zeros(0, dtype=np.int64), np.arange(n)) if sides is None else sides
     scale = np.abs(d).max()
     elim = even[np.abs(d[even]) > PIVOT_TAU * scale]
     kept = np.setdiff1d(np.arange(n), np.append(elim, odd[0]))
-    log.debug("%s: tau %g, %d of %d even-side pivots kept in S of size %d, smallest pivot ratio %.3g",
-              what, PIVOT_TAU, even.size - elim.size, even.size, kept.size,
-              np.abs(d[even]).min() / scale if even.size and scale else math.nan)
     piv = 1.0 / d[elim]
-    w_ek = w[np.ix_(elim, kept)].astype(np.float64, copy=False)
+    w_ek, w_kk = (view.block(r, kept, mask=binary).astype(np.float64, copy=False) for r in (elim, kept))
     v = w_ek * piv[:, np.newaxis]  # D⁻¹·W_EK
-    s = np.diag(d[kept]) - w[np.ix_(kept, kept)].astype(np.float64, copy=False) - w_ek.T @ v
+    s = np.diag(d[kept]) - w_kk - w_ek.T @ v
     try:
         x = np.linalg.inv(s)  # M_KK; M_EK = V·X and M_EE = D⁻¹ + V·X·Vᵀ
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what}: L + J/n is singular (grounded Schur block: {exc})") from exc
+    cond = np.abs(s).sum(axis=0).max(initial=0.0) * np.abs(x).sum(axis=0).max(initial=0.0)
+    log.debug("%s: tau %g, %d of %d even-side pivots kept in S of size %d, smallest pivot ratio %.3g, "
+              "condition number %.3g", what, PIVOT_TAU, even.size - elim.size, even.size, kept.size,
+              np.abs(d[even]).min() / scale if even.size and scale else math.nan, cond)
+    if not cond <= COND_MAX:
+        raise NumericalError(f"{what}: the grounded Schur block is ill-conditioned "
+                             f"(condition number {cond:.3g} > {COND_MAX:g})")
     diag = np.zeros(n)  # diag(M)
     rows = np.zeros(n)  # M·1
     diag[kept] = np.diag(x)
@@ -151,9 +169,9 @@ def second_order(view, nodes=None):
 
     def rule(comp):
         n = comp.node_count
-        lp = _laplacian_pinv_diagonal(comp, comp.edge_mask, "so")
+        lp = _laplacian_pinv_diagonal(comp, True, "so")
         # 2·(first-passage times n²·Z_ii plus the return time n) - n(n+1)
-        radicand = 2.0 * n * n * comp.edge_mask.sum(axis=1).max() * lp - n * n + n
+        radicand = 2.0 * n * n * comp.degrees.max() * lp - n * n + n
         bad = np.flatnonzero(radicand < -SO_RADICAND_TOL)
         if bad.size:
             raise NumericalError(f"so: radicand fell below -{SO_RADICAND_TOL:g} at node {bad[0]}")
@@ -178,7 +196,7 @@ def subgraph_centrality(view, nodes=None):
             raise NumericalError(f"sg: eigendecomposition failed: {exc}") from exc
         return _at((u * u) @ np.exp(lam), nodes)
     even, odd = sides
-    b = view.edge_mask[np.ix_(even, odd)].astype(np.float64)
+    b = view.block(even, odd, mask=True).astype(np.float64)
     try:
         u, sigma, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD rarely fails to converge
@@ -209,8 +227,8 @@ def max_clique_count(view, nodes=None):
     ``MC_TIME_BUDGET`` seconds raise ResourceBudgetError.
     """
     if _parity_sides(view) is not None:
-        mask = _at(view.edge_mask, nodes)
-        return mask.sum(axis=1).astype(np.float64) if view.edge_mask.any() else np.ones(len(mask))
+        deg = _at(view.degrees, nodes)
+        return deg if view.edge_count else np.ones(len(deg))
     n = view.node_count
     nbr = [0] * n
     rows, cols = np.nonzero(view.edge_mask)
@@ -265,9 +283,15 @@ def bipartite_clustering(view, nodes=None):
     With ``nodes`` (view positions), only those rows are computed.
     """
     nodes = np.arange(view.node_count) if nodes is None else nodes
-    deg = view.edge_mask.sum(axis=1, dtype=np.float64)
+    deg = view.degrees
     # |N(nodes[k]) ∩ N(u)|: sums of 0/1 products below 2**24 are exact in float32, in any order
-    common = view.edge_mask[nodes].astype(np.float32) @ view.edge_mask.astype(np.float32)
+    a = view.block(nodes, ALL, mask=True).astype(np.float32)
+    common = np.zeros((len(nodes), view.node_count), dtype=np.float32)
+    groups = [slice(lo, hi) for lo, hi in zip(view.offsets, view.offsets[1:])]
+    for p in groups:  # by pairs of node groups, skipping those without an edge
+        for q in groups:
+            if (mask := view.block(p, q, mask=True)).any():
+                common[:, q] += a[:, p] @ mask.astype(np.float32)
     out = np.zeros(len(nodes))
     idx = np.arange(view.node_count)
     for k, v in enumerate(nodes):
@@ -290,13 +314,15 @@ def _minplus_gram(a):
     return out
 
 
-def _minplus(a, b):
-    """Min-plus matrix product, out_ij = min_k a_ik + b_kj over the finite b_kj."""
+def _minplus(a, b, out=None, cols=None):
+    """Min-plus matrix product, out_ij = min_k a_ik + b_kj over the finite b_kj;
+    column j is written to column cols[j] of ``out`` when those are given."""
     at = np.ascontiguousarray(a.T)
-    out = np.empty((a.shape[0], b.shape[1]))
+    if out is None:
+        out, cols = np.empty((a.shape[0], b.shape[1])), range(b.shape[1])
     for j, finite in enumerate(np.isfinite(b).T):
         k = np.flatnonzero(finite)
-        out[:, j] = np.min(at[k] + b[k, j, np.newaxis], axis=0, initial=np.inf)
+        out[:, cols[j]] = np.min(at[k] + b[k, j, np.newaxis], axis=0, initial=np.inf)
     return out
 
 
@@ -316,23 +342,25 @@ def _input_eliminated_distances(view, nodes, inputs):
     with those via-input lengths the other nodes' all-pairs distances
     (Floyd-Warshall) are exact, and one more min-plus product over the
     inputs' neighbors gives the distances to the inputs."""
+
+    def lengths(rows, cols):
+        return np.where(view.block(rows, cols, mask=True), view.block(rows, cols), np.inf)
+
     ins, rest = np.flatnonzero(inputs), np.flatnonzero(~inputs)
-    length = np.where(view.edge_mask[rest], view.weights[rest], np.inf)  # the rest's rows only
-    hub = np.flatnonzero(np.isfinite(length[:, ins]).any(axis=1))  # rest positions
-    hub_in = length[np.ix_(hub, ins)]
-    d = np.ascontiguousarray(length[:, rest])  # a[:, idx] comes out column-major
-    d[np.ix_(hub, hub)] = np.minimum(d[np.ix_(hub, hub)], _minplus_gram(hub_in))
+    pos = np.cumsum(~inputs) - 1  # node -> position among rest
+    hub = rest[view.block(rest, ins, mask=True).any(axis=1)]
+    hub_in = lengths(hub, ins)
+    d = lengths(rest, rest)
+    h = np.ix_(pos[hub], pos[hub])
+    d[h] = np.minimum(d[h], _minplus_gram(hub_in))
     d = _floyd_warshall(d)
     from_input = inputs[nodes]
-    pos = np.cumsum(~inputs) - 1  # node -> position among rest
-    near = np.empty((len(nodes), rest.size))
-    near[~from_input] = d[pos[nodes[~from_input]]]
-    if from_input.any():
-        near[from_input] = _minplus(length[np.ix_(hub, nodes[from_input])].T, d[hub])
     dist = np.empty((len(nodes), view.node_count))
-    dist[:, rest] = near
-    dist[:, ins] = _minplus(near[:, hub], hub_in)
-    return dist
+    dist[np.ix_(~from_input, rest)] = d[pos[nodes[~from_input]]]
+    if from_input.any():
+        dist[np.ix_(from_input, rest)] = _minplus(lengths(hub, nodes[from_input]).T, d[pos[hub]])
+    del d
+    return _minplus(dist[:, hub], hub_in, dist, ins)  # the distances to the inputs
 
 
 def harmonic(view, nodes=None):
@@ -344,15 +372,15 @@ def harmonic(view, nodes=None):
     nodes when layer parity bipartitions the view's edges and nothing
     otherwise; Floyd-Warshall over what is left costs O(n³).
     """
-    if np.any(view.weights[view.edge_mask] <= 0.0):
+    if any(np.any(w[m] <= 0.0) for _, _, w, m in view.blocks):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
     nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.intp)
     inputs = np.zeros(view.node_count, dtype=bool) if _parity_sides(view) is None else view.layers == 0
     dist = _input_eliminated_distances(view, nodes, inputs)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
-        inv = np.where(np.isfinite(dist), 1.0 / dist, 0.0)
-    return inv.sum(axis=1)
+        np.divide(1.0, dist, out=dist)  # 1/inf is 0: unreachable pairs and the sources
+    return dist.sum(axis=1)
 
 
 def current_flow_closeness(view, nodes=None):
@@ -366,7 +394,7 @@ def current_flow_closeness(view, nodes=None):
 
     def rule(comp):
         n = comp.node_count
-        lp = _laplacian_pinv_diagonal(comp, comp.weights, "cfc")
+        lp = _laplacian_pinv_diagonal(comp, False, "cfc")
         # the resistances from node i sum to n·L⁺_ii + tr L⁺, because rows of L⁺ sum to 0
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (n - 1) / (n * lp + lp.sum())
@@ -381,8 +409,10 @@ def _parity_sides(view):
     if view.layers is None:
         return None
     odd = view.layers % 2 == 1
-    if np.any(view.edge_mask & (odd[:, np.newaxis] == odd[np.newaxis, :])):
-        return None
+    off = view.offsets
+    for a, b, _, m in view.blocks:
+        if np.any(m & (odd[off[a] : off[a + 1], np.newaxis] == odd[off[b] : off[b + 1]])):
+            return None
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
@@ -478,9 +508,9 @@ def measure_all(net: LayeredNetwork, measures=MEASURE_ORDER) -> NeuronMeasures:
     """Compute the requested measures for every hidden neuron of a network.
 
     Each measure runs on its bound view, for the hidden rows only; so and
-    cfc are NaN at hidden neurons off their view's largest component.  One
-    dense view is held at a time: the original-view measures run first, and
-    the positive view then takes the graph's place.
+    cfc are NaN at hidden neurons off their view's largest component.  The
+    original-view measures run first, on the network's own arrays, and the
+    positive view then takes the graph's place.
     """
     measures = check_measure_ids(measures)
     table = nan_table(net, measures)

@@ -155,7 +155,9 @@ def cmd_measure(args):
             table = centrality.nan_table(net, measures)
         tables.append(table)
     centrality.write_measures_csv(tables, args.out, sources=paths)
-    _write_run_record(args.out, "measure", args, [args.out], {"failed": failed}, measures=list(measures))
+    nan_counts = {m: sum(int(np.isnan(t.column(m)).sum()) for t in tables) for m in measures}
+    _write_run_record(args.out, "measure", args, [args.out], {"failed": failed, "nan_counts": nan_counts},
+                      measures=list(measures))
     print(f"measured {len(tables) - len(failed)}/{len(tables)} networks -> {args.out}")
     return EXIT_PARTIAL if failed else EXIT_OK
 

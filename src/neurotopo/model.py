@@ -3,8 +3,10 @@
 A trained fully connected network is treated as a weighted undirected graph:
 one node per neuron (input and output layers included), one edge per synapse
 carrying its signed weight.  One type, GraphView, holds that graph and
-every read-only view of it; two view modes exist because some measures are
-defined on the signed graph and the others on its positive subgraph.
+every read-only view of it as node groups and the blocks between them (a
+layer and a weight matrix for a layered network); two view modes exist
+because some measures are defined on the signed graph and the others on its
+positive subgraph.
 """
 
 from dataclasses import dataclass, field, replace
@@ -72,39 +74,99 @@ class LayeredNetwork:
         return len(self.arch) - 1
 
 
+ALL = slice(None)  # every position, for GraphView.block
+
+
 @dataclass(frozen=True)
 class GraphView:
     """A read-only weighted undirected graph over neurons, or a view of one.
 
-    weights   -- (N, N) symmetric signed weight matrix, zero off the edge set
-    edge_mask -- (N, N) symmetric boolean edge-existence matrix (a synapse of
-                 weight zero is still an edge)
-    layers    -- (N,) layer index per position, or None for graphs that did
-                 not come from a layered network
+    sizes  -- node count per group; groups hold consecutive positions
+    blocks -- (a, b, weights, mask), a <= b: signed weights between groups a
+              and b, zero off the boolean edge mask (a zero-weight synapse is
+              still an edge); (b, a) is the transpose, unlisted pairs no edge
+    layers -- (N,) layer index per position, or None for graphs that did
+              not come from a layered network
     """
 
-    weights: np.ndarray
-    edge_mask: np.ndarray
+    sizes: tuple
+    blocks: tuple
     layers: np.ndarray | None
 
     @property
     def node_count(self):
-        return self.weights.shape[0]
+        return sum(self.sizes)
+
+    @property
+    def offsets(self):
+        return [0, *np.cumsum(self.sizes).tolist()]
+
+    @property
+    def degrees(self):
+        """Edge count per position as float64, block by block (exact in any order)."""
+        deg, off = np.zeros(self.node_count), self.offsets
+        for a, b, _, m in self.blocks:
+            deg[off[a] : off[a + 1]] += np.count_nonzero(m, axis=1)
+            if a != b:
+                deg[off[b] : off[b + 1]] += np.count_nonzero(m, axis=0)
+        return deg
 
     @property
     def edge_count(self):
-        return int(self.edge_mask.sum()) // 2
+        return int(self.degrees.sum()) // 2
+
+    @property
+    def weights(self):
+        return self.block(ALL, ALL)
+
+    @property
+    def edge_mask(self):
+        return self.block(ALL, ALL, mask=True)
+
+    def block(self, rows, cols, mask=False):
+        """The dense weights, or the edge mask, at positions rows × cols
+        (slices or index arrays), read-only: a one-block view's own array for
+        all positions, else assembled from the stored blocks."""
+        n, off = self.node_count, self.offsets
+        (size_r, span_r, split_r), (size_c, span_c, split_c) = _split(rows, n, off), _split(cols, n, off)
+        if len(self.blocks) == 1 and self.sizes == (n,) and span_r == span_c == (0, n):
+            return self.blocks[0][3 if mask else 2]
+        out = np.zeros((size_r, size_c), dtype=bool if mask else np.float64)
+        for a, b, w, m in self.blocks:
+            x = m if mask else w
+            for p, q, x in ((a, b, x), (b, a, x.T))[: 1 + (a != b)]:
+                if split_r[p] and split_c[q]:
+                    (i, ri), (j, rj) = split_r[p], split_c[q]
+                    if isinstance(i, np.ndarray) and isinstance(j, np.ndarray):  # a slice indexes as it is
+                        i, j, ri, rj = *np.ix_(i, j), *np.ix_(ri, rj)
+                    out[i, j] = x[ri, rj]
+        return _freeze(out)
 
 
-def _read_only_view(weights, edge_mask, layers):
-    """A graph or view of these arrays, every one of them read-only."""
-    return GraphView(*(None if a is None else _freeze(a) for a in (weights, edge_mask, layers)))
+def _split(pos, n, offsets):
+    """The count of positions ``pos`` (a slice or an index array), their
+    (first, last + 1) when they run consecutively, else None, and per group
+    None if none of them is in it, else (where they sit in pos, their indices
+    in the group), as slices for a run."""
+    if isinstance(pos, slice) and pos.step in (None, 1):
+        start, stop, _ = pos.indices(n)
+        stop = max(start, stop)
+    else:
+        pos = np.arange(n)[pos]
+        if not (pos.size and pos[-1] - pos[0] == pos.size - 1 and np.all(np.diff(pos) == 1)):
+            at = [np.flatnonzero((pos >= lo) & (pos < hi)) for lo, hi in zip(offsets, offsets[1:])]
+            return pos.size, None, [(i, pos[i] - lo) if i.size else None for i, lo in zip(at, offsets)]
+        start, stop = int(pos[0]), int(pos[-1]) + 1
+    spans = [(max(start, lo), min(stop, hi), lo) for lo, hi in zip(offsets, offsets[1:])]
+    return stop - start, (start, stop), [
+        (slice(a - start, b - start), slice(a - lo, b - lo)) if a < b else None for a, b, lo in spans]
 
 
 def neuron_graph(weights, edge_mask, layers=None) -> GraphView:
-    """The graph of arrays from outside the library, read-only; StructuralError
-    unless the weights are square, symmetric, finite and zero off the mask, the
-    mask is symmetric, loop-free and of their shape, and layers tags each node."""
+    """The graph of arrays from outside the library, read-only, as one N×N
+    block; StructuralError unless the weights are square, symmetric, finite
+    and zero off the mask, the mask is symmetric, loop-free and of their
+    shape, and layers tags each node."""
     w = np.array(weights, dtype=np.float64, order="C")  # copies: the caller's arrays stay writable
     m = np.array(edge_mask, dtype=bool, order="C")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -123,11 +185,13 @@ def neuron_graph(weights, edge_mask, layers=None) -> GraphView:
         layers = np.array(layers, dtype=np.int64, order="C")
         if layers.shape != (w.shape[0],):
             raise StructuralError("layer tags must be one per node")
-    return _read_only_view(w, m, layers)
+    layers = None if layers is None else _freeze(layers)
+    return GraphView((w.shape[0],), ((0, 0, _freeze(w), _freeze(m)),), layers)
 
 
 def build_graph(net: LayeredNetwork) -> GraphView:
-    """Assemble the neuron graph of a layered network.
+    """The neuron graph of a layered network: one group per layer and one
+    block per weight matrix, the network's own array.
 
     Nodes are ordered layer-major: all of layer 0, then layer 1, and so on.
     Edges connect consecutive layers only; the graph is layered-bipartite.
@@ -135,18 +199,9 @@ def build_graph(net: LayeredNetwork) -> GraphView:
     loop-free and zero off its mask by construction: neuron_graph's checks
     would find nothing.
     """
-    n = int(sum(net.arch))
-    weights = np.zeros((n, n), dtype=np.float64)
-    mask = np.zeros((n, n), dtype=bool)
-    layers = np.concatenate([np.full(sz, i, dtype=np.int64) for i, sz in enumerate(net.arch)])
-    offsets = np.concatenate([[0], np.cumsum(net.arch)])
-    for a, w in enumerate(net.weights):
-        r0, r1 = offsets[a], offsets[a + 1]
-        c0, c1 = offsets[a + 1], offsets[a + 2]
-        weights[r0:r1, c0:c1] = w
-        weights[c0:c1, r0:r1] = w.T
-        mask[r0:r1, c0:c1] = mask[c0:c1, r0:r1] = True
-    return _read_only_view(weights, mask, layers)
+    layers = _freeze(np.repeat(np.arange(len(net.arch)), net.arch))
+    blocks = tuple((a, a + 1, w, np.broadcast_to(True, w.shape)) for a, w in enumerate(net.weights))
+    return GraphView(net.arch, blocks, layers)
 
 
 def threshold_view(view: GraphView, mode: str) -> GraphView:
@@ -160,22 +215,23 @@ def threshold_view(view: GraphView, mode: str) -> GraphView:
         raise StructuralError(f"unknown view mode {mode!r}; expected one of {VIEW_MODES}")
     if mode == VIEW_ORIGINAL:
         return view
-    mask = _freeze(view.edge_mask & (view.weights > 0.0))
-    return replace(view, weights=_freeze(np.where(mask, view.weights, 0.0)), edge_mask=mask)
+    kept = [(a, b, w, _freeze(m & (w > 0.0))) for a, b, w, m in view.blocks]
+    return replace(view, blocks=tuple((a, b, _freeze(np.where(m, w, 0.0)), m) for a, b, w, m in kept))
 
 
-def component_labels(edge_mask):
-    """Connected-component label of each node of a boolean adjacency matrix,
-    by breadth-first search on the dense mask, one frontier at a time.
+def component_labels(view: GraphView):
+    """Connected-component label of each node of a view, by breadth-first
+    search on the frontier's mask rows, one frontier at a time.
     Components are numbered in the order of their smallest node."""
-    labels = np.full(edge_mask.shape[0], -1)
+    labels = np.full(view.node_count, -1)
     count = 0
-    for start in range(edge_mask.shape[0]):
+    for start in range(view.node_count):
         if labels[start] < 0:
             frontier = np.array([start])
             while frontier.size:
                 labels[frontier] = count
-                frontier = np.flatnonzero(edge_mask[frontier].any(axis=0) & (labels < 0))
+                reached = view.block(frontier, ALL, mask=True).any(axis=0)
+                frontier = np.flatnonzero(reached & (labels < 0))
             count += 1
     return labels
 
@@ -190,14 +246,17 @@ def largest_component(view: GraphView):
     """
     if view.node_count == 0:
         raise StructuralError("empty view")
-    labels = component_labels(view.edge_mask)
+    labels = component_labels(view)
     # argmax takes the first largest label, the one holding the smallest node
     keep = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     if keep.size == view.node_count:
         return keep, view
-    ix = np.ix_(keep, keep)
-    layers = None if view.layers is None else view.layers[keep]
-    return keep, _read_only_view(view.weights[ix], view.edge_mask[ix], layers)
+    off = view.offsets
+    local = [keep[(keep >= lo) & (keep < hi)] - lo for lo, hi in zip(off, off[1:])]
+    blocks = tuple((a, b, *(_freeze(x[np.ix_(local[a], local[b])]) for x in (w, m)))
+                   for a, b, w, m in view.blocks)
+    layers = None if view.layers is None else _freeze(view.layers[keep])
+    return keep, GraphView(tuple(len(x) for x in local), blocks, layers)
 
 
 def save_model(net: LayeredNetwork, path) -> None:

@@ -1,12 +1,12 @@
 """Naive reference implementations for verifying the centrality measures,
 the k-means fit, the model file writer and the surrogate digit corpus.
 
-Everything here favors directness over speed: explicit neighbor loops,
-exhaustive subset enumeration, per-target linear systems, textbook
-Floyd-Warshall, a grounded-node resistance solver, one dense (L + J/n)⁻¹,
-breadth-first search for components, Lloyd's algorithm run one restart
-at a time, one ``json.dumps`` of a whole model document, and the digit
-corpus rendered one image at a time.  Final scalar
+Everything here favors directness over speed: a dense N×N neuron graph,
+explicit neighbor loops, exhaustive subset enumeration, per-target linear
+systems, textbook Floyd-Warshall, a grounded-node resistance solver, one
+dense (L + J/n)⁻¹, breadth-first search for components, Lloyd's algorithm
+run one restart at a time, one ``json.dumps`` of a whole model document,
+and the digit corpus rendered one image at a time.  Final scalar
 reductions use np.sum over operand arrays assembled in ascending index
 order, which is what makes exact comparison against the vectorized library
 implementations meaningful.
@@ -152,6 +152,23 @@ def harmonic_naive(weights, mask):
         recips = [1.0 / dist[j, i] for j in range(n) if j != i and math.isfinite(dist[j, i])]
         out[i] = np.sum(np.array(recips)) if recips else 0.0
     return out
+
+
+def build_graph_dense(net):
+    """(weights, mask, layers) of a layered network's graph as N×N arrays,
+    assembled block by block into one dense matrix and its mirror."""
+    n = int(sum(net.arch))
+    weights = np.zeros((n, n), dtype=np.float64)
+    mask = np.zeros((n, n), dtype=bool)
+    layers = np.concatenate([np.full(sz, i, dtype=np.int64) for i, sz in enumerate(net.arch)])
+    offsets = np.concatenate([[0], np.cumsum(net.arch)])
+    for a, w in enumerate(net.weights):
+        r0, r1 = offsets[a], offsets[a + 1]
+        c0, c1 = offsets[a + 1], offsets[a + 2]
+        weights[r0:r1, c0:c1] = w
+        weights[c0:c1, r0:r1] = w.T
+        mask[r0:r1, c0:c1] = mask[c0:c1, r0:r1] = True
+    return weights, mask, layers
 
 
 def laplacian_pinv_diagonal_dense(w):

@@ -324,6 +324,20 @@ class TestHarmonic:
             assert harmonic(v, nodes).tobytes() == want.tobytes()
         assert len(inputs) == len(cases) and not any(x.any() for x in inputs)
 
+    def test_untagged_view_holds_two_dense_matrices(self):
+        # the lengths and Floyd-Warshall's temporary; no third N×N copy of the lengths
+        graph = build_graph(init_network((784, 32, 16, 10), seed=1))
+        v = view(_untagged(graph))
+        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < 3))
+        n = v.node_count
+        tracemalloc.start()
+        try:
+            harmonic(v, hidden)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+
 
 class TestCurrentFlowCloseness:
     def test_k2_unit(self):
@@ -362,6 +376,24 @@ class TestCurrentFlowCloseness:
         g = graph_from_edges(2, [(0, 1, 0.0)])
         with pytest.raises(NumericalError, match=r"cfc: L \+ J/n is singular"):
             current_flow_closeness(view(g, VIEW_ORIGINAL))
+
+    @pytest.mark.parametrize("gap", [1e-13, 1e-14])
+    def test_ill_conditioned_schur_block_raises(self, gap, caplog):
+        # 1/1 + 1/1 + 1/(-0.5) = 0 would give L a second null vector: S is nearly singular
+        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.5 + gap)])
+        with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
+            with pytest.raises(NumericalError, match=r"^cfc: the grounded Schur block is ill-conditioned "
+                                                     r"\(condition number \S+ > 1e\+12\)"):
+                current_flow_closeness(view(g, VIEW_ORIGINAL))
+        assert "cfc: tau 0.0001, 0 of 0 even-side pivots kept in S of size 2" in caplog.text
+        assert float(caplog.text.split("condition number ")[1].split()[0]) > centrality.COND_MAX
+
+    def test_condition_number_logged_beside_tau(self, caplog):
+        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.25)])
+        with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
+            current_flow_closeness(view(g, VIEW_ORIGINAL))
+        # S = [[2, -1], [-1, 0.75]]: ‖S‖₁ = 3 and ‖S⁻¹‖₁ = 6
+        assert caplog.text.rstrip().endswith("smallest pivot ratio nan, condition number 18")
 
     def test_matches_grounded_solver(self):
         for seed in range(15):
@@ -444,9 +476,8 @@ class TestMeasureAll:
         assert table.measures == MEASURE_ORDER
         assert set(table.layer.tolist()) == {1, 2}
 
-    def test_peak_memory_below_three_dense_matrices(self):
-        # one dense view at a time: the graph, then its positive view, and no
-        # N×N float64 copy in the positive-view kernels
+    def test_peak_memory_below_one_dense_matrix(self):
+        # the views hold layer blocks, and no kernel makes an N×N array
         net = init_network((784, 200, 100, 10), seed=1)
         n = sum(net.arch)
         tracemalloc.start()
@@ -455,7 +486,17 @@ class TestMeasureAll:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * n * n * 8
+        assert peak < n * n * 8
+
+    def test_positive_view_allocates_its_blocks_only(self):
+        graph = build_graph(init_network((784, 200, 100, 10), seed=1))
+        tracemalloc.start()
+        try:
+            threshold_view(graph, VIEW_POSITIVE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # 1.6 MB of weight and mask blocks; the N×N view took 10.8 MB
 
     def test_no_hidden_layer_gives_empty_table(self, tmp_path):
         table = measure_all(init_network((3, 2), seed=0), measures=MEASURE_ORDER)
@@ -532,20 +573,34 @@ class TestLayeredKernels:
                 tol = {"so": 1e-6, "cfc": 1e-9}.get(m, 1e-12)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=tol, err_msg=m)
 
+    @pytest.mark.parametrize("net", _edge_case_nets() + [init_network((4, 3, 2), seed=5),
+                                     init_network((784, 200, 100, 10), seed=1)])
+    def test_block_view_measures_match_dense_view(self, net):
+        # every measure on the block view has the bits of the same measure on the N×N graph
+        graph, dense = build_graph(net), neuron_graph(*oracles.build_graph_dense(net))
+        nodes = None if graph.node_count < 100 else np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
+        for m, info in MEASURES.items():
+            got = info.func(threshold_view(graph, info.view_mode), nodes)
+            want = info.func(threshold_view(dense, info.view_mode), nodes)
+            assert got.tobytes() == want.tobytes(), m
+
     @pytest.mark.parametrize("net", _edge_case_nets() + [_low_pivot_net()])
     def test_grounded_inverse_matches_dense_oracle(self, net):
         graph = build_graph(net)
-        conductances = ((VIEW_POSITIVE, lambda v: v.edge_mask.astype(np.float64)),
-                        (VIEW_ORIGINAL, lambda v: v.weights), (VIEW_ORIGINAL, lambda v: np.abs(v.weights)))
-        for mode, conductance in conductances:
+        # (mode, binary, the conductances as a view): the mask, the signed and the absolute weights
+        conductances = ((VIEW_POSITIVE, True, lambda v: v), (VIEW_ORIGINAL, False, lambda v: v),
+                        (VIEW_ORIGINAL, False, lambda v: neuron_graph(np.abs(v.weights), v.edge_mask, v.layers)))
+        for mode, binary, conductance in conductances:
             _, comp = largest_component(threshold_view(graph, mode))
             if comp.node_count < 2:
                 continue
-            w = conductance(comp)
-            got = centrality._laplacian_pinv_diagonal(comp, w, "test")
+            c = conductance(comp)
+            w = c.edge_mask.astype(np.float64) if binary else c.weights
+            got = centrality._laplacian_pinv_diagonal(c, binary, "test")
             np.testing.assert_allclose(got, oracles.laplacian_pinv_diagonal_dense(w), rtol=1e-9, atol=0.0)
-            if mode == VIEW_POSITIVE:  # so hands over the boolean mask: the same bits
-                assert centrality._laplacian_pinv_diagonal(comp, comp.edge_mask, "test").tobytes() == got.tobytes()
+            if binary:  # so's boolean mask gives the bits of the same mask as float weights
+                as_weights = neuron_graph(w, c.edge_mask, c.layers)
+                assert centrality._laplacian_pinv_diagonal(as_weights, False, "test").tobytes() == got.tobytes()
 
     def test_low_pivot_stays_in_schur_block(self, caplog):
         net = _low_pivot_net()
@@ -617,9 +672,9 @@ class TestLayeredKernels:
         calls = []
         routine = centrality._minplus
 
-        def spy(a, b):
+        def spy(a, b, *out):
             calls.append(a.shape)
-            return routine(a, b)
+            return routine(a, b, *out)
 
         monkeypatch.setattr(centrality, "_minplus", spy)
         net = init_network((12, 6, 5, 3), seed=0)

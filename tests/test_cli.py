@@ -20,6 +20,7 @@ from neurotopo.centrality import measure_all, read_measures_csv, write_measures_
 from neurotopo.cli import main
 from neurotopo.errors import NumericalError
 from neurotopo.datagen import write_synthetic_benchmark
+from neurotopo.model import LayeredNetwork, save_model
 from neurotopo.trainer import init_network
 
 
@@ -239,6 +240,38 @@ class TestMeasureCommand:
         assert np.isnan(tables[1].values).all() and tables[1].values.shape == (14, 2)
         record = json.loads((tmp_path / "m.csv.run.json").read_text())
         assert [Path(f["model"]).name for f in record["failed"]] == ["model_seed1.json"]
+
+    def test_ill_conditioned_network_exits_1_with_a_nan_row(self, trained_dir, tmp_path, capsys):
+        # three two-edge paths of conductance 1/2, 1/2 and -1 + δ/2 between the outer
+        # nodes: the grounded Schur block is nearly singular, so cfc raises
+        models = tmp_path / "models"
+        models.mkdir()
+        shutil.copy(trained_dir / "model_seed0.json", models / "model_seed0.json")
+        w = -2.0 + 1e-13
+        meta = {"seed": 9, "dataset_id": "x", "epochs": 0, "train_acc": 0.1, "test_acc": 0.1}
+        save_model(LayeredNetwork(arch=(1, 3, 1), weights=([[1.0, 1.0, w]], [[1.0], [1.0], [w]]), meta=meta),
+                   models / "model_seed9.json")
+        out = tmp_path / "m.csv"
+        assert main(["measure", "--models", str(models), "--measures", "s,cfc", "--out", str(out)]) == 1
+        assert "model_seed9.json: cfc: the grounded Schur block is ill-conditioned" in capsys.readouterr().err
+        tables = read_measures_csv(out)
+        assert [t.network_id for t in tables] == ["seed0", "seed9"]
+        assert not np.isnan(tables[0].values).any() and np.isnan(tables[1].values).all()
+        assert json.loads((tmp_path / "m.csv.run.json").read_text())["nan_counts"] == {"s": 3, "cfc": 3}
+
+    def test_run_record_counts_nan_cells(self, tmp_path):
+        # hidden neuron 2 of layer 1 has only negative synapses: isolated in the positive view
+        w = [np.array(x) for x in init_network((12, 6, 5, 3), seed=2).weights]
+        w[0][:, 2] = -np.abs(w[0][:, 2])
+        w[1][2, :] = -np.abs(w[1][2, :])
+        meta = {"seed": 2, "dataset_id": "x", "epochs": 0, "train_acc": 0.1, "test_acc": 0.1}
+        models = tmp_path / "models"
+        models.mkdir()
+        save_model(LayeredNetwork(arch=(12, 6, 5, 3), weights=w, meta=meta), models / "model_seed2.json")
+        out = tmp_path / "m.csv"
+        assert main(["measure", "--models", str(models), "--measures", "all", "--out", str(out)]) == 0
+        counts = json.loads((tmp_path / "m.csv.run.json").read_text())["nan_counts"]
+        assert counts == {"s": 0, "snn": 0, "so": 1, "sg": 0, "mc": 0, "bc": 0, "hc": 0, "cfc": 0}
 
     def test_duplicate_network_id_names_both_models(self, trained_dir, tmp_path, capsys):
         models = tmp_path / "models"

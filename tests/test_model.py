@@ -9,10 +9,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import graph_from_edges, unit_graph
-from oracles import largest_component_naive, model_file_naive
+from oracles import build_graph_dense, largest_component_naive, model_file_naive
 from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import (
+    ALL,
     VIEW_ORIGINAL,
     VIEW_MODES,
     VIEW_POSITIVE,
@@ -135,7 +136,7 @@ class TestBuildGraph:
     def test_passes_the_checks_and_is_read_only(self, arch):
         g = build_graph(init_network(arch, seed=2))
         checked = neuron_graph(g.weights, g.edge_mask, g.layers)
-        for a, b in zip(dataclasses.astuple(g), dataclasses.astuple(checked)):
+        for a, b in zip((g.weights, g.edge_mask, g.layers), (checked.weights, checked.edge_mask, checked.layers)):
             np.testing.assert_array_equal(a, b)
         for a in (g.weights, g.edge_mask, g.layers):
             assert not a.flags.writeable
@@ -214,7 +215,7 @@ class TestThresholdView:
 
     def test_two_modes_of_three_fields(self):
         assert VIEW_MODES == (VIEW_ORIGINAL, VIEW_POSITIVE)
-        assert [f.name for f in dataclasses.fields(GraphView)] == ["weights", "edge_mask", "layers"]
+        assert [f.name for f in dataclasses.fields(GraphView)] == ["sizes", "blocks", "layers"]
 
     def test_positive_view_keeps_weights_and_layer_tags(self):
         g = build_graph(LayeredNetwork(arch=(2, 1), weights=(np.array([[0.7], [-0.4]]),)))
@@ -304,7 +305,71 @@ class TestLargestComponent:
         rng = np.random.default_rng(100 + seed)
         mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
         _, want = connected_components(csr_matrix(mask), directed=False)
-        np.testing.assert_array_equal(component_labels(mask), want)
+        np.testing.assert_array_equal(component_labels(neuron_graph(np.zeros(mask.shape), mask)), want)
+
+
+def _block_nets():
+    """Toy, 4,3,2, desk and paper nets, and one with zero-weight synapses and
+    a hidden neuron isolated in the positive view."""
+    nets = [toy_net((2, 2, 1)), init_network((4, 3, 2), seed=5), init_network((784, 32, 16, 10), seed=1),
+            init_network((784, 200, 100, 10), seed=1)]
+    w = [np.array(x) for x in init_network((12, 6, 5, 3), seed=2).weights]
+    w[0][::3, ::2] = 0.0
+    w[0][:, 2] = -np.abs(w[0][:, 2])
+    w[1][2, :] = -np.abs(w[1][2, :])
+    return nets + [LayeredNetwork(arch=(12, 6, 5, 3), weights=w)]
+
+
+class TestBlockStorage:
+    """Block views against the dense N×N graph, bit for bit."""
+
+    @pytest.mark.parametrize("net", _block_nets())
+    def test_dense_arrays_views_and_components_match(self, net):
+        weights, mask, layers = build_graph_dense(net)
+        g, dense = build_graph(net), neuron_graph(weights, mask, layers)
+        assert g.weights.tobytes() == weights.tobytes() and g.edge_mask.tobytes() == mask.tobytes()
+        assert g.edge_count == dense.edge_count and g.node_count == dense.node_count
+        for mode in VIEW_MODES:
+            v, d = threshold_view(g, mode), threshold_view(dense, mode)
+            assert v.weights.tobytes() == d.weights.tobytes() and v.edge_mask.tobytes() == d.edge_mask.tobytes()
+            assert v.edge_count == d.edge_count
+            (keep, comp), (want_keep, want) = largest_component(v), largest_component(d)
+            assert keep.tolist() == want_keep.tolist()
+            assert comp.weights.tobytes() == want.weights.tobytes()
+            assert comp.edge_mask.tobytes() == want.edge_mask.tobytes()
+            assert comp.layers.tolist() == want.layers.tolist()
+
+    @pytest.mark.parametrize("net", _block_nets())
+    def test_block_matches_dense_positions(self, net):
+        rng = np.random.default_rng(sum(net.arch))
+        v = threshold_view(build_graph(net), VIEW_POSITIVE)
+        dense = threshold_view(neuron_graph(*build_graph_dense(net)), VIEW_POSITIVE)
+        (_, _, weights, mask), = dense.blocks
+        n = v.node_count
+        picks = [np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False)) for _ in range(4)]
+        picks += [rng.integers(0, n, size=rng.integers(1, 2 * n)) for _ in range(4)]  # unsorted, repeats
+        picks += [slice(None), slice(1, n - 1), slice(n // 2, n)]
+        for rows in picks:
+            for cols in picks[::-1]:
+                w, m = v.block(rows, cols), v.block(rows, cols, mask=True)
+                at = np.ix_(np.arange(n)[rows], np.arange(n)[cols])
+                assert w.tobytes() == weights[at].tobytes() and m.tobytes() == mask[at].tobytes()
+                assert not w.flags.writeable and not m.flags.writeable
+
+    def test_build_graph_shares_the_networks_arrays(self):
+        net = init_network((784, 200, 100, 10), seed=1)
+        g = build_graph(net)
+        assert g.sizes == net.arch and len(g.blocks) == net.depth
+        for (a, b, w, m), weights in zip(g.blocks, net.weights):
+            assert b == a + 1 and w is weights and np.shares_memory(w, weights)
+            assert m.shape == w.shape and m.all() and not m.flags.writeable
+
+    def test_one_block_view_gives_its_own_arrays(self):
+        g = unit_graph(4, [(0, 1), (1, 2)])
+        (_, _, w, m), = g.blocks
+        assert g.sizes == (4,) and g.weights is w and g.edge_mask is m
+        assert g.block(ALL, np.arange(4)) is w and g.block(slice(0, 4), ALL, mask=True) is m
+        assert g.block([1, 0, 2, 3], ALL) is not w
 
 
 class TestSerialization:
