@@ -6,9 +6,11 @@ literal ``NaN``.  JSON is strict both ways: no ``NaN`` or ``Infinity``
 tokens are written or accepted.  A 1-D array in a JSON document is written
 as the list of its values, ``JSON_FLOATS_PER_CALL`` of them per call of the
 C encoder, so neither the whole list nor the whole document is ever held as
-Python objects or text.  Every writer streams into a temporary file
-beside its target and ``os.replace``s it into place, so a reader never sees
-a partial file and a failed write leaves the previous file untouched.
+Python objects or text; ``JsonBlocks`` reads such a list back in bounded
+blocks, straight into a float64 array.  Every writer streams into a
+temporary file beside its target and ``os.replace``s it into place, so a
+reader never sees a partial file and a failed write leaves the previous
+file untouched.
 """
 
 import contextlib
@@ -173,6 +175,120 @@ def read_json(path):
         pos = next(m.start(1) for m in _BARE_CONSTANT.finditer(text) if m.group(1))
         line = text.count("\n", 0, pos) + 1
         raise FormatError(f"{path}:{line}: non-finite number {exc} is not valid JSON") from None
+
+
+class JsonBlocks:
+    """A strict JSON text read front to back in blocks of
+    ``5 * JSON_FLOATS_PER_CALL`` characters, the reading half of
+    ``_compact_json``.  The caller walks the layout with ``expect``; ``value``
+    parses one value whole, and ``floats`` decodes a list of floats into a
+    float64 array, one ``json`` decode per run of values up to a comma.  Any
+    defect is a FormatError naming the file and line."""
+
+    def __init__(self, path, fh):
+        self._path, self._fh, self._buf, self._line = path, fh, "", 1
+        self._left = os.fstat(fh.fileno()).st_size  # bytes: never fewer than the characters left
+        self._decoder = json.JSONDecoder(parse_constant=_reject_constant)
+
+    def _more(self, size=5 * JSON_FLOATS_PER_CALL):
+        text = self._fh.read(size)
+        self._buf += text
+        return bool(text)
+
+    def _drop(self, n):
+        if self._buf.find("\n", 0, n) >= 0:  # far faster than count
+            self._line += self._buf.count("\n", 0, n)
+        self._left -= n
+        self._buf = self._buf[n:]
+
+    def _error(self, message, pos=0):
+        line = self._line + self._buf.count("\n", 0, pos)
+        return FormatError(f"{self._path}: line {line}: {message}")
+
+    def _parse(self, text, shift=0):
+        """``raw_decode(text)``, whose index i is unread position i + shift."""
+        try:
+            return self._decoder.raw_decode(text)
+        except json.JSONDecodeError as exc:
+            raise self._error(f"not valid JSON ({exc.msg})", exc.pos + shift) from None
+        except _NonFinite as exc:
+            pos = next(m.start(1) for m in _BARE_CONSTANT.finditer(text) if m.group(1))
+            raise self._error(f"non-finite number {exc} is not valid JSON", pos + shift) from None
+
+    def expect(self, literal):
+        """Read past ``literal``, which must come next."""
+        while len(self._buf) < len(literal) and self._more():
+            pass
+        if not self._buf.startswith(literal):
+            found = repr(self._buf[: len(literal)]) if self._buf else "the end of the file"
+            raise self._error(f"not the JSON layout expected: {literal!r} expected, {found} found")
+        self._drop(len(literal))
+
+    def end(self):
+        """Check that at most a newline is left."""
+        while len(self._buf) < 2 and self._more():
+            pass
+        if self._buf not in ("", "\n"):
+            raise self._error("not the JSON layout expected: text after the document")
+
+    def value(self):
+        """The next JSON value, parsed whole."""
+        while True:
+            try:
+                value, end = self._decoder.raw_decode(self._buf)
+                if end < len(self._buf):  # else a number may go on in the next block
+                    break
+            except ValueError:  # it may end in the next block; a defect shows at the end of the file
+                pass
+            if not self._more():
+                value, end = self._parse(self._buf)
+                break
+        self._drop(end)
+        return value
+
+    def floats(self, n, label):
+        """The n floats of the list whose ``[`` was just read, in a new array.
+        Another count (counted to the list's end), a value that is no JSON
+        float, or an n that the rest of the file cannot hold (n values take at
+        least 5n - 2 characters) is a FormatError naming ``label``."""
+        if 5 * n - 2 > self._left:
+            raise FormatError(f"{self._path}: {label}: {n} values take at least {5 * n - 2} characters, "
+                              f"{self._left} bytes are left")
+        out, got, odd = np.empty(n), 0, ()
+        while True:
+            close = self._buf.find("]")
+            cut = close if close >= 0 else self._buf.rfind(",")
+            if cut < 0:
+                if not self._more():
+                    raise self._error("not valid JSON (the file ends inside a list)", len(self._buf))
+                continue
+            try:
+                values = self._decoder.decode("[" + self._buf[:cut] + "]")
+            except ValueError:  # a cut inside a string or a nested list, or a non-finite constant:
+                self._more(-1)  # parse the rest of the list whole to name the defect
+                values, end = self._parse("[" + self._buf, -1)
+                cut = close = end - 2
+            if not values and (got or cut != close):
+                raise self._error("not valid JSON (Expecting value)", cut)
+            if not odd and set(map(type, values)) - {float}:
+                odd = (next(x for x in values if type(x) is not float),)
+            if not odd and got + len(values) <= n:
+                out[got : got + len(values)] = values
+            got += len(values)
+            self._drop(cut + 1)
+            if cut == close:
+                break
+        if got != n:
+            raise FormatError(f"{self._path}: {label}: expected {n} values, got {got}")
+        if odd:
+            raise FormatError(f"{self._path}: {label}: expected JSON floats, got {odd[0]!r}")
+        return out
+
+
+@contextlib.contextmanager
+def json_blocks(path):
+    with _reading(path) as fh:
+        yield JsonBlocks(path, fh)
 
 
 def read_csv_rows(path):

@@ -91,7 +91,7 @@ class CrossBenchmarkJsd(NamedTuple):
 # Bytes of one (restarts, rows) float64 distance block.  Restarts run in
 # blocks of as many as fit (at least one), which bounds the temporaries at
 # population scale.
-_BLOCK_BYTES = 1 << 22
+_BLOCK_BYTES = 1 << 20
 
 # A restart has converged once the Frobenius norm of its center shift falls
 # below this fraction of the norm of its previous centers.
@@ -101,8 +101,10 @@ _REL_TOL = 1e-3
 _MAX_ITER = 300
 
 
-def _squared_distances(x, centers):
-    """(..., k, r) squared distances from centers (..., k, d) to rows x (r, d).
+def _squared_distances(x, centers, out=None):
+    """(..., k, r) squared distances from centers (..., k, d) to rows x (r, d),
+    computed in ``out[0]`` with the rest of ``out`` as scratch: 4 arrays of
+    that shape (2 below d = 8, as made here when not given).
 
     Bit-identical to ``((x[:, None] - centers[..., None, :, :]) ** 2).sum(-1)``
     with its last two axes swapped, for the widths a descriptor can have:
@@ -110,25 +112,29 @@ def _squared_distances(x, centers):
     ((0+1)+(2+3))+((4+5)+(6+7)), and so does this, in place.
     """
     xt = x.T
+    if out is None:
+        out = np.empty((4 if x.shape[1] == 8 else 2,) + centers.shape[:-1] + xt.shape[1:])
+    acc, tmp = out[0], out[-1]
 
-    def term(j):
-        return np.square(xt[j] - centers[..., j, np.newaxis])
+    def term(j, into):
+        np.subtract(xt[j], centers[..., j, np.newaxis], out=into)
+        return np.square(into, out=into)
 
-    def pair(j):
-        acc = term(j)
-        acc += term(j + 1)
-        return acc
+    def pair(j, into):
+        term(j, into)
+        into += term(j + 1, tmp)
+        return into
 
     if x.shape[1] == 8:
-        acc = pair(0)
-        acc += pair(2)
-        half = pair(4)
-        half += pair(6)
+        pair(0, acc)
+        acc += pair(2, out[1])
+        half = pair(4, out[1])
+        half += pair(6, out[2])
         acc += half
         return acc
-    acc = term(0)
+    term(0, acc)
     for j in range(1, x.shape[1]):
-        acc += term(j)
+        acc += term(j, tmp)
     return acc
 
 
@@ -165,12 +171,15 @@ def _kmeanspp(x, k, rngs):
 
 def _nearest(x, centers):
     """Labels and squared distances (R, r) of the nearest of centers (R, k, d) to
-    the rows x, one centre at a time; a tie goes to the first, as in argmin."""
-    best = _squared_distances(x, centers[:, 0])
+    the rows x, one centre at a time into reused buffers.  A label is the last
+    centre to strictly improve on all before it, which is the first argmin."""
+    bufs = np.empty((5, centers.shape[0], x.shape[0]))
+    best = _squared_distances(x, centers[:, 0], bufs[:4])
     labels = np.zeros(best.shape, dtype=np.intp)
+    closer, step = np.empty(best.shape, dtype=bool), np.empty_like(labels)
     for c in range(1, centers.shape[1]):
-        d2 = _squared_distances(x, centers[:, c])
-        labels[d2 < best] = c
+        d2 = _squared_distances(x, centers[:, c], bufs[1:])
+        np.maximum(labels, np.multiply(np.less(d2, best, out=closer), c, out=step), out=labels)
         np.minimum(best, d2, out=best)
     return labels, best
 
@@ -206,15 +215,16 @@ def _lockstep(x, k, rngs):
             empty = np.flatnonzero(counts[a] == 0)
             order = np.argsort(-point_d2[a], kind="stable")
             new[a, empty] = x[order[: empty.size]]
-        moving = np.empty(active.size, dtype=bool)
-        for a, i in enumerate(active):
-            traces[i].append(float(point_d2[a].sum()))
-            shift = float(np.linalg.norm(new[a] - old[a]))
-            scale = max(float(np.linalg.norm(old[a])), 1e-300)
-            moving[a] = not shift / scale < _REL_TOL
+        for i, inertia in zip(active, point_d2.sum(axis=1).tolist()):
+            traces[i].append(inertia)
+        # np.linalg.norm (a BLAS dot) decides where the batched ratio is too close to call
+        ratio = np.sqrt(np.square(new - old).sum(axis=(1, 2)))
+        ratio /= np.maximum(np.sqrt(np.square(old).sum(axis=(1, 2))), 1e-300)
+        for a in np.flatnonzero(np.abs(ratio - _REL_TOL) <= 1e-9 * _REL_TOL):
+            ratio[a] = float(np.linalg.norm(new[a] - old[a])) / max(float(np.linalg.norm(old[a])), 1e-300)
         centers[active] = new
-        active = active[moving]
-    inertias = np.array([float(row.sum()) for row in _nearest(x, centers)[1]])
+        active = active[~(ratio < _REL_TOL)]
+    inertias = _nearest(x, centers)[1].sum(axis=1)
     return centers, inertias, traces, int(active.size)
 
 

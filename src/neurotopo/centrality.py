@@ -73,11 +73,22 @@ def _at(values, nodes):
 
 
 def _row_sums(view, term=lambda w: w):
-    """Row sums of ``term(weights)``, 64 rows at a time: each assembled row
-    holds the N entries of its dense row, so its sum keeps their bits."""
-    out = np.empty(view.node_count)
-    for r in range(0, view.node_count, 64):
-        out[r : r + 64] = term(view.block(slice(r, r + 64), ALL)).sum(axis=1)
+    """Row sums of ``term(weights)``, 64 rows at a time in one buffer that the
+    blocks fill in place, clearing only what the chunk before filled: each
+    row holds the N entries of its dense row, so its sum keeps their bits."""
+    n, off = view.node_count, view.offsets
+    out, buf, filled = np.empty(n), np.zeros((64, n)), []
+    for r in range(0, n, 64):
+        for span in filled:
+            buf[span] = 0.0
+        filled = []
+        for a, b, w, _ in view.blocks:
+            for p, q, x in ((a, b, w), (b, a, w.T))[: 1 + (a != b)]:
+                lo, hi = max(r, off[p]), min(r + 64, off[p + 1])
+                if lo < hi:
+                    filled.append((slice(lo - r, hi - r), slice(off[q], off[q + 1])))
+                    buf[filled[-1]] = x[lo - off[p] : hi - off[p]]
+        out[r : r + 64] = term(buf[: min(64, n - r)]).sum(axis=1)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import json_blocks, write_json
 from .errors import FormatError, StructuralError
 
 MODEL_FORMAT = "nnx-json/1"
@@ -271,30 +271,28 @@ def save_model(net: LayeredNetwork, path) -> None:
 
 
 def load_model(path) -> LayeredNetwork:
-    """Read a network written by save_model, validating every field."""
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top-level value must be an object")
-    if doc.get("format") != MODEL_FORMAT:
-        raise FormatError(f"{path}: format: expected {MODEL_FORMAT!r}, got {doc.get('format')!r}")
-    arch = doc.get("arch")
-    if not isinstance(arch, list) or len(arch) < 2 or not all(type(x) is int and x >= 1 for x in arch):
-        raise FormatError(f"{path}: arch: must be a list of >= 2 positive integers")
-    flat = doc.get("weights")
-    if not isinstance(flat, list) or len(flat) != len(arch) - 1:
-        raise FormatError(f"{path}: weights: expected {len(arch) - 1} matrices")
-    weights = []
-    for a, values in enumerate(flat):
-        want = arch[a] * arch[a + 1]
-        if not isinstance(values, list) or len(values) != want:
-            got = len(values) if isinstance(values, list) else type(values).__name__
-            raise FormatError(f"{path}: weights[{a}]: expected {want} values, got {got}")
-        # save_model writes floats only; numpy would also take "0.5", true or [0.5]
-        if not all(type(x) is float for x in values):
-            odd = next(x for x in values if type(x) is not float)
-            raise FormatError(f"{path}: weights[{a}]: expected JSON floats, got {odd!r}")
-        weights.append(np.array(values, dtype=np.float64).reshape(arch[a], arch[a + 1]))
-    meta = doc.get("meta")
+    """Read a network written by save_model, validating every field.
+
+    The file must have save_model's layout: its keys in that order and
+    ``json.dumps`` separators.  Each weights matrix is decoded in bounded
+    pieces straight into its array (``artifacts.JsonBlocks``)."""
+    with json_blocks(path) as doc:
+        doc.expect('{"format": ')
+        fmt = doc.value()
+        if fmt != MODEL_FORMAT:
+            raise FormatError(f"{path}: format: expected {MODEL_FORMAT!r}, got {fmt!r}")
+        doc.expect(', "arch": ')
+        arch = doc.value()
+        if not isinstance(arch, list) or len(arch) < 2 or not all(type(x) is int and x >= 1 for x in arch):
+            raise FormatError(f"{path}: arch: must be a list of >= 2 positive integers")
+        weights = []
+        for a in range(len(arch) - 1):
+            doc.expect(', [' if a else ', "weights": [[')
+            weights.append(doc.floats(arch[a] * arch[a + 1], f"weights[{a}]").reshape(arch[a], arch[a + 1]))
+        doc.expect('], "meta": ')
+        meta = doc.value()
+        doc.expect("}")
+        doc.end()
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta: must be an object")
     for key, types in _META_REQUIRED.items():

@@ -584,6 +584,19 @@ class TestLayeredKernels:
             want = info.func(threshold_view(dense, info.view_mode), nodes)
             assert got.tobytes() == want.tobytes(), m
 
+    @pytest.mark.parametrize("arch", [(2, 3, 1), (784, 32, 16, 10), (784, 200, 100, 10)])
+    def test_row_sums_match_dense_rows(self, arch):
+        # s and snn sum each row's N dense entries, zeros included, in numpy's order
+        net = init_network(arch, seed=2)
+        w = oracles.build_graph_dense(net)[0]
+        for mode, dense in ((VIEW_ORIGINAL, w), (VIEW_POSITIVE, np.where(w > 0.0, w, 0.0))):
+            v = threshold_view(build_graph(net), mode)
+            s = dense.sum(axis=1)
+            snn = np.full(len(s), np.nan)
+            snn[s != 0.0] = (dense * s).sum(axis=1)[s != 0.0] / s[s != 0.0]
+            assert strength(v).tobytes() == s.tobytes(), mode
+            assert avg_neighbor_strength(v).tobytes() == snn.tobytes(), mode
+
     @pytest.mark.parametrize("net", _edge_case_nets() + [_low_pivot_net()])
     def test_grounded_inverse_matches_dense_oracle(self, net):
         graph = build_graph(net)

@@ -1,5 +1,6 @@
 """Graph construction, thresholded views, components, and serialization."""
 
+import contextlib
 import dataclasses
 import json
 
@@ -10,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import graph_from_edges, unit_graph
 from oracles import build_graph_dense, largest_component_naive, model_file_naive
+from neurotopo import artifacts
 from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import (
@@ -28,6 +30,45 @@ from neurotopo.model import (
     threshold_view,
 )
 from neurotopo.trainer import init_network
+
+
+def edge_net(arch):
+    """A network whose every other weight cycles through edge-case floats,
+    with unicode and nested values in its meta."""
+    edge = [-0.0, 5e-324, 1e-05, 0.1, 1e16, -1.7976931348623157e308]
+    net = init_network(arch, seed=5, dataset_id="ds")
+    weights = []
+    for w in net.weights:
+        w = w.copy()
+        w.reshape(-1)[::2] = np.resize(edge, (w.size + 1) // 2)  # every other weight, cycled
+        weights.append(w)
+    meta = dict(net.meta, notes={"schedule": ["flat", {"ëta": 0.01, "ζ": None}]}, **{"ключ": "значение €"})
+    return LayeredNetwork(arch=net.arch, weights=tuple(weights), meta=meta)
+
+
+@contextlib.contextmanager
+def reads_of(size, monkeypatch):
+    """Model files read ``size`` characters at a time, whatever the reader asks for."""
+    reading = artifacts._reading
+
+    class Short:
+        def __init__(self, fh):
+            self.read = lambda n=-1: fh.read(n if n < 0 else min(n, size))
+            self.fileno = fh.fileno
+
+    @contextlib.contextmanager
+    def short(path):
+        with reading(path) as fh:
+            yield Short(fh)
+
+    with monkeypatch.context() as m:
+        m.setattr(artifacts, "_reading", short)
+        yield
+
+
+def assert_same_network(got, want):
+    assert got.arch == want.arch and got.meta == want.meta
+    assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
 
 
 def toy_net(arch, fill=0.5):
@@ -388,22 +429,82 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "arch",
         [(1, 1), (JSON_FLOATS_PER_CALL - 1, 1, 1), (JSON_FLOATS_PER_CALL, 1, 1),
-         (1, JSON_FLOATS_PER_CALL + 1, 1), (2, JSON_FLOATS_PER_CALL + 1, 3)],
+         (1, JSON_FLOATS_PER_CALL + 1, 1), (2, JSON_FLOATS_PER_CALL + 1, 3),
+         (5, 3, 2), (784, 32, 16, 10), (784, 200, 100, 10)],
     )
     def test_bytes_match_one_json_dumps_of_the_document(self, tmp_path, arch):
-        edge = [-0.0, 5e-324, 1e-05, 0.1, 1e16, -1.7976931348623157e308]
-        net = init_network(arch, seed=5, dataset_id="ds")
-        weights = []
-        for w in net.weights:
-            w = w.copy()
-            w.reshape(-1)[::2] = np.resize(edge, (w.size + 1) // 2)  # every other weight, cycled
-            weights.append(w)
-        meta = dict(net.meta, notes={"schedule": ["flat", {"ëta": 0.01, "ζ": None}]}, **{"ключ": "значение €"})
-        net = LayeredNetwork(arch=net.arch, weights=tuple(weights), meta=meta)
+        net = edge_net(arch)
         path = tmp_path / "m.json"
         save_model(net, path)
         assert path.read_bytes() == model_file_naive(net)
-        assert load_model(path).meta == meta
+        assert_same_network(load_model(path), net)
+
+    @pytest.mark.parametrize("size", [*range(1, 13), 31, 64])
+    def test_block_edges_at_every_offset(self, tmp_path, monkeypatch, size):
+        # one-character reads split every number, "]", ", " and the meta key at every offset
+        net = edge_net((3, 4, 2))
+        save_model(net, tmp_path / "m.json")
+        with reads_of(size, monkeypatch):
+            assert_same_network(load_model(tmp_path / "m.json"), net)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: json.dumps(doc, indent=1),
+        lambda doc: json.dumps(dict(reversed(doc.items()))),
+        lambda doc: json.dumps(doc, separators=(",", ":")),
+    ])
+    def test_other_layouts_refused_with_file_and_line(self, tmp_path, edit):
+        path = tmp_path / "m.json"
+        save_model(toy_net((2, 3, 1)), path)
+        path.write_text(edit(json.loads(path.read_text())))
+        with pytest.raises(FormatError, match=r"m.json: line 1: not the JSON layout expected"):
+            load_model(path)
+
+    ZERO_META = '"meta": {"seed": 0, "dataset_id": "", "epochs": 0, "train_acc": 0.0, "test_acc": 0.0}}'
+
+    @pytest.mark.parametrize("weights, message", [
+        ("[[0.5, 0.5], [0.5]]", r"m.json: weights\[0\]: expected 6 values, got 2"),
+        ("[[0.5" + ", 0.5" * 4999 + "], [0.5, 0.5, 0.5]]", r"m.json: weights\[0\]: expected 6 values, got 5000"),
+        ('[["a"' + ", 0.5" * 9 + "], [0.5, 0.5, 0.5]]", r"m.json: weights\[0\]: expected 6 values, got 10"),
+        ("[[" + "0.5, " * 5 + "0.5], [0.5, [0.5, 1.0], 0.5]]",
+         r"m.json: weights\[1\]: expected JSON floats, got \[0.5, 1.0\]"),
+        ('[[' + "0.5, " * 5 + '"a], b"], [0.5, 0.5, 0.5]]', r"m.json: weights\[0\]: expected JSON floats, got 'a\], b'"),
+        ('[[' + "0.5, " * 5 + 'null], [0.5, 0.5, 0.5]]', r"m.json: weights\[0\]: expected JSON floats, got None"),
+        ('[[' + "0.5, " * 6 + '], [0.5, 0.5, 0.5]]', r"m.json: line 1: not valid JSON"),
+        ('[[' + "0.5, " * 5 + '0.5]]', r"m.json: line 1: not the JSON layout expected: ', \[' expected, '\], ' found"),
+        ('[[\n' + "0.5, " * 5 + '0.5], [0.5, NaN, 0.5]]', r"m.json: line 2: non-finite number NaN"),
+        ('[[' + "0.5, " * 5 + '0.5], [0.5, 0.5, 0.5], []]', r"m.json: line 1: not the JSON layout expected: '\], \"meta\": '"),
+    ])
+    @pytest.mark.parametrize("size", [1, 4, None])
+    def test_defects_named_at_any_block_size(self, tmp_path, monkeypatch, weights, message, size):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "nnx-json/1", "arch": [2, 3, 1], "weights": %s, %s' % (weights, self.ZERO_META))
+        with reads_of(size or 5 * JSON_FLOATS_PER_CALL, monkeypatch), pytest.raises(FormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("tail, message", [
+        (', "Meta": {}}', r"m.json: line 2: not the JSON layout expected"),
+        (', "meta": {}}\n\n', r"m.json: line 2: not the JSON layout expected: text after the document"),
+        (', "meta": {}, "more": 1}', r"m.json: line 2: not the JSON layout expected"),
+        (', "meta": {"seed": NaN}}', r"m.json: line 2: non-finite number NaN"),
+    ])
+    def test_tail_defects_name_their_line(self, tmp_path, tail, message):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "nnx-json/1", "arch": [1, 1], "weights": [[\n0.5]]' + tail)
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+
+    def test_arch_larger_than_the_file_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "nnx-json/1", "arch": [1, 1000000000], "weights": [[0.5]], %s' % self.ZERO_META)
+        with pytest.raises(FormatError, match=r"m.json: weights\[0\]: 1000000000 values take at least 4999999998"):
+            load_model(path)
+
+    def test_non_utf8_model_refused(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(init_network((2, 2), seed=0), path)
+        path.write_bytes(path.read_bytes().replace(b'"dataset_id": "', b'"dataset_id": "\xff'))
+        with pytest.raises(FormatError, match="m.json: not UTF-8"):
+            load_model(path)
 
     def test_nan_in_unknown_meta_raises_and_leaves_no_file(self, tmp_path):
         net = init_network((3, 2), seed=0)

@@ -9,6 +9,9 @@ somewhere in the package, so it leaves no orphaned helper either.  The
 measure table holds the public measure functions, so no private row kernel
 can drift from the function the oracles check, and each of them takes
 ``(view, nodes=None)`` and nothing else.
+Loading a paper-size model decodes at most ``JSON_FLOATS_PER_CALL`` weights
+per JSON call and peaks below 2.5 times its weight bytes, and k-means matches
+its one-restart-at-a-time oracle bit for bit at every descriptor width.
 No module calls ``json.dump``, which always runs the pure-Python encoder, and
 no module but ``artifacts`` opens a file for writing, so every artifact is
 replaced atomically.
@@ -23,13 +26,23 @@ module level somewhere in the package.
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+import oracles
 import pytest
+
+from neurotopo import bon
+from neurotopo.artifacts import JSON_FLOATS_PER_CALL
+from neurotopo.descriptors import feature_matrix_from_values
+from neurotopo.model import load_model, save_model
+from neurotopo.trainer import init_network
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -125,6 +138,70 @@ def test_readme_names_only_existing_code():
         if re.fullmatch(r"_\w+", quoted) and quoted not in defined:
             missing.append(quoted)
     assert missing == []
+
+
+def _longest_list(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    return max([len(value), *map(_longest_list, value)]) if isinstance(value, list) else 0
+
+
+@pytest.fixture(scope="module")
+def paper_model(tmp_path_factory):
+    net = init_network((784, 200, 100, 10), 1)
+    path = tmp_path_factory.mktemp("paper") / "m.json"
+    save_model(net, path)
+    return net, path
+
+
+def test_model_weights_decoded_in_bounded_pieces(paper_model, monkeypatch):
+    # json.loads and every other decode end in raw_decode
+    longest, raw_decode = [], json.JSONDecoder.raw_decode
+
+    def counting(self, s, idx=0):
+        value, end = raw_decode(self, s, idx)
+        longest.append(_longest_list(value))
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    load_model(paper_model[1])
+    assert 0 < max(longest) <= JSON_FLOATS_PER_CALL
+
+
+def test_model_loading_peak_memory(paper_model):
+    net, path = paper_model
+    load_model(path)
+    tracemalloc.start()
+    try:
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(w.nbytes for w in net.weights)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kmeans_matches_the_naive_oracle(d, monkeypatch):
+    # integer points: duplicate rows, rows as near one centre as another, and,
+    # at k = 5, coincident centres and revived empty clusters; the stop rule
+    # is also run with restart 0's first shift ratio as the tolerance, and the
+    # next float above it, which the batched ratio alone cannot settle
+    x = np.random.default_rng(d).integers(0, 3, size=(40, d)).astype(np.float64)
+    fm = feature_matrix_from_values(x, ("s", "snn", "so", "sg", "mc", "bc", "hc", "cfc")[:d])
+    k, restarts, seed = 5, 6, d
+
+    def first_rng():
+        return np.random.default_rng(np.random.SeedSequence(seed).spawn(restarts)[0])
+
+    start = oracles.kmeanspp_naive(fm.data, k, first_rng())
+    step = oracles.lloyd_naive(fm.data, k, first_rng(), 0.0, 1)[0]
+    ratio = float(np.linalg.norm(step - start)) / max(float(np.linalg.norm(start)), 1e-300)
+    for tol in (bon._REL_TOL, ratio, float(np.nextafter(ratio, np.inf))):
+        monkeypatch.setattr(bon, "_REL_TOL", tol)
+        vocab, traces = bon.kmeans(fm, k, restarts=restarts, seed=seed, return_traces=True)
+        centers, inertia, naive_traces, hits = oracles.kmeans_naive(fm.data, k, restarts, tol, seed=seed)
+        assert vocab.centroids.tobytes() == bon._sort_centroids(centers, fm.measures).tobytes(), tol
+        assert (vocab.inertia, traces, vocab.max_iter_hits) == (inertia, naive_traces, hits), tol
 
 
 def test_no_json_dump():
