@@ -48,7 +48,6 @@ from .errors import (
     FormatError,
     NeurotopoError,
     NumericalError,
-    ResourceBudgetError,
     StructuralError,
 )
 from .model import (
@@ -57,7 +56,6 @@ from .model import (
     build_graph,
     largest_component,
     load_model,
-    neuron_graph,
     save_model,
     threshold_view,
 )

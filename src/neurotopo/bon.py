@@ -54,6 +54,8 @@ class Vocabulary:
             raise StructuralError(f"need k >= 2 centroids of length {len(self.measures)}")
         if self.seed < 0 or self.inertia < 0.0:
             raise StructuralError(f"seed and inertia must be >= 0, got {self.seed} and {self.inertia}")
+        if not np.isfinite(self.inertia):
+            raise StructuralError(f"inertia must be finite, got {self.inertia}")
         if not np.all(np.isfinite(c)):
             raise StructuralError("centroids contain non-finite values")
         norm = np.asarray(self.normalizers, dtype=np.float64)

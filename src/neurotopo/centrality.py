@@ -16,24 +16,22 @@ Eight measures are provided, each bound to the graph view it is defined on
 Every function takes ``(view, nodes=None)`` and returns the float64 values at
 view positions ``nodes``, or at every node when ``nodes`` is None.  Undefined
 values are NaN, never silent zeros; so and cfc, defined on connected graphs,
-take the view's largest component and are NaN off it.  On a view whose layer
-parity bipartitions its edges (a layered network's) sg, mc, hc, so and cfc
-take layered rules; the same graph without layer tags takes the general path.
-numpy is the only dependency.
+take the view's largest component and are NaN off it.  Every view is a
+layered network's, its edges bipartitioned by layer parity, and sg, mc, hc,
+so and cfc take layered rules that rest on it.  numpy is the only dependency.
 ``measure_all`` runs a selection of measures on a layered network and
 computes the hidden-neuron rows only.
 """
 
 import logging
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import parse_float, parse_int, read_csv_rows, write_csv
-from .errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
+from .errors import FormatError, NumericalError, StructuralError
 from .model import (
     ALL,
     VIEW_MODES,
@@ -53,14 +51,9 @@ SO_RADICAND_TOL = 1e-9
 # of 3.4e-4 and 4e-7 at 2.9e-6, so cfc stays inside its 1e-9 tolerance
 PIVOT_TAU = 1e-4
 
-# a grounded Schur block S with κ₁ = ‖S‖₁·‖S⁻¹‖₁ above this raises (about 4 digits
-# left); 500 seeded nets, 110 trained, read at most 3.8e8 (cfc) and 527 (so)
+# a grounded inverse whose condition number (κ₁(S) or a lower bound on κ₁(L_g)) is above
+# this raises (about 4 digits left); 500 seeded nets, 110 trained, read at most 1.6e8 (cfc) and 545 (so)
 COND_MAX = 1e12
-
-# max_clique_count gives up past this many maximal cliques or seconds: the
-# enumeration is NP-complete, and only graphs with same-parity edges reach it
-MC_MAX_CLIQUES = 10_000_000
-MC_TIME_BUDGET = 300.0
 
 log = logging.getLogger(__name__)
 
@@ -128,14 +121,15 @@ def _laplacian_pinv_diagonal(view, binary, what):
     diagonal block D and the others stay in the dense Schur complement
     S = L_KK - W_KE·D⁻¹·W_EK.  Then diag(L⁺) = diag(M) - 2·M1/n + 1ᵀM1/n².
     A singular S (then L + J/n is singular: signed weights can widen the
-    kernel), κ₁(S) above COND_MAX or a non-finite result raises
-    NumericalError naming ``what``.
+    kernel), a non-finite result, or a condition number above COND_MAX
+    raises NumericalError naming ``what``.  The condition number is κ₁(S),
+    or max_{j≠g}|d_j|·‖S⁻¹‖₁ when larger: a lower bound on κ₁(L_g), as
+    |d_j| ≤ ‖L_g‖₁ and S⁻¹ is a principal block of M, which sees the nearly
+    singular 1×1 S whose own κ₁ is 1.
     """
     n = view.node_count
     d = view.degrees if binary else _row_sums(view)
-    sides = _parity_sides(view)
-    # without parity sides nothing is eliminated and node 0 is grounded
-    even, odd = (np.zeros(0, dtype=np.int64), np.arange(n)) if sides is None else sides
+    even, odd = _parity_sides(view)
     scale = np.abs(d).max()
     elim = even[np.abs(d[even]) > PIVOT_TAU * scale]
     kept = np.setdiff1d(np.arange(n), np.append(elim, odd[0]))
@@ -147,12 +141,14 @@ def _laplacian_pinv_diagonal(view, binary, what):
         x = np.linalg.inv(s)  # M_KK; M_EK = V·X and M_EE = D⁻¹ + V·X·Vᵀ
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what}: L + J/n is singular (grounded Schur block: {exc})") from exc
-    cond = np.abs(s).sum(axis=0).max(initial=0.0) * np.abs(x).sum(axis=0).max(initial=0.0)
+    # ‖S‖₁, or max_{j≠g}|d_j| ≤ ‖L_g‖₁ when larger
+    norm = max(np.abs(s).sum(axis=0).max(initial=0.0), np.abs(np.delete(d, odd[0])).max())
+    cond = norm * np.abs(x).sum(axis=0).max(initial=0.0)
     log.debug("%s: tau %g, %d of %d even-side pivots kept in S of size %d, smallest pivot ratio %.3g, "
               "condition number %.3g", what, PIVOT_TAU, even.size - elim.size, even.size, kept.size,
               np.abs(d[even]).min() / scale if even.size and scale else math.nan, cond)
     if not cond <= COND_MAX:
-        raise NumericalError(f"{what}: the grounded Schur block is ill-conditioned "
+        raise NumericalError(f"{what}: the grounded inverse is ill-conditioned "
                              f"(condition number {cond:.3g} > {COND_MAX:g})")
     diag = np.zeros(n)  # diag(M)
     rows = np.zeros(n)  # M·1
@@ -194,19 +190,12 @@ def second_order(view, nodes=None):
 def subgraph_centrality(view, nodes=None):
     """Closed-walk sum per node: the diagonal of exp(A), A the binarized adjacency.
 
-    With parity sides, from a thin SVD B = UΣVᵀ of the even×odd biadjacency:
-    exp(A) has diagonal blocks cosh(√(BBᵀ)) and cosh(√(BᵀB)), so sg_i is
+    From a thin SVD B = UΣVᵀ of the even×odd biadjacency: exp(A) has
+    diagonal blocks cosh(√(BBᵀ)) and cosh(√(BᵀB)), so sg_i is
     1 + Σ_k U_ik² (cosh σ_k - 1), with V on the odd side (Estrada &
-    Rodríguez-Velázquez 2005).  Otherwise from the spectrum of A.
+    Rodríguez-Velázquez 2005).
     """
-    sides = _parity_sides(view)
-    if sides is None:
-        try:
-            lam, u = np.linalg.eigh(view.edge_mask.astype(np.float64))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
-            raise NumericalError(f"sg: eigendecomposition failed: {exc}") from exc
-        return _at((u * u) @ np.exp(lam), nodes)
-    even, odd = sides
+    even, odd = _parity_sides(view)
     b = view.block(even, odd, mask=True).astype(np.float64)
     try:
         u, sigma, vt = np.linalg.svd(b, full_matrices=False)
@@ -219,70 +208,15 @@ def subgraph_centrality(view, nodes=None):
     return _at(out, nodes)
 
 
-def _iter_bits(x):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
 def max_clique_count(view, nodes=None):
     """Number of maximum cliques each node participates in.
 
-    A graph with no edges has clique number 1 and every node participates
-    once.  With parity sides the graph has no triangles, so every maximum
-    clique is an edge and a node's count is its degree.  Otherwise maximal
-    cliques are enumerated depth-first with pivoting on the node covering
-    the most candidates, and only cliques of globally maximum cardinality
-    are counted; more than ``MC_MAX_CLIQUES`` maximal cliques or more than
-    ``MC_TIME_BUDGET`` seconds raise ResourceBudgetError.
+    Layer parity bipartitions the view, so it has no triangles: every
+    maximum clique is an edge and a node's count is its degree.  A view with
+    no edges has clique number 1 and every node participates once.
     """
-    if _parity_sides(view) is not None:
-        deg = _at(view.degrees, nodes)
-        return deg if view.edge_count else np.ones(len(deg))
-    n = view.node_count
-    nbr = [0] * n
-    rows, cols = np.nonzero(view.edge_mask)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        nbr[i] |= 1 << j
-    counts = np.zeros(n, dtype=np.int64)
-    best_size = 0
-    seen = 0
-    deadline = time.monotonic() + MC_TIME_BUDGET
-
-    def report(r_mask, size):
-        nonlocal best_size, counts, seen
-        seen += 1
-        if seen > MC_MAX_CLIQUES:
-            raise ResourceBudgetError(f"mc: more than {MC_MAX_CLIQUES} maximal cliques")
-        if not seen % 1024 and time.monotonic() > deadline:
-            raise ResourceBudgetError(f"mc: clique enumeration exceeded {MC_TIME_BUDGET:g} s")
-        if size > best_size:
-            best_size = size
-            counts[:] = 0
-        if size == best_size:
-            for v in _iter_bits(r_mask):
-                counts[v] += 1
-
-    def expand(r_mask, r_size, p, x):
-        if not p and not x:
-            report(r_mask, r_size)
-            return
-        pivot = -1
-        pivot_cover = -1
-        for u in _iter_bits(p | x):
-            cover = (p & nbr[u]).bit_count()
-            if cover > pivot_cover:
-                pivot_cover = cover
-                pivot = u
-        for v in _iter_bits(p & ~nbr[pivot]):
-            bit = 1 << v
-            expand(r_mask | bit, r_size + 1, p & nbr[v], x & nbr[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, 0, (1 << n) - 1, 0)
-    return _at(counts.astype(np.float64), nodes)
+    deg = _at(view.degrees, nodes)
+    return deg if view.edge_count else np.ones(len(deg))
 
 
 def bipartite_clustering(view, nodes=None):
@@ -380,14 +314,12 @@ def harmonic(view, nodes=None):
     Unreachable pairs contribute zero, so disconnected views are fine.  With
     ``nodes`` (view positions), only those rows are summed.  Their distances
     come from ``_input_eliminated_distances``, which eliminates the layer-0
-    nodes when layer parity bipartitions the view's edges and nothing
-    otherwise; Floyd-Warshall over what is left costs O(n³).
+    nodes; Floyd-Warshall over what is left costs O(n³).
     """
     if any(np.any(w[m] <= 0.0) for _, _, w, m in view.blocks):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
     nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.intp)
-    inputs = np.zeros(view.node_count, dtype=bool) if _parity_sides(view) is None else view.layers == 0
-    dist = _input_eliminated_distances(view, nodes, inputs)
+    dist = _input_eliminated_distances(view, nodes, view.layers == 0)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         np.divide(1.0, dist, out=dist)  # 1/inf is 0: unreachable pairs and the sources
@@ -415,16 +347,9 @@ def current_flow_closeness(view, nodes=None):
 
 
 def _parity_sides(view):
-    """Even- and odd-layer positions of a view whose layer parity bipartitions
-    its edges; None for views without layer tags or with a same-parity edge."""
-    if view.layers is None:
-        return None
-    odd = view.layers % 2 == 1
-    off = view.offsets
-    for a, b, _, m in view.blocks:
-        if np.any(m & (odd[off[a] : off[a + 1], np.newaxis] == odd[off[b] : off[b + 1]])):
-            return None
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
+    """Even- and odd-layer positions of a view, the two sides its edges join."""
+    odd = view.layers % 2
+    return np.flatnonzero(odd == 0), np.flatnonzero(odd)
 
 
 @dataclass(frozen=True)

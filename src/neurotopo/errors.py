@@ -15,7 +15,3 @@ class FormatError(NeurotopoError):
 
 class NumericalError(NeurotopoError):
     """A numerical routine failed or produced an out-of-tolerance result."""
-
-
-class ResourceBudgetError(NeurotopoError):
-    """An enumeration exceeded its configured size or wall-clock budget."""

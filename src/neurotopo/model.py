@@ -3,8 +3,8 @@
 A trained fully connected network is treated as a weighted undirected graph:
 one node per neuron (input and output layers included), one edge per synapse
 carrying its signed weight.  One type, GraphView, holds that graph and
-every read-only view of it as node groups and the blocks between them (a
-layer and a weight matrix for a layered network); two view modes exist
+every read-only view of it as node groups and the blocks between them
+(the layers and the weight matrices); two view modes exist
 because some measures are defined on the signed graph and the others on its
 positive subgraph.
 """
@@ -85,13 +85,15 @@ class GraphView:
     blocks -- (a, b, weights, mask), a <= b: signed weights between groups a
               and b, zero off the boolean edge mask (a zero-weight synapse is
               still an edge); (b, a) is the transpose, unlisted pairs no edge
-    layers -- (N,) layer index per position, or None for graphs that did
-              not come from a layered network
+    layers -- (N,) layer index per position
+
+    The constructor checks nothing: every view the library makes comes from
+    build_graph, so its layer parity bipartitions its edges.
     """
 
     sizes: tuple
     blocks: tuple
-    layers: np.ndarray | None
+    layers: np.ndarray
 
     @property
     def node_count(self):
@@ -115,22 +117,11 @@ class GraphView:
     def edge_count(self):
         return int(self.degrees.sum()) // 2
 
-    @property
-    def weights(self):
-        return self.block(ALL, ALL)
-
-    @property
-    def edge_mask(self):
-        return self.block(ALL, ALL, mask=True)
-
     def block(self, rows, cols, mask=False):
         """The dense weights, or the edge mask, at positions rows × cols
-        (slices or index arrays), read-only: a one-block view's own array for
-        all positions, else assembled from the stored blocks."""
+        (slices or index arrays), read-only, assembled from the stored blocks."""
         n, off = self.node_count, self.offsets
-        (size_r, span_r, split_r), (size_c, span_c, split_c) = _split(rows, n, off), _split(cols, n, off)
-        if len(self.blocks) == 1 and self.sizes == (n,) and span_r == span_c == (0, n):
-            return self.blocks[0][3 if mask else 2]
+        (size_r, split_r), (size_c, split_c) = _split(rows, n, off), _split(cols, n, off)
         out = np.zeros((size_r, size_c), dtype=bool if mask else np.float64)
         for a, b, w, m in self.blocks:
             x = m if mask else w
@@ -144,10 +135,9 @@ class GraphView:
 
 
 def _split(pos, n, offsets):
-    """The count of positions ``pos`` (a slice or an index array), their
-    (first, last + 1) when they run consecutively, else None, and per group
-    None if none of them is in it, else (where they sit in pos, their indices
-    in the group), as slices for a run."""
+    """The count of positions ``pos`` (a slice or an index array) and per
+    group None if none of them is in it, else (where they sit in pos, their
+    indices in the group), as slices when they run consecutively."""
     if isinstance(pos, slice) and pos.step in (None, 1):
         start, stop, _ = pos.indices(n)
         stop = max(start, stop)
@@ -155,38 +145,11 @@ def _split(pos, n, offsets):
         pos = np.arange(n)[pos]
         if not (pos.size and pos[-1] - pos[0] == pos.size - 1 and np.all(np.diff(pos) == 1)):
             at = [np.flatnonzero((pos >= lo) & (pos < hi)) for lo, hi in zip(offsets, offsets[1:])]
-            return pos.size, None, [(i, pos[i] - lo) if i.size else None for i, lo in zip(at, offsets)]
+            return pos.size, [(i, pos[i] - lo) if i.size else None for i, lo in zip(at, offsets)]
         start, stop = int(pos[0]), int(pos[-1]) + 1
     spans = [(max(start, lo), min(stop, hi), lo) for lo, hi in zip(offsets, offsets[1:])]
-    return stop - start, (start, stop), [
+    return stop - start, [
         (slice(a - start, b - start), slice(a - lo, b - lo)) if a < b else None for a, b, lo in spans]
-
-
-def neuron_graph(weights, edge_mask, layers=None) -> GraphView:
-    """The graph of arrays from outside the library, read-only, as one N×N
-    block; StructuralError unless the weights are square, symmetric, finite
-    and zero off the mask, the mask is symmetric, loop-free and of their
-    shape, and layers tags each node."""
-    w = np.array(weights, dtype=np.float64, order="C")  # copies: the caller's arrays stay writable
-    m = np.array(edge_mask, dtype=bool, order="C")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise StructuralError(f"weight matrix must be square, got {w.shape}")
-    if m.shape != w.shape:
-        raise StructuralError("edge mask and weight matrix shapes differ")
-    if not np.array_equal(w, w.T) or not np.array_equal(m, m.T):
-        raise StructuralError("graph must be symmetric")
-    if not np.all(np.isfinite(w)):
-        raise StructuralError("non-finite edge weights")
-    if np.any(np.diag(m)):
-        raise StructuralError("self-loops are not allowed")
-    if np.any(w[~m] != 0.0):
-        raise StructuralError("nonzero weight outside the edge set")
-    if layers is not None:
-        layers = np.array(layers, dtype=np.int64, order="C")
-        if layers.shape != (w.shape[0],):
-            raise StructuralError("layer tags must be one per node")
-    layers = None if layers is None else _freeze(layers)
-    return GraphView((w.shape[0],), ((0, 0, _freeze(w), _freeze(m)),), layers)
 
 
 def build_graph(net: LayeredNetwork) -> GraphView:
@@ -196,8 +159,7 @@ def build_graph(net: LayeredNetwork) -> GraphView:
     Nodes are ordered layer-major: all of layer 0, then layer 1, and so on.
     Edges connect consecutive layers only; the graph is layered-bipartite.
     The network was checked when it was made, and the graph is symmetric,
-    loop-free and zero off its mask by construction: neuron_graph's checks
-    would find nothing.
+    loop-free and zero off its mask by construction.
     """
     layers = _freeze(np.repeat(np.arange(len(net.arch)), net.arch))
     blocks = tuple((a, a + 1, w, np.broadcast_to(True, w.shape)) for a, w in enumerate(net.weights))
@@ -255,8 +217,7 @@ def largest_component(view: GraphView):
     local = [keep[(keep >= lo) & (keep < hi)] - lo for lo, hi in zip(off, off[1:])]
     blocks = tuple((a, b, *(_freeze(x[np.ix_(local[a], local[b])]) for x in (w, m)))
                    for a, b, w, m in view.blocks)
-    layers = None if view.layers is None else _freeze(view.layers[keep])
-    return keep, GraphView(tuple(len(x) for x in local), blocks, layers)
+    return keep, GraphView(tuple(len(x) for x in local), blocks, _freeze(view.layers[keep]))
 
 
 def save_model(net: LayeredNetwork, path) -> None:

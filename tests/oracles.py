@@ -19,6 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
+from neurotopo.model import GraphView
+
 
 def strength_naive(weights):
     n = weights.shape[0]
@@ -169,6 +171,18 @@ def build_graph_dense(net):
         weights[c0:c1, r0:r1] = w.T
         mask[r0:r1, c0:c1] = mask[c0:c1, r0:r1] = True
     return weights, mask, layers
+
+
+def dense_graph_view(net):
+    """The graph of a layered network as one N×N block over one node group."""
+    weights, mask, layers = build_graph_dense(net)
+    return GraphView((len(layers),), ((0, 0, weights, mask),), layers)
+
+
+def positive_part(weights, mask):
+    """(weights, mask) of the positive view of a dense graph: its edges of weight > 0."""
+    keep = mask & (weights > 0.0)
+    return np.where(keep, weights, 0.0), keep
 
 
 def laplacian_pinv_diagonal_dense(w):

@@ -530,6 +530,13 @@ class TestVocabularyIo:
         with pytest.raises(FormatError, match="v.json: bad vocabulary file .*seed and inertia must be >= 0"):
             load_vocabulary(path)
 
+    def test_overflowing_inertia_rejected(self, tmp_path):
+        # json reads 1e999 as an infinity, which save_vocabulary cannot write
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(self.vocabulary_doc()).replace('"inertia": 0.5', '"inertia": 1e999'))
+        with pytest.raises(FormatError, match=r"v.json: bad vocabulary file \(inertia must be finite, got inf\)"):
+            load_vocabulary(path)
+
     def test_id_keys_optional(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(json.dumps(self.vocabulary_doc(inertia=1)))

@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 import oracles
-from conftest import graph_from_edges, random_signed_graph, unit_graph
+from conftest import layered_graph, ones_graph, random_layered_net
 from neurotopo import centrality
 from neurotopo.centrality import (
     MEASURE_ORDER,
@@ -27,67 +27,74 @@ from neurotopo.centrality import (
     subgraph_centrality,
     write_measures_csv,
 )
-from neurotopo.errors import FormatError, NumericalError, ResourceBudgetError, StructuralError
+from neurotopo.errors import FormatError, NumericalError, StructuralError
 from neurotopo.model import (
     VIEW_ORIGINAL,
     VIEW_POSITIVE,
+    GraphView,
     LayeredNetwork,
     build_graph,
     largest_component,
-    neuron_graph,
     threshold_view,
 )
 from neurotopo.trainer import init_network
-
-
-def K(n):
-    return unit_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def view(graph, mode=VIEW_POSITIVE):
     return threshold_view(graph, mode)
 
 
+def random_cases(count):
+    """(positive view, dense positive weights, dense positive mask) of seeded random layered nets."""
+    for seed in range(count):
+        net = random_layered_net(seed)
+        yield (view(build_graph(net)), *oracles.positive_part(*oracles.build_graph_dense(net)[:2]))
+
+
 class TestStrength:
     def test_signed_path(self):
-        g = graph_from_edges(3, [(0, 1, 0.5), (1, 2, -0.2)])
+        g = layered_graph((1, 1, 1), [[0.5]], [[-0.2]])
         s = strength(view(g, VIEW_ORIGINAL))
         np.testing.assert_allclose(s, [0.5, 0.3, -0.2])
 
     def test_isolated_node_zero(self):
-        g = graph_from_edges(2, [(0, 1, 1.0)])
-        padded = neuron_graph(weights=np.pad(g.weights, (0, 1)), edge_mask=np.pad(g.edge_mask, (0, 1)))
-        assert strength(view(padded, VIEW_ORIGINAL))[2] == 0.0
+        g = layered_graph((1, 1, 1), [[1.0]], [[-1.0]])
+        assert strength(view(g, VIEW_POSITIVE))[2] == 0.0
+
+    def test_p4_degrees(self):
+        np.testing.assert_array_equal(strength(view(ones_graph((1, 1, 1, 1)), VIEW_ORIGINAL)), [1.0, 2.0, 2.0, 1.0])
 
     def test_negative_k2(self):
-        g = graph_from_edges(2, [(0, 1, -1.0)])
+        g = layered_graph((1, 1), [[-1.0]])
         np.testing.assert_array_equal(strength(view(g, VIEW_ORIGINAL)), [-1.0, -1.0])
 
     def test_sum_is_twice_edge_total(self):
         for seed in range(20):
-            g = random_signed_graph(seed)
-            v = view(g, VIEW_ORIGINAL)
-            total = strength(v).sum()
-            edges = v.weights[np.triu(v.edge_mask)].sum()
-            assert abs(total - 2.0 * edges) < 1e-9
+            net = random_layered_net(seed)
+            total = strength(view(build_graph(net), VIEW_ORIGINAL)).sum()
+            assert abs(total - 2.0 * sum(w.sum() for w in net.weights)) < 1e-9
 
 
 class TestAvgNeighborStrength:
     def test_k2_identity(self):
-        g = graph_from_edges(2, [(0, 1, 0.37)])
+        g = layered_graph((1, 1), [[0.37]])
         np.testing.assert_allclose(avg_neighbor_strength(view(g, VIEW_ORIGINAL)), [0.37, 0.37])
 
-    def test_triangle_symmetry(self):
-        snn = avg_neighbor_strength(view(K(3), VIEW_ORIGINAL))
-        np.testing.assert_allclose(snn, [2.0, 2.0, 2.0])
+    def test_k22_symmetry(self):
+        snn = avg_neighbor_strength(view(ones_graph((2, 2)), VIEW_ORIGINAL))
+        np.testing.assert_allclose(snn, [2.0, 2.0, 2.0, 2.0])
+
+    def test_p4(self):
+        # an end sees one middle neighbor of strength 2; a middle node an end and a middle
+        snn = avg_neighbor_strength(view(ones_graph((1, 1, 1, 1)), VIEW_ORIGINAL))
+        np.testing.assert_allclose(snn, [2.0, 1.5, 1.5, 2.0])
 
     def test_star_center(self):
-        g = unit_graph(4, [(0, 1), (0, 2), (0, 3)])
-        snn = avg_neighbor_strength(view(g, VIEW_ORIGINAL))
+        snn = avg_neighbor_strength(view(ones_graph((1, 3)), VIEW_ORIGINAL))
         assert snn[0] == pytest.approx(1.0)
 
     def test_zero_strength_flagged(self):
-        g = graph_from_edges(3, [(0, 1, 1.0), (0, 2, -1.0)])
+        g = layered_graph((1, 2), [[1.0, -1.0]])
         snn = avg_neighbor_strength(view(g, VIEW_ORIGINAL))
         assert math.isnan(snn[0])
 
@@ -108,137 +115,117 @@ class TestAvgNeighborStrength:
 
 class TestSecondOrder:
     def test_k2_zero_variance(self):
-        np.testing.assert_allclose(second_order(view(K(2))), [0.0, 0.0])
+        np.testing.assert_allclose(second_order(view(ones_graph((1, 1)))), [0.0, 0.0])
 
-    def test_k3_sqrt2(self):
-        np.testing.assert_allclose(second_order(view(K(3))), math.sqrt(2), atol=1e-9)
+    def test_k22_closed_form(self):
+        # the return time to a node of the 4-cycle is 2 + 2G, G geometric with p = 1/2: variance 4·2
+        np.testing.assert_allclose(second_order(view(ones_graph((2, 2)))), math.sqrt(8.0), atol=1e-9)
+
+    def test_p4_closed_form(self):
+        # the lazy ends keep the walk uniform; the mean passage times to an end sum to 32
+        # (4, 6, 10, 12) and to a middle node to 16 (2, 4, 4, 6), and the variance is 2·Σm − n(n + 1)
+        want = [math.sqrt(44.0), math.sqrt(12.0), math.sqrt(12.0), math.sqrt(44.0)]
+        np.testing.assert_allclose(second_order(view(ones_graph((1, 1, 1, 1)))), want, atol=1e-9)
 
     def test_vertex_transitive_constant(self):
-        cycle = unit_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        so = second_order(view(cycle))
+        so = second_order(view(ones_graph((3, 3))))
         np.testing.assert_allclose(so, so[0], atol=1e-9)
 
     def test_nan_off_largest_component(self):
-        check_on_largest_component(second_order, VIEW_POSITIVE)
+        check_on_largest_component(second_order)
 
     def test_matches_per_target_solves(self):
-        for seed in range(10):
-            v = view(random_signed_graph(seed))
-            keep, comp = largest_component(v)
-            if keep.size < 2:
+        for v, _, mask in random_cases(10):
+            keep = oracles.largest_component_naive(mask)
+            if len(keep) < 2:
                 continue
-            want = oracles.second_order_naive(comp.edge_mask)
+            want = oracles.second_order_naive(mask[np.ix_(keep, keep)])
             np.testing.assert_allclose(second_order(v)[keep], want, atol=1e-6)
 
 
 class TestSubgraphCentrality:
     def test_isolated_node(self):
-        g = graph_from_edges(2, [(0, 1, -1.0)])
+        g = layered_graph((1, 1), [[-1.0]])
         np.testing.assert_allclose(subgraph_centrality(view(g)), [1.0, 1.0])
 
     def test_k2_cosh(self):
-        np.testing.assert_allclose(subgraph_centrality(view(K(2))), math.cosh(1.0), atol=1e-9)
+        np.testing.assert_allclose(subgraph_centrality(view(ones_graph((1, 1)))), math.cosh(1.0), atol=1e-9)
 
-    def test_k3_closed_form(self):
-        want = math.exp(2.0) / 3.0 + 2.0 * math.exp(-1.0) / 3.0
-        np.testing.assert_allclose(subgraph_centrality(view(K(3))), want, atol=1e-9)
+    def test_p3_closed_form(self):
+        # A has eigenvalues ±√2 and 0; the middle node holds half of each ±√2 eigenvector
+        middle = math.cosh(math.sqrt(2.0))
+        want = [(1.0 + middle) / 2.0, middle, (1.0 + middle) / 2.0]
+        np.testing.assert_allclose(subgraph_centrality(view(ones_graph((1, 1, 1)))), want, atol=1e-9)
+
+    def test_p4_closed_form(self):
+        # A has eigenvalues 2cos(kπ/5) with eigenvectors √(2/5)·sin(jkπ/5), j, k = 1..4
+        want = [0.4 * sum(math.sin(j * k * math.pi / 5.0) ** 2 * math.exp(2.0 * math.cos(k * math.pi / 5.0))
+                          for k in range(1, 5)) for j in range(1, 5)]
+        np.testing.assert_allclose(subgraph_centrality(view(ones_graph((1, 1, 1, 1)))), want, atol=1e-9)
 
     def test_estrada_index_identity(self):
-        for seed in range(20):
-            g = random_signed_graph(seed)
-            v = view(g)
+        for v, _, mask in random_cases(20):
             sg = subgraph_centrality(v)
-            lam = np.linalg.eigvalsh(v.edge_mask.astype(float))
-            estrada = np.exp(lam).sum()
+            estrada = np.exp(np.linalg.eigvalsh(mask.astype(float))).sum()
             assert abs(sg.sum() - estrada) < 1e-6 * max(estrada, 1.0)
 
     def test_matches_series(self):
-        for seed in range(20):
-            g = random_signed_graph(seed)
-            v = view(g)
-            got = subgraph_centrality(v)
-            want = oracles.subgraph_series_naive(v.edge_mask)
-            np.testing.assert_allclose(got, want, atol=1e-8)
+        for v, _, mask in random_cases(20):
+            np.testing.assert_allclose(subgraph_centrality(v), oracles.subgraph_series_naive(mask), atol=1e-8)
 
 
 class TestMaxCliqueCount:
-    def test_k3_single_clique(self):
-        np.testing.assert_array_equal(max_clique_count(view(K(3))), [1, 1, 1])
-
-    def test_two_triangles_sharing_node(self):
-        g = unit_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-        np.testing.assert_array_equal(max_clique_count(view(g)), [2, 1, 1, 1, 1])
-
     def test_path_p3(self):
-        g = unit_graph(3, [(0, 1), (1, 2)])
-        np.testing.assert_array_equal(max_clique_count(view(g)), [1, 2, 1])
+        np.testing.assert_array_equal(max_clique_count(view(ones_graph((1, 1, 1)))), [1, 2, 1])
+
+    def test_path_p4(self):
+        # its largest cliques are its edges: each node counts its degree
+        np.testing.assert_array_equal(max_clique_count(view(ones_graph((1, 1, 1, 1)))), [1, 2, 2, 1])
 
     def test_isolated_only_graph(self):
-        g = graph_from_edges(3, [(0, 1, -1.0), (1, 2, -1.0)])
+        g = layered_graph((1, 1, 1), [[-1.0]], [[-1.0]])
         np.testing.assert_array_equal(max_clique_count(view(g)), [1, 1, 1])
 
-    def test_clique_budget_enforced(self, monkeypatch):
-        g = unit_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)][:9])
-        monkeypatch.setattr(centrality, "MC_MAX_CLIQUES", 1)
-        with pytest.raises(ResourceBudgetError, match="maximal cliques"):
-            max_clique_count(view(g))
-
-    def test_clique_time_budget_enforced(self, monkeypatch):
-        # complete 11-partite graph with parts of size 2: 2^11 maximal cliques,
-        # enough to hit the periodic deadline check
-        edges = []
-        for a in range(22):
-            for b in range(a + 1, 22):
-                if (a // 2) != (b // 2):
-                    edges.append((a, b))
-        g = unit_graph(22, edges)
-        monkeypatch.setattr(centrality, "MC_TIME_BUDGET", -1.0)
-        with pytest.raises(ResourceBudgetError, match="exceeded"):
-            max_clique_count(view(g))
-
     def test_matches_exhaustive(self):
-        for seed in range(15):
-            g = random_signed_graph(seed, n_range=(6, 11))
-            v = view(g)
-            got = max_clique_count(v)
-            want = oracles.max_clique_count_naive(v.edge_mask)
-            np.testing.assert_array_equal(got, want)
+        for v, _, mask in random_cases(15):
+            np.testing.assert_array_equal(max_clique_count(v), oracles.max_clique_count_naive(mask))
 
 
 class TestBipartiteClustering:
     def test_k22(self):
-        g = unit_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        np.testing.assert_array_equal(bipartite_clustering(view(g)), [1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(bipartite_clustering(view(ones_graph((2, 2)))), [1.0, 1.0, 1.0, 1.0])
 
     def test_path_p4_end(self):
-        g = unit_graph(4, [(0, 1), (1, 2), (2, 3)])
-        bc = bipartite_clustering(view(g))
+        bc = bipartite_clustering(view(ones_graph((1, 1, 1, 1))))
         assert bc[0] == pytest.approx(0.5)
 
+    def test_path_p4_middle(self):
+        # the one node two steps away shares one neighbor, over the larger degree 2
+        bc = bipartite_clustering(view(ones_graph((1, 1, 1, 1))))
+        np.testing.assert_allclose(bc, [0.5, 0.5, 0.5, 0.5])
+
     def test_star_center_zero(self):
-        g = unit_graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert bipartite_clustering(view(g))[0] == 0.0
+        assert bipartite_clustering(view(ones_graph((1, 3))))[0] == 0.0
 
     def test_matches_naive(self):
-        for seed in range(20):
-            g = random_signed_graph(seed)
-            v = view(g)
-            got = bipartite_clustering(v)
-            want = oracles.bipartite_clustering_naive(v.edge_mask)
-            np.testing.assert_array_equal(got, want)
+        for v, _, mask in random_cases(20):
+            np.testing.assert_array_equal(bipartite_clustering(v), oracles.bipartite_clustering_naive(mask))
 
     @pytest.mark.parametrize("source", ["random", (784, 32, 16, 10), (784, 200, 100, 10)])
     def test_float32_counts_match_float64_product(self, source):
         if source == "random":
-            cases = [(view(random_signed_graph(seed)), None) for seed in range(20)]
+            cases = [random_layered_net(seed) for seed in range(20)]
         else:
-            net = init_network(source, seed=0)
+            cases = [init_network(source, seed=0)]
+        for net in cases:
             graph = build_graph(net)
-            cases = [(view(graph), np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth)))]
-        for v, nodes in cases:
+            hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
+            nodes = None if source == "random" else hidden
+            v = view(graph)
+            _, mask = oracles.positive_part(*oracles.build_graph_dense(net)[:2])
             rows = np.arange(v.node_count) if nodes is None else nodes
-            deg = v.edge_mask.sum(axis=1, dtype=np.float64)
-            common = v.edge_mask[rows].astype(np.float64) @ v.edge_mask.astype(np.float64)
+            deg = mask.sum(axis=1, dtype=np.float64)
+            common = mask[rows].astype(np.float64) @ mask.astype(np.float64)
             want = np.zeros(len(rows))
             for k, node in enumerate(rows):
                 cand = (common[k] >= 1.0) & (np.arange(v.node_count) != node)
@@ -249,168 +236,141 @@ class TestBipartiteClustering:
 
 class TestHarmonic:
     def test_p3_unit(self):
-        g = unit_graph(3, [(0, 1), (1, 2)])
-        np.testing.assert_allclose(harmonic(view(g, VIEW_POSITIVE)), [1.5, 2.0, 1.5])
+        np.testing.assert_allclose(harmonic(view(ones_graph((1, 1, 1)))), [1.5, 2.0, 1.5])
+
+    def test_p4_unit(self):
+        np.testing.assert_allclose(harmonic(view(ones_graph((1, 1, 1, 1)))), [11.0 / 6.0, 2.5, 2.5, 11.0 / 6.0])
 
     def test_isolated_pair(self):
-        g = graph_from_edges(2, [(0, 1, -1.0)])
+        g = layered_graph((1, 1), [[-1.0]])
         np.testing.assert_array_equal(harmonic(view(g, VIEW_POSITIVE)), [0.0, 0.0])
 
     def test_k2_short_edge(self):
-        g = graph_from_edges(2, [(0, 1, 0.5)])
+        g = layered_graph((1, 1), [[0.5]])
         np.testing.assert_allclose(harmonic(view(g, VIEW_POSITIVE)), [2.0, 2.0])
 
     def test_monotone_under_edge_addition(self):
-        base = unit_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        before = harmonic(view(base, VIEW_POSITIVE))
-        denser = unit_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        after = harmonic(view(denser, VIEW_POSITIVE))
+        # P4 (2-0-3-1 in positions), then the 4-cycle K2,2
+        before = harmonic(view(layered_graph((2, 2), [[1.0, 1.0], [-1.0, 1.0]])))
+        after = harmonic(view(ones_graph((2, 2))))
         assert np.all(after >= before - 1e-12)
 
     def test_monotone_under_random_edge_addition(self):
         rng = np.random.default_rng(8)
         for seed in range(10):
-            g = random_signed_graph(seed)
-            n = g.node_count
-            missing = [(i, j) for i in range(n) for j in range(i + 1, n) if not g.edge_mask[i, j]]
+            net = random_layered_net(seed)
+            missing = [(a, i, j) for a, w in enumerate(net.weights) for i, j in np.argwhere(w <= 0.0)]
             if not missing:
                 continue
-            i, j = missing[int(rng.integers(len(missing)))]
-            w = g.weights.copy()
-            mask = g.edge_mask.copy()
-            w[i, j] = w[j, i] = float(rng.uniform(0.1, 1.0))
-            mask[i, j] = mask[j, i] = True
-            before = harmonic(view(g, VIEW_POSITIVE))
-            after = harmonic(view(neuron_graph(weights=w, edge_mask=mask), VIEW_POSITIVE))
+            a, i, j = missing[int(rng.integers(len(missing)))]
+            weights = [np.array(w) for w in net.weights]
+            weights[a][i, j] = float(rng.uniform(0.1, 1.0))
+            before = harmonic(view(build_graph(net)))
+            after = harmonic(view(build_graph(LayeredNetwork(arch=net.arch, weights=weights))))
             assert np.all(after >= before - 1e-12)
 
     def test_matches_floyd_warshall(self):
-        for seed in range(15):
-            g = random_signed_graph(seed)
-            v = view(g, VIEW_POSITIVE)
-            got = harmonic(v)
-            want = oracles.harmonic_naive(v.weights, v.edge_mask)
-            np.testing.assert_allclose(got, want, atol=1e-9)
+        for v, weights, mask in random_cases(15):
+            np.testing.assert_allclose(harmonic(v), oracles.harmonic_naive(weights, mask), atol=1e-9)
 
     def test_nonpositive_lengths_rejected(self):
-        g = graph_from_edges(2, [(0, 1, -1.0)])
+        g = layered_graph((1, 1), [[-1.0]])
         with pytest.raises(StructuralError, match="positive edge lengths"):
             harmonic(view(g, VIEW_ORIGINAL))
-
-    def test_without_parity_sides_eliminates_nothing(self, monkeypatch):
-        # no parity sides or no layer-0 node: Floyd-Warshall over the whole view, bit for bit
-        inputs = []
-        routine = centrality._input_eliminated_distances
-
-        def spy(v, nodes, eliminated):
-            inputs.append(eliminated)
-            return routine(v, nodes, eliminated)
-
-        monkeypatch.setattr(centrality, "_input_eliminated_distances", spy)
-        cases = [(view(random_signed_graph(seed)), None) for seed in range(10)]
-        net = init_network((12, 6, 5, 3), seed=0)
-        graph = build_graph(net)
-        shifted = neuron_graph(graph.weights, graph.edge_mask, layers=graph.layers + 1)  # no layer 0
-        cases.append((view(shifted), np.flatnonzero(graph.layers != 2)))
-        desk = init_network((784, 32, 16, 10), seed=0)
-        graph = build_graph(desk)
-        cases.append((view(_untagged(graph)), np.flatnonzero((graph.layers >= 1) & (graph.layers < desk.depth))))
-        for v, nodes in cases:
-            rows = np.arange(v.node_count) if nodes is None else nodes
-            dist = centrality._floyd_warshall(np.where(v.edge_mask, v.weights, np.inf))[rows]
-            dist[np.arange(len(rows)), rows] = np.inf
-            with np.errstate(divide="ignore"):
-                want = np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1)
-            assert harmonic(v, nodes).tobytes() == want.tobytes()
-        assert len(inputs) == len(cases) and not any(x.any() for x in inputs)
-
-    def test_untagged_view_holds_two_dense_matrices(self):
-        # the lengths and Floyd-Warshall's temporary; no third N×N copy of the lengths
-        graph = build_graph(init_network((784, 32, 16, 10), seed=1))
-        v = view(_untagged(graph))
-        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < 3))
-        n = v.node_count
-        tracemalloc.start()
-        try:
-            harmonic(v, hidden)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * n * n * 8
 
 
 class TestCurrentFlowCloseness:
     def test_k2_unit(self):
-        np.testing.assert_allclose(current_flow_closeness(view(K(2), VIEW_ORIGINAL)), [1.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(current_flow_closeness(view(ones_graph((1, 1)), VIEW_ORIGINAL)), [1.0, 1.0],
+                                   atol=1e-9)
 
     def test_p3_series_resistance(self):
-        g = unit_graph(3, [(0, 1), (1, 2)])
-        cfc = current_flow_closeness(view(g, VIEW_ORIGINAL))
+        cfc = current_flow_closeness(view(ones_graph((1, 1, 1)), VIEW_ORIGINAL))
         np.testing.assert_allclose(cfc, [2.0 / 3.0, 1.0, 2.0 / 3.0], atol=1e-9)
 
-    def test_k3_unit(self):
-        cfc = current_flow_closeness(view(K(3), VIEW_ORIGINAL))
-        np.testing.assert_allclose(cfc, 1.5, atol=1e-9)
+    def test_p4_series_resistance(self):
+        # an end is 1 + 2 + 3 from the others, a middle node 1 + 1 + 2
+        cfc = current_flow_closeness(view(ones_graph((1, 1, 1, 1)), VIEW_ORIGINAL))
+        np.testing.assert_allclose(cfc, [0.5, 0.75, 0.75, 0.5], atol=1e-9)
+
+    def test_k22_unit(self):
+        # resistances 3/4 to both neighbors and 1 across the 4-cycle: 3 / 2.5
+        cfc = current_flow_closeness(view(ones_graph((2, 2)), VIEW_ORIGINAL))
+        np.testing.assert_allclose(cfc, 1.2, atol=1e-9)
 
     def test_nan_off_largest_component(self):
-        check_on_largest_component(current_flow_closeness, VIEW_ORIGINAL)
+        check_on_largest_component(current_flow_closeness)
 
     def test_negative_weight_is_a_negative_conductance(self):
-        g = graph_from_edges(2, [(0, 1, -2.0)])
+        g = layered_graph((1, 1), [[-2.0]])
         np.testing.assert_allclose(current_flow_closeness(view(g, VIEW_ORIGINAL)), [-2.0, -2.0], atol=1e-12)
 
     def test_tree_effective_resistance_is_path_sum(self):
-        g = graph_from_edges(4, [(0, 1, 2.0), (1, 2, 4.0), (1, 3, 0.5)])
-        v = view(g, VIEW_ORIGINAL)
-        lap = np.diag(v.weights.sum(axis=1)) - v.weights
-        lp = np.linalg.pinv(lap, hermitian=True)
-        d = np.diag(lp)
-        r = d[:, None] + d[None, :] - 2 * lp
-        # reciprocal conductances along unique paths
-        assert r[0, 2] == pytest.approx(1 / 2.0 + 1 / 4.0, abs=1e-9)
-        assert r[0, 3] == pytest.approx(1 / 2.0 + 1 / 0.5, abs=1e-9)
-        assert r[2, 3] == pytest.approx(1 / 4.0 + 1 / 0.5, abs=1e-9)
+        # a star: the resistance between two nodes sums the reciprocal conductances on their path
+        conductance = np.array([2.0, 4.0, 0.5])
+        g = layered_graph((1, 3), [conductance])
+        to_center = 1.0 / conductance
+        r = np.zeros((4, 4))
+        r[0, 1:] = r[1:, 0] = to_center
+        r[1:, 1:] = to_center[:, None] + to_center[None, :] - 2.0 * np.diag(to_center)
+        np.testing.assert_allclose(current_flow_closeness(view(g, VIEW_ORIGINAL)), 3.0 / r.sum(axis=1), rtol=1e-12)
 
     def test_singular_grounded_laplacian_raises(self):
         # a zero-weight edge connects the pair but conducts nothing: L = 0
-        g = graph_from_edges(2, [(0, 1, 0.0)])
+        g = layered_graph((1, 1), [[0.0]])
         with pytest.raises(NumericalError, match=r"cfc: L \+ J/n is singular"):
             current_flow_closeness(view(g, VIEW_ORIGINAL))
 
     @pytest.mark.parametrize("gap", [1e-13, 1e-14])
     def test_ill_conditioned_schur_block_raises(self, gap, caplog):
-        # 1/1 + 1/1 + 1/(-0.5) = 0 would give L a second null vector: S is nearly singular
-        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.5 + gap)])
+        # three two-edge paths of conductance 1/2, 1/2 and -1 + gap/2 between the outer nodes:
+        # L would have a second null vector at gap 0, and the outer nodes' own pivots are tiny
+        w = -2.0 + gap
+        g = layered_graph((1, 3, 1), [[1.0, 1.0, w]], [[1.0], [1.0], [w]])
         with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
-            with pytest.raises(NumericalError, match=r"^cfc: the grounded Schur block is ill-conditioned "
+            with pytest.raises(NumericalError, match=r"^cfc: the grounded inverse is ill-conditioned "
                                                      r"\(condition number \S+ > 1e\+12\)"):
                 current_flow_closeness(view(g, VIEW_ORIGINAL))
-        assert "cfc: tau 0.0001, 0 of 0 even-side pivots kept in S of size 2" in caplog.text
+        assert "cfc: tau 0.0001, 2 of 2 even-side pivots kept in S of size 4" in caplog.text
         assert float(caplog.text.split("condition number ")[1].split()[0]) > centrality.COND_MAX
 
-    def test_condition_number_logged_beside_tau(self, caplog):
-        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.25)])
+    def test_nearly_singular_one_by_one_schur_block_raises(self, caplog):
+        # S is 1×1 near zero, so κ₁(S) = 1; the bound max|d_j|·‖S⁻¹‖₁ on κ₁(L_g) sees it
+        g = layered_graph((1, 2, 1), [[1.0, 1.0]], [[1.0], [-1.0 / 3.0 + 1e-13]])
         with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
-            current_flow_closeness(view(g, VIEW_ORIGINAL))
-        # S = [[2, -1], [-1, 0.75]]: ‖S‖₁ = 3 and ‖S⁻¹‖₁ = 6
-        assert caplog.text.rstrip().endswith("smallest pivot ratio nan, condition number 18")
+            with pytest.raises(NumericalError, match=r"^cfc: the grounded inverse is ill-conditioned "
+                                                     r"\(condition number \S+ > 1e\+12\)"):
+                current_flow_closeness(view(g, VIEW_ORIGINAL))
+        assert "cfc: tau 0.0001, 0 of 2 even-side pivots kept in S of size 1" in caplog.text
+
+    def test_condition_number_logged_beside_tau(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
+            current_flow_closeness(view(ones_graph((1, 3, 1)), VIEW_ORIGINAL))
+        # S = [[4/3, -2/3], [-2/3, 4/3]]: ‖S‖₁ = 2 and ‖S⁻¹‖₁ = 3/2, but the outer nodes' |d| is 3
+        assert caplog.text.rstrip().endswith("smallest pivot ratio 1, condition number 4.5")
 
     def test_matches_grounded_solver(self):
+        # every random net is fully connected, so its original view is one component
         for seed in range(15):
-            v = view(random_signed_graph(seed), VIEW_ORIGINAL)
-            keep, comp = largest_component(v)
-            if keep.size < 2:
-                continue
-            want = oracles.current_flow_closeness_naive(comp.weights, comp.edge_mask)
-            np.testing.assert_allclose(current_flow_closeness(v)[keep], want, atol=1e-9)
+            net = random_layered_net(seed)
+            weights, mask, _ = oracles.build_graph_dense(net)
+            v = view(build_graph(net), VIEW_ORIGINAL)
+            n = v.node_count
+            if np.linalg.matrix_rank(np.diag(weights.sum(axis=1)) - weights + 1.0 / n) < n:
+                with pytest.raises(NumericalError, match="^cfc: "):
+                    current_flow_closeness(v)
+            else:
+                want = oracles.current_flow_closeness_naive(weights, mask)
+                np.testing.assert_allclose(current_flow_closeness(v), want, atol=1e-9)
 
 
-def check_on_largest_component(func, mode):
-    """func on a view of two components and a lone node: NaN off the largest
-    component, and there the bits func gives on the component alone."""
-    edges = [(0, 2, 0.5), (2, 5, 1.5), (5, 3, 0.75), (0, 5, 1.0), (1, 4, 2.0)]
-    v = view(graph_from_edges(7, edges), mode)
-    alone = view(graph_from_edges(4, [(0, 1, 0.5), (1, 3, 1.5), (3, 2, 0.75), (0, 3, 1.0)]), mode)
+def check_on_largest_component(func):
+    """func on a positive view of two components and a lone node: NaN off the
+    largest component, and there the bits func gives on the component alone."""
+    g = layered_graph((2, 3, 2), [[0.5, 1.0, -1.0], [-1.0, -1.0, 2.0]],
+                      [[1.5, -1.0], [0.75, -1.0], [-1.0, -1.0]])
+    v = view(g)
+    alone = view(layered_graph((1, 2, 1), [[0.5, 1.0]], [[1.5], [0.75]]))
     keep, _ = largest_component(v)
     assert keep.tolist() == [0, 2, 3, 5]
     got = func(v)
@@ -421,25 +381,25 @@ def check_on_largest_component(func, mode):
 
 @pytest.mark.parametrize("func", [second_order, current_flow_closeness])
 def test_edgeless_view_is_nan(func):
-    # the positive view of a graph whose one edge is negative has no edge either
-    for v in (neuron_graph(np.zeros((3, 3)), np.zeros((3, 3), dtype=bool)),
-              view(graph_from_edges(3, [(1, 2, -1.0)]), VIEW_POSITIVE)):
+    # the positive view of a net without a positive synapse has no edge
+    for g in (layered_graph((1, 2), [[-1.0, 0.0]]), layered_graph((1, 1, 1), [[-1.0]], [[-0.5]])):
+        v = view(g, VIEW_POSITIVE)
         assert np.isnan(func(v)).tolist() == [True] * 3
         assert np.isnan(func(v, np.array([2, 0]))).tolist() == [True] * 2
 
 
-@pytest.mark.parametrize("layers", [None, [0], [1]], ids=["untagged", "layer 0", "layer 1"])
+@pytest.mark.parametrize("layer", [0, 1, 2], ids=["layer 0", "layer 1", "layer 2"])
 @pytest.mark.parametrize("func", [second_order, current_flow_closeness])
-def test_lone_node_is_nan(func, layers):
-    # undefined at one node whatever its tag: the so radicand there is 0, not a value
-    g = neuron_graph(np.zeros((1, 1)), np.zeros((1, 1), dtype=bool), layers)
+def test_lone_node_is_nan(func, layer):
+    # undefined at one node whatever its layer: the so radicand there is 0, not a value
+    g = GraphView((1,), (), np.array([layer]))
     assert np.isnan(func(g)).tolist() == [True]
     assert np.isnan(func(g, np.array([0]))).tolist() == [True]
     assert func(g, np.array([], dtype=np.int64)).shape == (0,)
 
 
 class TestVertexTransitiveConstancy:
-    @pytest.mark.parametrize("graph", [K(4), unit_graph(6, [(i, (i + 1) % 6) for i in range(6)])])
+    @pytest.mark.parametrize("graph", [ones_graph((2, 2)), ones_graph((3, 3))])
     def test_all_measures_constant(self, graph):
         for mid in MEASURE_ORDER:
             v = threshold_view(graph, MEASURES[mid].view_mode)
@@ -529,11 +489,6 @@ def _edge_case_nets():
     return nets
 
 
-def _untagged(graph):
-    """The graph without layer tags: every measure takes its general path."""
-    return neuron_graph(graph.weights, graph.edge_mask)
-
-
 def _low_pivot_net():
     """784,32,16,10 with the signed degree of input 0 forced to round-off."""
     w = [np.array(x) for x in init_network((784, 32, 16, 10), seed=4).weights]
@@ -551,33 +506,64 @@ def _hc_edge_case_nets():
             init_network((784, 32, 16, 10), seed=7)]
 
 
+def dense_oracle_rows(net):
+    """The hidden positions of ``net`` and every measure at every node, from its
+    N×N graph (``oracles.build_graph_dense``): dense row sums, one dense
+    (L + J/n)⁻¹ per view, a dense eigh, the set-based bc, scipy's Dijkstra and
+    mask row sums."""
+    weights, mask, layers = oracles.build_graph_dense(net)
+    hidden = np.flatnonzero((layers >= 1) & (layers < net.depth))
+    pos_w, pos_m = oracles.positive_part(weights, mask)
+    binary = pos_m.astype(np.float64)
+    s = weights.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        snn = np.where(s != 0.0, (weights * s).sum(axis=1) / s, np.nan)
+
+    def on_largest_component(m, rule):
+        keep = oracles.largest_component_naive(m)
+        out = np.full(len(m), np.nan)
+        if len(keep) > 1:
+            out[keep] = rule(keep, len(keep))
+        return out
+
+    def so(keep, n):
+        lp = oracles.laplacian_pinv_diagonal_dense(binary[np.ix_(keep, keep)])
+        return np.sqrt(np.clip(2.0 * n * n * binary[keep].sum(axis=1).max() * lp - n * n + n, 0.0, None))
+
+    def cfc(keep, n):
+        lp = oracles.laplacian_pinv_diagonal_dense(weights[np.ix_(keep, keep)])
+        return (n - 1) / (n * lp + lp.sum())
+
+    lam, u = np.linalg.eigh(binary)
+    dist = dijkstra(pos_w, directed=False)
+    np.fill_diagonal(dist, np.inf)
+    deg = binary.sum(axis=1)
+    return hidden, {"s": s, "snn": snn, "so": on_largest_component(pos_m, so), "sg": (u * u) @ np.exp(lam),
+                    "mc": deg if deg.any() else np.ones(len(deg)), "bc": oracles.bipartite_clustering_naive(pos_m),
+                    "hc": np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1),
+                    "cfc": on_largest_component(mask, cfc)}
+
+
 class TestLayeredKernels:
-    """measure_all's row kernels against the general functions at the hidden rows."""
+    """measure_all's row kernels against dense oracles at the hidden rows."""
 
     @pytest.mark.parametrize("net", _edge_case_nets())
-    def test_measure_all_matches_general_functions(self, net):
+    def test_measure_all_matches_dense_oracles(self, net):
         table = measure_all(net)
-        graph = build_graph(net)
-        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
-        general = {"s": strength, "snn": avg_neighbor_strength, "so": second_order,
-                   "sg": subgraph_centrality, "mc": max_clique_count, "bc": bipartite_clustering,
-                   "hc": harmonic, "cfc": current_flow_closeness}
+        hidden, want = dense_oracle_rows(net)
         for m in MEASURE_ORDER:
-            want = general[m](threshold_view(_untagged(graph), MEASURES[m].view_mode))[hidden]
-            got = table.column(m)
-            if m in ("s", "snn", "mc"):
-                np.testing.assert_array_equal(got, want, err_msg=m)
-            elif m == "sg":
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0, err_msg=m)
+            got, expected = table.column(m), want[m][hidden]
+            if m in ("s", "snn", "mc", "bc"):
+                np.testing.assert_array_equal(got, expected, err_msg=m)
             else:
-                tol = {"so": 1e-6, "cfc": 1e-9}.get(m, 1e-12)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=tol, err_msg=m)
+                rtol, atol = {"so": (0.0, 1e-6), "hc": (1e-12, 0.0)}.get(m, (1e-10, 0.0))
+                np.testing.assert_allclose(got, expected, rtol=rtol, atol=atol, err_msg=m)
 
     @pytest.mark.parametrize("net", _edge_case_nets() + [init_network((4, 3, 2), seed=5),
                                      init_network((784, 200, 100, 10), seed=1)])
     def test_block_view_measures_match_dense_view(self, net):
         # every measure on the block view has the bits of the same measure on the N×N graph
-        graph, dense = build_graph(net), neuron_graph(*oracles.build_graph_dense(net))
+        graph, dense = build_graph(net), oracles.dense_graph_view(net)
         nodes = None if graph.node_count < 100 else np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
         for m, info in MEASURES.items():
             got = info.func(threshold_view(graph, info.view_mode), nodes)
@@ -599,34 +585,37 @@ class TestLayeredKernels:
 
     @pytest.mark.parametrize("net", _edge_case_nets() + [_low_pivot_net()])
     def test_grounded_inverse_matches_dense_oracle(self, net):
-        graph = build_graph(net)
-        # (mode, binary, the conductances as a view): the mask, the signed and the absolute weights
-        conductances = ((VIEW_POSITIVE, True, lambda v: v), (VIEW_ORIGINAL, False, lambda v: v),
-                        (VIEW_ORIGINAL, False, lambda v: neuron_graph(np.abs(v.weights), v.edge_mask, v.layers)))
-        for mode, binary, conductance in conductances:
-            _, comp = largest_component(threshold_view(graph, mode))
+        absolute = LayeredNetwork(arch=net.arch, weights=[np.abs(w) for w in net.weights])
+        # (net, mode, binary): the conductances are the mask, the signed and the absolute weights
+        for source, mode, binary in ((net, VIEW_POSITIVE, True), (net, VIEW_ORIGINAL, False),
+                                     (absolute, VIEW_ORIGINAL, False)):
+            _, comp = largest_component(threshold_view(build_graph(source), mode))
             if comp.node_count < 2:
                 continue
-            c = conductance(comp)
-            w = c.edge_mask.astype(np.float64) if binary else c.weights
-            got = centrality._laplacian_pinv_diagonal(c, binary, "test")
+            weights, mask, _ = oracles.build_graph_dense(source)
+            if mode == VIEW_POSITIVE:
+                weights, mask = oracles.positive_part(weights, mask)
+            keep = np.ix_(*[oracles.largest_component_naive(mask)] * 2)
+            w = mask[keep].astype(np.float64) if binary else weights[keep]
+            got = centrality._laplacian_pinv_diagonal(comp, binary, "test")
             np.testing.assert_allclose(got, oracles.laplacian_pinv_diagonal_dense(w), rtol=1e-9, atol=0.0)
             if binary:  # so's boolean mask gives the bits of the same mask as float weights
-                as_weights = neuron_graph(w, c.edge_mask, c.layers)
+                blocks = tuple((a, b, m.astype(np.float64), m) for a, b, _, m in comp.blocks)
+                as_weights = GraphView(comp.sizes, blocks, comp.layers)
                 assert centrality._laplacian_pinv_diagonal(as_weights, False, "test").tobytes() == got.tobytes()
 
     def test_low_pivot_stays_in_schur_block(self, caplog):
         net = _low_pivot_net()
-        v = threshold_view(build_graph(net), VIEW_ORIGINAL)
-        d = np.abs(v.weights.sum(axis=1))
-        low = np.flatnonzero((v.layers % 2 == 0) & (d <= centrality.PIVOT_TAU * d.max()))
+        weights, _, layers = oracles.build_graph_dense(net)
+        d = np.abs(weights.sum(axis=1))
+        low = np.flatnonzero((layers % 2 == 0) & (d <= centrality.PIVOT_TAU * d.max()))
         assert 0 in low
         with caplog.at_level(logging.DEBUG, logger="neurotopo.centrality"):
             table = measure_all(net, measures=("cfc",))
         assert f"cfc: tau 0.0001, {low.size} of 800 even-side pivots kept in S" in caplog.text
-        n = v.node_count
-        lp = oracles.laplacian_pinv_diagonal_dense(v.weights)
-        hidden = np.flatnonzero((v.layers >= 1) & (v.layers < net.depth))
+        n = len(layers)
+        lp = oracles.laplacian_pinv_diagonal_dense(weights)
+        hidden = np.flatnonzero((layers >= 1) & (layers < net.depth))
         want = (n - 1) / (n * lp + lp.sum())
         np.testing.assert_allclose(table.column("cfc"), want[hidden], rtol=0.0, atol=1e-9)
 
@@ -644,18 +633,14 @@ class TestLayeredKernels:
         monkeypatch.setattr(centrality, "_input_eliminated_distances", spy)
         everything = np.arange(graph.node_count)
         mixed = np.flatnonzero(graph.layers != 1)[::2]  # inputs, deeper layers and the output
-        # the general path and Dijkstra run once over every node; each source set takes its rows
-        want = harmonic(threshold_view(_untagged(graph), VIEW_POSITIVE), everything)
-        # both paths share one shortest-path routine; Dijkstra checks it independently
-        dist = dijkstra(v.weights, directed=False)
+        # Dijkstra runs once over every node; each source set takes its rows
+        dist = dijkstra(oracles.positive_part(*oracles.build_graph_dense(net)[:2])[0], directed=False)
         np.fill_diagonal(dist, np.inf)
         by_dijkstra = np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1)
         for nodes in (everything, mixed):
-            got = harmonic(v, nodes)
-            np.testing.assert_allclose(got, want[nodes], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(got, by_dijkstra[nodes], rtol=1e-12, atol=0.0)
-        # the untagged view eliminates nothing; both layered calls eliminate the inputs
-        assert [args[2].any() for args in calls] == [False, True, True]
+            np.testing.assert_allclose(harmonic(v, nodes), by_dijkstra[nodes], rtol=1e-12, atol=0.0)
+        # both calls eliminate the inputs
+        assert [args[2].any() for args in calls] == [True, True]
 
     @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
     def test_symmetric_minplus_on_reduced_graphs(self, arch, monkeypatch):
@@ -696,10 +681,8 @@ class TestLayeredKernels:
         harmonic(threshold_view(graph, VIEW_POSITIVE), hidden)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("tagged", [True, False])
-    def test_empty_nodes_give_empty_arrays(self, tagged):
+    def test_empty_nodes_give_empty_arrays(self):
         graph = build_graph(init_network((6, 4, 3, 2), seed=0))
-        graph = graph if tagged else _untagged(graph)
         for measure_id, info in MEASURES.items():
             got = info.func(threshold_view(graph, info.view_mode), [])
             assert got.dtype == np.float64 and got.shape == (0,), measure_id
@@ -726,16 +709,6 @@ class TestLayeredKernels:
         assert table.column("sg")[row] == 1.0
         assert table.column("hc")[row] == 0.0
         assert np.isnan(table.column("so")[row]).all()
-
-    def test_non_bipartite_layering_falls_back(self):
-        # a triangle tagged with layers 0, 1, 2: the 0-2 edge joins two even layers
-        w = K(3).weights
-        g = neuron_graph(weights=w, edge_mask=w != 0, layers=[0, 1, 2])
-        v = view(g)
-        nodes = np.array([1, 2])
-        np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), max_clique_count(v)[nodes])
-        np.testing.assert_array_equal(compute_measure("mc", v, nodes=nodes), [1.0, 1.0])  # not degree 2
-        np.testing.assert_array_equal(compute_measure("sg", v, nodes=nodes), subgraph_centrality(v)[nodes])
 
     def test_two_views_per_network(self, monkeypatch):
         modes = []
@@ -769,13 +742,13 @@ class TestNetworkxOracle:
     def test_hidden_rows_match_networkx(self, seed):
         nx = pytest.importorskip("networkx")
         net = init_network((12, 6, 5, 3), seed=seed)
-        graph = build_graph(net)
-        n = graph.node_count
-        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth)).tolist()
+        weights, mask, layers = oracles.build_graph_dense(net)
+        n = len(layers)
+        hidden = np.flatnonzero((layers >= 1) & (layers < net.depth)).tolist()
         signed = nx.Graph()
         signed.add_nodes_from(range(n))
         signed.add_weighted_edges_from(
-            (int(i), int(j), float(graph.weights[i, j])) for i, j in np.argwhere(np.triu(graph.edge_mask))
+            (int(i), int(j), float(weights[i, j])) for i, j in np.argwhere(np.triu(mask))
         )
         positive = nx.Graph()
         positive.add_nodes_from(range(n))

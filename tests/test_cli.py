@@ -253,7 +253,7 @@ class TestMeasureCommand:
                    models / "model_seed9.json")
         out = tmp_path / "m.csv"
         assert main(["measure", "--models", str(models), "--measures", "s,cfc", "--out", str(out)]) == 1
-        assert "model_seed9.json: cfc: the grounded Schur block is ill-conditioned" in capsys.readouterr().err
+        assert "model_seed9.json: cfc: the grounded inverse is ill-conditioned" in capsys.readouterr().err
         tables = read_measures_csv(out)
         assert [t.network_id for t in tables] == ["seed0", "seed9"]
         assert not np.isnan(tables[0].values).any() and np.isnan(tables[1].values).all()

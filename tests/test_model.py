@@ -9,8 +9,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from conftest import graph_from_edges, unit_graph
-from oracles import build_graph_dense, largest_component_naive, model_file_naive
+from conftest import layered_graph, ones_graph
+from oracles import build_graph_dense, dense_graph_view, largest_component_naive, model_file_naive, positive_part
 from neurotopo import artifacts
 from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.errors import FormatError, StructuralError
@@ -25,7 +25,6 @@ from neurotopo.model import (
     component_labels,
     largest_component,
     load_model,
-    neuron_graph,
     save_model,
     threshold_view,
 )
@@ -71,6 +70,11 @@ def assert_same_network(got, want):
     assert [w.tobytes() for w in got.weights] == [w.tobytes() for w in want.weights]
 
 
+def full(view, mask=False):
+    """The view's N×N weights, or its edge mask."""
+    return view.block(ALL, ALL, mask=mask)
+
+
 def toy_net(arch, fill=0.5):
     weights = tuple(np.full((arch[a], arch[a + 1]), fill) for a in range(len(arch) - 1))
     return LayeredNetwork(arch=arch, weights=weights)
@@ -91,77 +95,42 @@ class TestLayeredNetwork:
         with pytest.raises(StructuralError, match="non-finite"):
             LayeredNetwork(arch=(2, 2), weights=(w,))
 
+    @pytest.mark.parametrize("arch, weights, message", [
+        ((), (), "arch must list"),
+        ((3,), (), "arch must list"),
+        ((3, 0), (np.zeros((3, 0)),), "arch must list"),
+        ((3, -2), (), "arch must list"),
+        ((3, 2, 1), (np.zeros((3, 2)),), "expected 2 weight matrices"),
+        ((3, 2), (), "expected 1 weight matrices"),
+        ((3, 2), (np.zeros((2, 3)),), r"weights\[0\]: expected shape \(3, 2\), got \(2, 3\)"),
+        ((3, 2), (np.zeros(6),), r"weights\[0\]: expected shape"),
+        ((3, 2), (np.zeros((3, 2, 1)),), r"weights\[0\]: expected shape"),
+        ((2, 3, 1), (np.zeros((2, 3)), np.zeros((3, 2))), r"weights\[1\]: expected shape \(3, 1\)"),
+        ((2, 2), ([[0.0, np.nan], [0.0, 0.0]],), r"weights\[0\]: non-finite"),
+        ((2, 2), ([[0.0, 0.0], [-np.inf, 0.0]],), r"weights\[0\]: non-finite"),
+        ((2, 2, 1), (np.zeros((2, 2)), [[0.0], [np.inf]]), r"weights\[1\]: non-finite"),
+    ], ids=["no layer", "one layer", "empty layer", "negative layer size", "too few matrices",
+            "no matrix", "transposed matrix", "one-dimensional matrix", "three-dimensional matrix",
+            "later matrix shape", "nan", "negative infinity", "later matrix non-finite"])
+    def test_refuses(self, arch, weights, message):
+        # arrays from outside enter the library only through this constructor
+        with pytest.raises(StructuralError, match=message):
+            LayeredNetwork(arch=arch, weights=weights)
+
     def test_weights_are_frozen(self):
         net = toy_net((2, 2))
         with pytest.raises(ValueError):
             net.weights[0][0, 0] = 1.0
 
 
-def _path3(weights=(1.0, 1.0)):
-    w = np.zeros((3, 3))
-    w[0, 1] = w[1, 0] = weights[0]
-    w[1, 2] = w[2, 1] = weights[1]
-    return w, w != 0.0
-
-
-def _refusals():
-    """(weights, mask, layers, message) that neuron_graph must refuse."""
-    w, m = _path3()
-    skew_w = w.copy()
-    skew_w[0, 1] = 0.5
-    skew_m = m.copy()
-    skew_m[2, 0] = True
-    loop_w, loop_m = w.copy(), m.copy()
-    loop_m[1, 1] = True
-    bad_w = w.copy()
-    bad_w[0, 1] = bad_w[1, 0] = np.inf
-    off_w = w.copy()
-    off_w[0, 2] = off_w[2, 0] = 0.3
-    return {
-        "non-square": (np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), None, "weight matrix must be square"),
-        "one-dimensional": (np.zeros(3), np.zeros(3, dtype=bool), None, "weight matrix must be square"),
-        "mask shape": (w, np.zeros((2, 2), dtype=bool), None, "edge mask and weight matrix shapes differ"),
-        "asymmetric weights": (skew_w, m, None, "graph must be symmetric"),
-        "asymmetric mask": (w, skew_m, None, "graph must be symmetric"),
-        "non-finite": (bad_w, m, None, "non-finite edge weights"),
-        "self-loop": (loop_w, loop_m, None, "self-loops are not allowed"),
-        "weight off the mask": (off_w, m, None, "nonzero weight outside the edge set"),
-        "too few layer tags": (w, m, [0, 1], "layer tags must be one per node"),
-        "layer tags not a vector": (w, m, [[0, 1, 2]], "layer tags must be one per node"),
-    }
-
-
-class TestNeuronGraph:
-    @pytest.mark.parametrize("case", list(_refusals()))
-    def test_refuses(self, case):
-        weights, mask, layers, message = _refusals()[case]
-        with pytest.raises(StructuralError, match=f"^{message}"):
-            neuron_graph(weights, mask, layers)
-
-    def test_whole_graph_read_only(self):
-        w, m = _path3((0.5, -0.25))
-        g = neuron_graph(w.tolist(), m.astype(int), layers=[0, 1, 2])
-        assert isinstance(g, GraphView)
-        assert g.weights.dtype == np.float64 and g.edge_mask.dtype == bool and g.layers.dtype == np.int64
-        np.testing.assert_array_equal(g.weights, w)
-        for a in (g.weights, g.edge_mask, g.layers):
-            assert not a.flags.writeable
-        assert neuron_graph(w, m).layers is None
-
-    def test_callers_arrays_stay_theirs(self):
-        w, m = _path3()
-        layers = np.arange(3)
-        g = neuron_graph(w, m, layers)
-        w[0, 1] = w[1, 0] = 5.0
-        m[0, 2] = True
-        layers[0] = 7
-        assert g.weights[0, 1] == 1.0 and not g.edge_mask[0, 2] and g.layers[0] == 0
-
-    def test_largest_component_of_a_whole_graph(self):
-        g = unit_graph(4, [(0, 1), (1, 2)])
-        keep, comp = largest_component(g)
-        assert keep.tolist() == [0, 1, 2]
-        np.testing.assert_array_equal(comp.edge_mask, g.edge_mask[:3, :3])
+class TestGraphView:
+    def test_largest_component_of_a_one_block_view(self):
+        net = LayeredNetwork(arch=(1, 1, 1, 1), weights=([[1.0]], [[0.5]], [[-1.0]]))
+        v = threshold_view(dense_graph_view(net), VIEW_POSITIVE)
+        keep, comp = largest_component(v)
+        assert keep.tolist() == [0, 1, 2] and comp.sizes == (3,)
+        np.testing.assert_array_equal(full(comp, mask=True), full(v, mask=True)[:3, :3])
+        np.testing.assert_array_equal(full(comp), full(v)[:3, :3])
 
     def test_model_defines_one_graph_class(self):
         from neurotopo import model
@@ -176,10 +145,10 @@ class TestBuildGraph:
     @pytest.mark.parametrize("arch", [(1, 1), (4, 3, 2), (784, 32, 16, 10)])
     def test_passes_the_checks_and_is_read_only(self, arch):
         g = build_graph(init_network(arch, seed=2))
-        checked = neuron_graph(g.weights, g.edge_mask, g.layers)
-        for a, b in zip((g.weights, g.edge_mask, g.layers), (checked.weights, checked.edge_mask, checked.layers)):
-            np.testing.assert_array_equal(a, b)
-        for a in (g.weights, g.edge_mask, g.layers):
+        w, m = full(g), full(g, mask=True)
+        assert np.array_equal(w, w.T) and np.array_equal(m, m.T) and not np.diag(m).any()
+        assert np.all(w[~m] == 0.0) and g.layers.shape == (g.node_count,) and g.layers.dtype == np.int64
+        for a in (g.layers, *(x for block in g.blocks for x in block[2:])):
             assert not a.flags.writeable
 
     def test_paper_architecture_counts(self):
@@ -192,42 +161,42 @@ class TestBuildGraph:
         g = build_graph(toy_net((2, 2, 1), fill=0.5))
         assert g.node_count == 5
         assert g.edge_count == 6
-        assert np.all(g.weights[g.edge_mask] == 0.5)
+        assert np.all(full(g)[full(g, mask=True)] == 0.5)
 
     def test_single_edge(self):
         g = build_graph(toy_net((1, 1), fill=-0.3))
         assert g.node_count == 2
         assert g.edge_count == 1
-        assert g.weights[0, 1] == -0.3
+        assert full(g)[0, 1] == -0.3
 
     def test_edge_multiset_matches_weight_entries(self):
         net = init_network((4, 3, 2), seed=5)
         g = build_graph(net)
-        upper = np.triu(g.edge_mask)
-        graph_values = np.sort(g.weights[upper])
+        upper = np.triu(full(g, mask=True))
+        graph_values = np.sort(full(g)[upper])
         raw_values = np.sort(np.concatenate([w.reshape(-1) for w in net.weights]))
         np.testing.assert_array_equal(graph_values, raw_values)
 
     def test_layered_bipartite(self):
         g = build_graph(init_network((3, 4, 2), seed=1))
-        rows, cols = np.nonzero(g.edge_mask)
+        rows, cols = np.nonzero(full(g, mask=True))
         assert np.all(np.abs(g.layers[rows] - g.layers[cols]) == 1)
 
 
 class TestThresholdView:
     def test_mixed_signs(self):
-        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, -1.0), (2, 3, 0.2)])
+        g = layered_graph((1, 1, 1, 1), [[1.0]], [[-1.0]], [[0.2]])
         v = threshold_view(g, VIEW_POSITIVE)
         assert v.edge_count == 2
 
     def test_all_negative_leaves_isolated_nodes(self):
-        g = graph_from_edges(3, [(0, 1, -1.0), (1, 2, -0.5)])
+        g = layered_graph((1, 1, 1), [[-1.0]], [[-0.5]])
         v = threshold_view(g, VIEW_POSITIVE)
         assert v.edge_count == 0
         assert v.node_count == 3
 
     def test_zero_weight_excluded(self):
-        g = graph_from_edges(2, [(0, 1, 0.0)])
+        g = layered_graph((1, 1), [[0.0]])
         assert threshold_view(g, VIEW_POSITIVE).edge_count == 0
         assert threshold_view(g, VIEW_ORIGINAL).edge_count == 1
 
@@ -239,18 +208,18 @@ class TestThresholdView:
         assert v.edge_count + nonpositive == sum(w.size for w in net.weights)
 
     def test_original_mode_is_the_view_itself(self):
-        g = unit_graph(3, [(0, 1), (1, 2)])
+        g = ones_graph((1, 1, 1))
         assert threshold_view(g, VIEW_ORIGINAL) is g
 
     def test_positive_view_of_a_component_keeps_its_nodes(self):
-        keep, comp = largest_component(graph_from_edges(5, [(0, 1, 1.0), (1, 2, -1.0), (3, 4, 0.5)]))
+        keep, comp = largest_component(layered_graph((1, 1, 1, 1), [[1.0]], [[-1.0]], [[0.5]]))
         v = threshold_view(comp, VIEW_POSITIVE)
-        assert keep.tolist() == [0, 1, 2]
-        assert v.node_count == 3
-        assert v.edge_count == 1
+        assert keep.tolist() == [0, 1, 2, 3]
+        assert v.node_count == 4
+        assert v.edge_count == 2
 
     def test_unknown_mode(self):
-        g = unit_graph(2, [(0, 1)])
+        g = ones_graph((1, 1))
         with pytest.raises(StructuralError, match="view mode"):
             threshold_view(g, "negative")
 
@@ -261,92 +230,78 @@ class TestThresholdView:
     def test_positive_view_keeps_weights_and_layer_tags(self):
         g = build_graph(LayeredNetwork(arch=(2, 1), weights=(np.array([[0.7], [-0.4]]),)))
         v = threshold_view(g, VIEW_POSITIVE)
-        np.testing.assert_array_equal(v.weights, [[0.0, 0.0, 0.7], [0.0, 0.0, 0.0], [0.7, 0.0, 0.0]])
+        np.testing.assert_array_equal(full(v), [[0.0, 0.0, 0.7], [0.0, 0.0, 0.0], [0.7, 0.0, 0.0]])
         np.testing.assert_array_equal(v.layers, [0, 0, 1])
 
 
 class TestLargestComponent:
     def test_connected_graph_unchanged(self):
-        g = unit_graph(3, [(0, 1), (1, 2)])
+        g = ones_graph((1, 1, 1))
         keep, comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
         assert keep.tolist() == [0, 1, 2]
         assert comp.edge_count == 2
 
     def test_connected_view_is_not_copied(self):
-        v = threshold_view(unit_graph(3, [(0, 1), (1, 2)]), VIEW_ORIGINAL)
+        v = threshold_view(ones_graph((1, 1, 1)), VIEW_ORIGINAL)
         assert largest_component(v)[1] is v
 
     def test_two_components(self):
-        g = unit_graph(5, [(0, 1), (1, 2), (3, 4)])
-        keep, comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
-        assert keep.tolist() == [0, 1, 2]
+        g = layered_graph((2, 3), [[1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+        keep, comp = largest_component(threshold_view(g, VIEW_POSITIVE))
+        assert keep.tolist() == [0, 2, 3]
         assert comp.node_count == 3 and comp.edge_count == 2
 
     def test_size_tie_takes_smallest_node_id(self):
-        g = unit_graph(4, [(2, 3), (0, 1)])
-        keep, _ = largest_component(threshold_view(g, VIEW_ORIGINAL))
-        assert keep.tolist() == [0, 1]
+        g = layered_graph((2, 2), [[-1.0, 1.0], [1.0, -1.0]])
+        keep, _ = largest_component(threshold_view(g, VIEW_POSITIVE))
+        assert keep.tolist() == [0, 3]
 
     def test_component_keeps_its_layer_tags(self):
         g = build_graph(LayeredNetwork(arch=(2, 2), weights=(np.array([[0.5, -1.0], [-1.0, 0.5]]),)))
         keep, comp = largest_component(threshold_view(g, VIEW_POSITIVE))
         assert keep.tolist() == [0, 2]
         assert comp.layers.tolist() == [0, 1]
-        for a in (comp.weights, comp.edge_mask, comp.layers):
+        for a in (comp.layers, *(x for block in comp.blocks for x in block[2:])):
             assert not a.flags.writeable
 
     def test_empty_edge_set_flagged(self):
-        g = graph_from_edges(3, [(0, 1, -1.0)])
+        g = layered_graph((1, 2), [[-1.0, 0.0]])
         keep, comp = largest_component(threshold_view(g, VIEW_POSITIVE))
         assert keep.tolist() == [0]
         assert comp.node_count == 1 and comp.edge_count == 0
 
     @staticmethod
-    def tied_blocks(rng):
-        """Components of a few equal sizes (each a random spanning tree plus
-        extra edges), under a random node relabelling, so sizes often tie."""
-        sizes = rng.choice([1, 2, 3], size=int(rng.integers(1, 7)))
-        n = int(sizes.sum())
-        label = rng.permutation(n)
-        mask = np.zeros((n, n), dtype=bool)
-        start = 0
-        for size in sizes:
-            block = label[start : start + size]
-            for k in range(1, size):
-                mask[block[k], block[rng.integers(k)]] = True
-            extra = np.triu(rng.random((size, size)) < 0.3, k=1)
-            mask[np.ix_(block, block)] |= extra
-            start += size
-        return mask | mask.T
+    def sparse_layered(rng):
+        """A layered net of 2-15 neurons in 2-5 layers whose positive view keeps
+        each synapse with one probability of 0.05, 0.15, 0.3 or 0.5, so that
+        components are many and small and their sizes often tie."""
+        n = int(rng.integers(2, 16))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, min(n, 5))), replace=False))
+        arch = np.diff([0, *cuts, n]).tolist()
+        p = rng.choice([0.05, 0.15, 0.3, 0.5])
+        weights = [np.where(rng.random((a, b)) < p, rng.uniform(0.1, 1.0, size=(a, b)), -1.0)
+                   for a, b in zip(arch, arch[1:])]
+        return LayeredNetwork(arch=tuple(arch), weights=weights)
 
-    @staticmethod
-    def sparse_random(rng):
-        n = int(rng.integers(1, 16))
-        upper = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.05, 0.15, 0.4]), k=1)
-        return upper | upper.T
-
-    # 12 of these 60 views have no edge and 29 have a tie for the largest size
+    # 16 of these 60 views have no edge, 23 have a tie for the largest size and 1 is one component
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_breadth_first_search(self, seed):
-        rng = np.random.default_rng(seed)
-        mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
-        n = mask.shape[0]
-        weights = np.where(mask, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
-        g = neuron_graph(weights=np.triu(weights) + np.triu(weights, 1).T, edge_mask=mask)
-        keep, comp = largest_component(threshold_view(g, VIEW_ORIGINAL))
+        net = self.sparse_layered(np.random.default_rng(seed))
+        weights, mask = positive_part(*build_graph_dense(net)[:2])
+        v = threshold_view(build_graph(net), VIEW_POSITIVE)
+        keep, comp = largest_component(v)
         want = largest_component_naive(mask)
         assert keep.tolist() == want
-        assert (comp is g) == (len(want) == n)
-        np.testing.assert_array_equal(comp.edge_mask, mask[np.ix_(want, want)])
-        np.testing.assert_array_equal(comp.weights, g.weights[np.ix_(want, want)])
-
+        assert (comp is v) == (len(want) == v.node_count)
+        np.testing.assert_array_equal(full(comp, mask=True), mask[np.ix_(want, want)])
+        np.testing.assert_array_equal(full(comp), weights[np.ix_(want, want)])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_component_labels_match_scipy(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        mask = self.tied_blocks(rng) if seed % 2 else self.sparse_random(rng)
+        net = self.sparse_layered(np.random.default_rng(100 + seed))
+        _, mask = positive_part(*build_graph_dense(net)[:2])
         _, want = connected_components(csr_matrix(mask), directed=False)
-        np.testing.assert_array_equal(component_labels(neuron_graph(np.zeros(mask.shape), mask)), want)
+        np.testing.assert_array_equal(component_labels(threshold_view(build_graph(net), VIEW_POSITIVE)), want)
 
 
 def _block_nets():
@@ -367,24 +322,25 @@ class TestBlockStorage:
     @pytest.mark.parametrize("net", _block_nets())
     def test_dense_arrays_views_and_components_match(self, net):
         weights, mask, layers = build_graph_dense(net)
-        g, dense = build_graph(net), neuron_graph(weights, mask, layers)
-        assert g.weights.tobytes() == weights.tobytes() and g.edge_mask.tobytes() == mask.tobytes()
+        g, dense = build_graph(net), dense_graph_view(net)
+        assert full(g).tobytes() == weights.tobytes() and full(g, mask=True).tobytes() == mask.tobytes()
         assert g.edge_count == dense.edge_count and g.node_count == dense.node_count
         for mode in VIEW_MODES:
             v, d = threshold_view(g, mode), threshold_view(dense, mode)
-            assert v.weights.tobytes() == d.weights.tobytes() and v.edge_mask.tobytes() == d.edge_mask.tobytes()
+            assert full(v).tobytes() == full(d).tobytes()
+            assert full(v, mask=True).tobytes() == full(d, mask=True).tobytes()
             assert v.edge_count == d.edge_count
             (keep, comp), (want_keep, want) = largest_component(v), largest_component(d)
             assert keep.tolist() == want_keep.tolist()
-            assert comp.weights.tobytes() == want.weights.tobytes()
-            assert comp.edge_mask.tobytes() == want.edge_mask.tobytes()
+            assert full(comp).tobytes() == full(want).tobytes()
+            assert full(comp, mask=True).tobytes() == full(want, mask=True).tobytes()
             assert comp.layers.tolist() == want.layers.tolist()
 
     @pytest.mark.parametrize("net", _block_nets())
     def test_block_matches_dense_positions(self, net):
         rng = np.random.default_rng(sum(net.arch))
         v = threshold_view(build_graph(net), VIEW_POSITIVE)
-        dense = threshold_view(neuron_graph(*build_graph_dense(net)), VIEW_POSITIVE)
+        dense = threshold_view(dense_graph_view(net), VIEW_POSITIVE)
         (_, _, weights, mask), = dense.blocks
         n = v.node_count
         picks = [np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False)) for _ in range(4)]
@@ -404,13 +360,6 @@ class TestBlockStorage:
         for (a, b, w, m), weights in zip(g.blocks, net.weights):
             assert b == a + 1 and w is weights and np.shares_memory(w, weights)
             assert m.shape == w.shape and m.all() and not m.flags.writeable
-
-    def test_one_block_view_gives_its_own_arrays(self):
-        g = unit_graph(4, [(0, 1), (1, 2)])
-        (_, _, w, m), = g.blocks
-        assert g.sizes == (4,) and g.weights is w and g.edge_mask is m
-        assert g.block(ALL, np.arange(4)) is w and g.block(slice(0, 4), ALL, mask=True) is m
-        assert g.block([1, 0, 2, 3], ALL) is not w
 
 
 class TestSerialization:

@@ -17,7 +17,8 @@ no module but ``artifacts`` opens a file for writing, so every artifact is
 replaced atomically.
 numpy is the only runtime dependency: no module imports scipy, directly or
 through another import.
-The quick demos run against this checkout's ``src/``.
+The quick demos run against this checkout's ``src/``, and ``measure_all``
+meets its dense oracles at one OpenBLAS thread as well as at the default.
 README names only code that exists: every backticked ``<module>.<name>`` of
 a neurotopo module resolves, and every backticked private name is defined at
 module level somewhere in the package.
@@ -272,3 +273,12 @@ def test_quick_demo_runs(demo):
     run = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_measure_all_matches_the_dense_oracles_at_one_blas_thread():
+    # one OpenBLAS thread sums in another order, so the kernels' values move; they must stay inside the tolerances
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    test = "tests/test_centrality.py::TestLayeredKernels::test_measure_all_matches_dense_oracles"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:]
