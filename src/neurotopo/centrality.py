@@ -39,6 +39,7 @@ from .model import (
     VIEW_POSITIVE,
     LayeredNetwork,
     build_graph,
+    component_labels,
     largest_component,
     threshold_view,
 )
@@ -190,21 +191,32 @@ def second_order(view, nodes=None):
 def subgraph_centrality(view, nodes=None):
     """Closed-walk sum per node: the diagonal of exp(A), A the binarized adjacency.
 
-    From a thin SVD B = UΣVᵀ of the even×odd biadjacency: exp(A) has
-    diagonal blocks cosh(√(BBᵀ)) and cosh(√(BᵀB)), so sg_i is
-    1 + Σ_k U_ik² (cosh σ_k - 1), with V on the odd side (Estrada &
-    Rodríguez-Velázquez 2005).
+    Taken per connected component, a lone node exactly 1, so that round-off
+    in one component is never scaled by another's cosh σ_max.  With B a
+    component's biadjacency, its columns the smaller side, exp(A) has
+    diagonal blocks cosh(√(BᵀB)) and cosh(√(BBᵀ)) (Estrada &
+    Rodríguez-Velázquez 2005).  From eigh(BᵀB) = VΛVᵀ and σ = √λ, the
+    columns get 1 + (V∘V)(cosh σ - 1) and the rows, as U = BV/σ,
+    1 + (BV)²·r with r = 2sinh²(σ/2)/λ, which is ½ at λ = 0.
     """
-    even, odd = _parity_sides(view)
-    b = view.block(even, odd, mask=True).astype(np.float64)
-    try:
-        u, sigma, vt = np.linalg.svd(b, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SVD rarely fails to converge
-        raise NumericalError(f"sg: biadjacency SVD failed: {exc}") from exc
-    excess = 2.0 * np.sinh(sigma / 2.0) ** 2  # cosh σ - 1 without cancellation
+    labels, side = component_labels(view), view.layers % 2
     out = np.ones(view.node_count)
-    out[even] += (u * u) @ excess
-    out[odd] += (vt * vt).T @ excess
+    for c in np.flatnonzero(np.bincount(labels) > 1):
+        members = np.flatnonzero(labels == c)
+        rows, cols = members[side[members] == 0], members[side[members] == 1]
+        if len(rows) < len(cols):
+            rows, cols = cols, rows
+        b = view.block(rows, cols, mask=True).astype(np.float64)
+        try:
+            lam, v = np.linalg.eigh(b.T @ b)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails to converge
+            raise NumericalError(f"sg: biadjacency SVD failed: {exc}") from exc
+        half = np.sinh(np.sqrt(np.clip(lam, 0.0, None)) / 2.0)
+        excess = 2.0 * half**2  # cosh σ - 1 without cancellation
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(lam > 0.0, excess / lam, 0.5)
+        out[cols] += (v * v) @ excess
+        out[rows] += (b @ v) ** 2 @ r
     return _at(out, nodes)
 
 
@@ -261,13 +273,33 @@ def _minplus_gram(a):
 
 def _minplus(a, b, out=None, cols=None):
     """Min-plus matrix product, out_ij = min_k a_ik + b_kj over the finite b_kj;
-    column j is written to column cols[j] of ``out`` when those are given."""
-    at = np.ascontiguousarray(a.T)
+    column j is written to column cols[j] of ``out`` when those are given.
+
+    Pruned, in blocks of 128 columns, with the bits of the full product, as
+    min-plus picks one sum and never re-associates one: the minimum over a
+    column's m = min(8, K - 1) shortest of its K entries b_kj is exact
+    wherever it is at most min_k a_ik plus the column's next shortest b_kj,
+    which bounds every other sum from below (rounding is monotone).  The
+    other entries take the whole column."""
+    at, (inner, width) = np.ascontiguousarray(a.T), b.shape
     if out is None:
-        out, cols = np.empty((a.shape[0], b.shape[1])), range(b.shape[1])
-    for j, finite in enumerate(np.isfinite(b).T):
-        k = np.flatnonzero(finite)
-        out[:, cols[j]] = np.min(at[k] + b[k, j, np.newaxis], axis=0, initial=np.inf)
+        out, cols = np.empty((a.shape[0], width)), np.arange(width)
+    floor, m = a.min(axis=1), min(8, inner - 1)
+    for lo in range(0, width, 128):
+        blk = b[:, lo : lo + 128]
+        span = np.arange(blk.shape[1])
+        near = np.argpartition(blk, m, axis=0)[: m + 1].copy()  # not a view holding every index
+        cut = blk[near[m], span]
+        part, sums = np.full((2, len(span), a.shape[0]), np.inf)
+        for k in near[:m]:
+            np.add(np.take(at, k, axis=0, out=sums), blk[k, span, np.newaxis], out=sums)
+            np.minimum(part, sums, out=part)
+        for j, rows in enumerate(part > np.add(floor, cut[:, np.newaxis], out=sums)):
+            if rows.any():
+                k = np.flatnonzero(np.isfinite(blk[:, j]))
+                part[j, rows] = np.min(at[np.ix_(k, rows)] + blk[k, j, np.newaxis], axis=0, initial=np.inf)
+        out[:, cols[lo : lo + 128]] = part.T
+        del part, sums  # before the next block's are made
     return out
 
 
@@ -280,32 +312,28 @@ def _floyd_warshall(d):
     return d
 
 
-def _input_eliminated_distances(view, nodes, inputs):
-    """Shortest-path lengths from ``nodes`` to every node, the ``inputs`` (an
-    independent set, possibly empty) eliminated in the min-plus semiring: a
-    path through input i joins two of its neighbors a, b at length l_ai + l_ib;
-    with those via-input lengths the other nodes' all-pairs distances
-    (Floyd-Warshall) are exact, and one more min-plus product over the
-    inputs' neighbors gives the distances to the inputs."""
-
-    def lengths(rows, cols):
-        return np.where(view.block(rows, cols, mask=True), view.block(rows, cols), np.inf)
-
-    ins, rest = np.flatnonzero(inputs), np.flatnonzero(~inputs)
-    pos = np.cumsum(~inputs) - 1  # node -> position among rest
-    hub = rest[view.block(rest, ins, mask=True).any(axis=1)]
-    hub_in = lengths(hub, ins)
-    d = lengths(rest, rest)
-    h = np.ix_(pos[hub], pos[hub])
-    d[h] = np.minimum(d[h], _minplus_gram(hub_in))
-    d = _floyd_warshall(d)
-    from_input = inputs[nodes]
-    dist = np.empty((len(nodes), view.node_count))
-    dist[np.ix_(~from_input, rest)] = d[pos[nodes[~from_input]]]
-    if from_input.any():
-        dist[np.ix_(from_input, rest)] = _minplus(lengths(hub, nodes[from_input]).T, d[pos[hub]])
+def _even_eliminated_distances(view, nodes):
+    """Shortest-path lengths from ``nodes`` to every node, the even side
+    eliminated in the min-plus semiring: it is an independent set, so a path
+    through even node e joins two of its odd neighbours a, b at length
+    l_ae + l_eb, and with no odd-odd edges these via-even lengths are the
+    odd side's whole graph, on which Floyd-Warshall is exact.  An even
+    source reaches the odd side over its odd neighbours, and one more
+    min-plus product over the odd side gives the distances to the even side."""
+    even, odd = _parity_sides(view)
+    side = view.layers % 2
+    pos = np.where(side, np.cumsum(side), np.cumsum(1 - side)) - 1  # node -> position on its side
+    lengths = np.where(view.block(odd, even, mask=True), view.block(odd, even), np.inf)
+    d = _floyd_warshall(_minplus_gram(lengths))
+    from_even = side[nodes] == 0
+    to_odd = np.empty((len(odd), len(nodes)))  # transposed: the last product reads its columns
+    to_odd[:, ~from_even] = d[pos[nodes[~from_even]]].T
+    if from_even.any():
+        to_odd[:, from_even] = _minplus(d, lengths[:, pos[nodes[from_even]]])
     del d
-    return _minplus(dist[:, hub], hub_in, dist, ins)  # the distances to the inputs
+    dist = np.empty((len(nodes), view.node_count))
+    dist[:, odd] = to_odd.T
+    return _minplus(to_odd.T, lengths, dist, even)
 
 
 def harmonic(view, nodes=None):
@@ -313,13 +341,13 @@ def harmonic(view, nodes=None):
 
     Unreachable pairs contribute zero, so disconnected views are fine.  With
     ``nodes`` (view positions), only those rows are summed.  Their distances
-    come from ``_input_eliminated_distances``, which eliminates the layer-0
-    nodes; Floyd-Warshall over what is left costs O(n³).
+    come from ``_even_eliminated_distances``, which eliminates the even
+    side; Floyd-Warshall over the odd side costs O(n³).
     """
     if any(np.any(w[m] <= 0.0) for _, _, w, m in view.blocks):
         raise StructuralError("harmonic centrality needs strictly positive edge lengths")
     nodes = np.arange(view.node_count) if nodes is None else np.asarray(nodes, dtype=np.intp)
-    dist = _input_eliminated_distances(view, nodes, view.layers == 0)
+    dist = _even_eliminated_distances(view, nodes)
     dist[np.arange(len(nodes)), nodes] = np.inf
     with np.errstate(divide="ignore"):
         np.divide(1.0, dist, out=dist)  # 1/inf is 0: unreachable pairs and the sources

@@ -3,13 +3,13 @@ the k-means fit, the model file writer and the surrogate digit corpus.
 
 Everything here favors directness over speed: a dense N×N neuron graph,
 explicit neighbor loops, exhaustive subset enumeration, per-target linear
-systems, textbook Floyd-Warshall, a grounded-node resistance solver, one
-dense (L + J/n)⁻¹, breadth-first search for components, Lloyd's algorithm
-run one restart at a time, one ``json.dumps`` of a whole model document,
-and the digit corpus rendered one image at a time.  Final scalar
-reductions use np.sum over operand arrays assembled in ascending index
-order, which is what makes exact comparison against the vectorized library
-implementations meaningful.
+systems, textbook Floyd-Warshall, a min-plus product column by column, a
+grounded-node resistance solver, one dense (L + J/n)⁻¹, breadth-first
+search for components, Lloyd's algorithm run one restart at a time, one
+``json.dumps`` of a whole model document, and the digit corpus rendered
+one image at a time.  Final scalar reductions use np.sum over operand
+arrays assembled in ascending index order, which is what makes exact
+comparison against the vectorized library implementations meaningful.
 """
 
 import json
@@ -153,6 +153,16 @@ def harmonic_naive(weights, mask):
     for i in range(n):
         recips = [1.0 / dist[j, i] for j in range(n) if j != i and math.isfinite(dist[j, i])]
         out[i] = np.sum(np.array(recips)) if recips else 0.0
+    return out
+
+
+def minplus_naive(a, b):
+    """Min-plus matrix product by the plain column loop: out_ij is the
+    smallest a_ik + b_kj over the finite b_kj (inf when there is none)."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for j in range(b.shape[1]):
+        k = np.flatnonzero(np.isfinite(b[:, j]))
+        out[:, j] = np.min(a[:, k] + b[k, j], axis=1, initial=np.inf)
     return out
 
 

@@ -173,6 +173,36 @@ class TestSubgraphCentrality:
         for v, _, mask in random_cases(20):
             np.testing.assert_allclose(subgraph_centrality(v), oracles.subgraph_series_naive(mask), atol=1e-8)
 
+    def test_small_components_of_a_paper_net(self):
+        # one decomposition of the whole view scaled round-off by its cosh σ_max (about 4e91 here)
+        w = [np.array(x) for x in init_network((784, 200, 100, 10), seed=3).weights]
+        w[0][:, :2] = -np.abs(w[0][:, :2])  # h1 neurons 0 and 1 lose their positive inputs,
+        w[1][:2] = -np.abs(w[1][:2])  # and their positive synapses to h2
+        w[1][:, 0] = -np.abs(w[1][:, 0])  # h2 neuron 0 keeps one positive synapse, to h1 neuron 1,
+        w[1][1, 0] = 0.5
+        w[2][0] = -np.abs(w[2][0])  # and none to the outputs
+        graph = build_graph(LayeredNetwork(arch=(784, 200, 100, 10), weights=w))
+        sg = subgraph_centrality(view(graph), np.array([784, 785, 984]))
+        assert sg[0] == 1.0  # an isolated odd neuron
+        np.testing.assert_allclose(sg[1:], math.cosh(1.0), rtol=1e-12, atol=0.0)  # the component {h1 1, h2 0}
+
+    @pytest.mark.parametrize("arch, layer", [((784, 32, 16, 10), 1), ((2, 12, 6, 10), 2)])
+    def test_rank_deficient_biadjacency_matches_dense_eigh(self, arch, layer):
+        # three copies of a hidden neuron on the smaller side (odd, then even) give the
+        # biadjacency B repeated lines, so the Gram matrix of that side has λ = 0
+        w = [np.array(x) for x in init_network(arch, seed=4).weights]
+        for dup in (1, 2, 3):
+            w[layer - 1][:, dup], w[layer][dup] = w[layer - 1][:, 0], w[layer][0]
+        net = LayeredNetwork(arch=arch, weights=w)
+        weights, mask, layers = oracles.build_graph_dense(net)
+        mask = oracles.positive_part(weights, mask)[1]
+        b = mask[np.ix_(layers % 2 == 0, layers % 2 == 1)].astype(np.float64)
+        assert np.linalg.matrix_rank(b) <= min(b.shape) - 3
+        lam, u = np.linalg.eigh(mask.astype(np.float64))
+        got = subgraph_centrality(view(build_graph(net)))
+        assert np.all(np.isfinite(got)) and np.all(got >= 1.0)
+        np.testing.assert_allclose(got, (u * u) @ np.exp(lam), rtol=1e-10, atol=0.0)
+
 
 class TestMaxCliqueCount:
     def test_path_p3(self):
@@ -623,14 +653,19 @@ class TestLayeredKernels:
     def test_reduced_harmonic_matches_dijkstra(self, net, monkeypatch):
         graph = build_graph(net)
         v = threshold_view(graph, VIEW_POSITIVE)
-        calls = []
-        reduced = centrality._input_eliminated_distances
+        calls, sizes = [], []
+        reduced, floyd = centrality._even_eliminated_distances, centrality._floyd_warshall
 
         def spy(*args):
             calls.append(args)
             return reduced(*args)
 
-        monkeypatch.setattr(centrality, "_input_eliminated_distances", spy)
+        def floyd_spy(d):
+            sizes.append(len(d))
+            return floyd(d)
+
+        monkeypatch.setattr(centrality, "_even_eliminated_distances", spy)
+        monkeypatch.setattr(centrality, "_floyd_warshall", floyd_spy)
         everything = np.arange(graph.node_count)
         mixed = np.flatnonzero(graph.layers != 1)[::2]  # inputs, deeper layers and the output
         # Dijkstra runs once over every node; each source set takes its rows
@@ -639,8 +674,8 @@ class TestLayeredKernels:
         by_dijkstra = np.where(np.isfinite(dist), 1.0 / dist, 0.0).sum(axis=1)
         for nodes in (everything, mixed):
             np.testing.assert_allclose(harmonic(v, nodes), by_dijkstra[nodes], rtol=1e-12, atol=0.0)
-        # both calls eliminate the inputs
-        assert [args[2].any() for args in calls] == [True, True]
+        # both calls eliminate the even side: Floyd-Warshall runs on the odd nodes alone
+        assert len(calls) == 2 and sizes == [np.count_nonzero(graph.layers % 2)] * 2
 
     @pytest.mark.parametrize("arch", [(784, 32, 16, 10), (784, 200, 100, 10)])
     def test_symmetric_minplus_on_reduced_graphs(self, arch, monkeypatch):
@@ -665,8 +700,8 @@ class TestLayeredKernels:
         assert got.tobytes() == centrality._minplus(a, a.T).tobytes()
         assert np.isinf(got[3]).all() and np.isfinite(got).any()
 
-    def test_hidden_sources_skip_the_from_input_product(self, monkeypatch):
-        # no source is an input: only the product for the distances to the inputs runs
+    def test_odd_sources_skip_the_from_even_product(self, monkeypatch):
+        # no source is on the even side: only the product for the distances to the even side runs
         calls = []
         routine = centrality._minplus
 
@@ -675,11 +710,32 @@ class TestLayeredKernels:
             return routine(a, b, *out)
 
         monkeypatch.setattr(centrality, "_minplus", spy)
-        net = init_network((12, 6, 5, 3), seed=0)
-        graph = build_graph(net)
-        hidden = np.flatnonzero((graph.layers >= 1) & (graph.layers < net.depth))
-        harmonic(threshold_view(graph, VIEW_POSITIVE), hidden)
+        graph = build_graph(init_network((12, 6, 5, 3), seed=0))
+        v = threshold_view(graph, VIEW_POSITIVE)
+        harmonic(v, np.flatnonzero(graph.layers % 2))
         assert len(calls) == 1
+        harmonic(v, np.flatnonzero(graph.layers == 2))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("shape", [(30, 40, 300), (7, 1, 20), (5, 9, 3), (6, 12, 0), (0, 10, 5)])
+    def test_pruned_minplus_matches_the_column_loop(self, shape):
+        rows, inner, width = shape
+        rng = np.random.default_rng(sum(shape))
+        a = rng.integers(1, 9, size=(rows, inner)) / 4.0  # quarters: many tied sums
+        b = np.where(rng.random((inner, width)) < 0.5, rng.integers(1, 9, size=(inner, width)) / 4.0,
+                     rng.exponential(size=(inner, width)))
+        a[rng.random(a.shape) < 0.3] = np.inf
+        b[rng.random(b.shape) < 0.4] = np.inf
+        b[8:, ::4] = np.inf  # columns with 8 or fewer finite entries
+        b[:, 1::9] = np.inf  # columns with none
+        if rows:
+            a[0] = np.inf  # a source row with no finite entry
+        want = oracles.minplus_naive(a, b)
+        assert centrality._minplus(a, b).tobytes() == want.tobytes()
+        # the columns go where ``cols`` puts them, the others are left alone
+        out = np.full((rows, width + 2), -1.0)
+        centrality._minplus(a, b, out, np.arange(width)[::-1] + 2)
+        assert out[:, :1:-1].tobytes() == want.tobytes() and (out[:, :2] == -1.0).all()
 
     def test_empty_nodes_give_empty_arrays(self):
         graph = build_graph(init_network((6, 4, 3, 2), seed=0))
@@ -699,7 +755,7 @@ class TestLayeredKernels:
 
         monkeypatch.setattr(centrality, "_floyd_warshall", spy)
         measure_all(init_network(arch, seed=0), measures=("hc",))
-        assert len(reduced) == 1 and len(reduced[0]) == sum(arch[1:])
+        assert len(reduced) == 1 and len(reduced[0]) == sum(arch[1::2])
         np.testing.assert_array_equal(routine(reduced[0].copy()), floyd_warshall(reduced[0], directed=False))
 
     def test_isolated_hidden_neuron(self):

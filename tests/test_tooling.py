@@ -278,7 +278,9 @@ def test_quick_demo_runs(demo):
 def test_measure_all_matches_the_dense_oracles_at_one_blas_thread():
     # one OpenBLAS thread sums in another order, so the kernels' values move; they must stay inside the tolerances
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
-    test = "tests/test_centrality.py::TestLayeredKernels::test_measure_all_matches_dense_oracles"
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test], cwd=ROOT, env=env,
+    tests = ["tests/test_centrality.py::TestLayeredKernels::test_measure_all_matches_dense_oracles",
+             "tests/test_centrality.py::TestSubgraphCentrality::test_small_components_of_a_paper_net",
+             "tests/test_centrality.py::TestSubgraphCentrality::test_rank_deficient_biadjacency_matches_dense_eigh"]
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-4000:]
