@@ -27,7 +27,7 @@ from .errors import FormatError
 
 # a JSON string, or a bare non-finite constant outside any string
 _BARE_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
-_PLAIN_INT = re.compile(r"-?[1-9][0-9]*|0")
+_PLAIN_INT = re.compile(r"-?[1-9][0-9]{0,18}|0")  # up to 19 digits, as an int64 has
 JSON_FLOATS_PER_CALL = 8192
 
 
@@ -49,12 +49,12 @@ def parse_float(cell):
 
 
 def parse_int(cell):
-    """Value of an integer cell, which must be a plain decimal as ``str(int)``
-    writes it: no sign but ``-``, no spaces, underscores or leading zeros.
-    Anything else is a ValueError."""
-    if not _PLAIN_INT.fullmatch(cell):
-        raise ValueError(f"{cell!r} is not a plain decimal integer")
-    return int(cell)
+    """Value of an integer cell, which must be a plain decimal int64 as
+    ``str(int)`` writes it: no sign but ``-``, no spaces, underscores or
+    leading zeros.  Anything else is a ValueError."""
+    if not (_PLAIN_INT.fullmatch(cell) and -(2**63) <= (value := int(cell)) < 2**63):
+        raise ValueError(f"{cell!r} is not a plain decimal integer in the int64 range")
+    return value
 
 
 def _cell(value):
@@ -163,18 +163,54 @@ def _reading(path):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def _defect(exc, text):
+    """Position in ``text`` and description of the defect for which its
+    decode raised ``exc``; too deep a value or too long an integer is at 0."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.pos, f"not valid JSON ({exc.msg})"
+    if isinstance(exc, _NonFinite):
+        pos = next(m.start(1) for m in _BARE_CONSTANT.finditer(text) if m.group(1))
+        return pos, f"non-finite number {exc} is not valid JSON"
+    return 0, "a JSON document nested too deeply" if isinstance(exc, RecursionError) else f"not valid JSON ({exc})"
+
+
 def read_json(path):
     """Parse a strict JSON file; any defect is a FormatError naming file and line."""
     with _reading(path) as fh:
         text = fh.read()
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from exc
-    except _NonFinite as exc:
-        pos = next(m.start(1) for m in _BARE_CONSTANT.finditer(text) if m.group(1))
+    except (ValueError, RecursionError) as exc:
+        pos, message = _defect(exc, text)
         line = text.count("\n", 0, pos) + 1
-        raise FormatError(f"{path}:{line}: non-finite number {exc} is not valid JSON") from None
+        raise FormatError(f"{path}:{line}: {message}") from None
+
+
+def checked(doc, key, types, bounds=None):
+    """``doc[key]``, which must be there and be of one of the JSON ``types``:
+    a tuple of ``int``, ``float``, ``str`` and ``type(None)`` (a boolean is
+    no int), ``[types]`` for a list of such values or ``[[types]]`` for a
+    list of such lists; each number must lie in the closed ``bounds``.
+    Anything else is a ValueError naming the key and the value, for the
+    caller to prefix with its file."""
+    depth = 0
+    while type(types) is list:
+        types, depth = types[0], depth + 1
+    types = types if type(types) is tuple else (types,)
+    names = [{int: "integer", float: "float", str: "string", type(None): "null"}[t] for t in types]
+    expected = f"JSON {names[0]}s{' in lists' * (depth - 1)}" if depth else f"JSON {' or '.join(names)}"
+    if key not in doc:
+        raise ValueError(f"{key}: missing")
+    items = [doc[key]]
+    for level, want in enumerate([(list,)] * depth + [types]):
+        odd = [x for x in items if type(x) not in want]
+        if odd:
+            raise ValueError(f"{key}: expected {expected}, got {odd[0]!r}")
+        items = [y for x in items for y in x] if level < depth else items
+    for x in items:
+        if bounds and type(x) in (int, float) and not bounds[0] <= x <= bounds[1]:
+            raise ValueError(f"{key}: {x!r} is outside [{bounds[0]}, {bounds[1]}]")
+    return doc[key]
 
 
 class JsonBlocks:
@@ -209,11 +245,9 @@ class JsonBlocks:
         """``raw_decode(text)``, whose index i is unread position i + shift."""
         try:
             return self._decoder.raw_decode(text)
-        except json.JSONDecodeError as exc:
-            raise self._error(f"not valid JSON ({exc.msg})", exc.pos + shift) from None
-        except _NonFinite as exc:
-            pos = next(m.start(1) for m in _BARE_CONSTANT.finditer(text) if m.group(1))
-            raise self._error(f"non-finite number {exc} is not valid JSON", pos + shift) from None
+        except (ValueError, RecursionError) as exc:
+            pos, message = _defect(exc, text)
+            raise self._error(message, pos + shift) from None
 
     def expect(self, literal):
         """Read past ``literal``, which must come next."""
@@ -238,7 +272,7 @@ class JsonBlocks:
                 value, end = self._decoder.raw_decode(self._buf)
                 if end < len(self._buf):  # else a number may go on in the next block
                     break
-            except ValueError:  # it may end in the next block; a defect shows at the end of the file
+            except (ValueError, RecursionError):  # it may end in the next block; a defect shows at the end of the file
                 pass
             if not self._more():
                 value, end = self._parse(self._buf)
@@ -264,7 +298,7 @@ class JsonBlocks:
                 continue
             try:
                 values = self._decoder.decode("[" + self._buf[:cut] + "]")
-            except ValueError:  # a cut inside a string or a nested list, or a non-finite constant:
+            except (ValueError, RecursionError):  # a cut inside a string or a nested list, or a defect:
                 self._more(-1)  # parse the rest of the list whole to name the defect
                 values, end = self._parse("[" + self._buf, -1)
                 cut = close = end - 2

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import parse_float, read_csv_rows, read_json, write_csv, write_json
+from .artifacts import checked, parse_float, read_csv_rows, read_json, write_csv, write_json
 from .centrality import check_measure_ids
 from .descriptors import FeatureMatrix
 from .errors import FormatError, StructuralError
@@ -446,44 +446,26 @@ def save_vocabulary(vocab: Vocabulary, path):
     write_json(path, doc)
 
 
-def _typed(doc, key, *types):
-    """doc[key] if its JSON type is one of ``types`` (a boolean is no int)."""
-    value = doc[key]
-    if type(value) not in types:
-        raise TypeError(f"{key}: expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
-    return value
-
-
-def _floats(doc, key):
-    """doc[key] as a float64 array whose every number is a JSON float, as
-    save_vocabulary writes it; numpy would also take "1.0" or true."""
-    cells = np.array(doc[key], dtype=object)
-    for x in cells.flat:
-        if type(x) is not float:
-            raise TypeError(f"{key}: expected JSON floats, got {x!r}")
-    return cells.astype(np.float64)
-
-
 def load_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary written by save_vocabulary.  centroids and
-    normalizers must hold JSON floats, k and seed JSON integers and inertia
-    a number; benchmark_id (a string) and generator (``GENERATOR_ID``) may
-    be absent."""
+    """Read a vocabulary written by save_vocabulary.  measures must be a
+    list of JSON strings, centroids and normalizers must hold JSON floats,
+    k and seed JSON integers and inertia a number; benchmark_id (a string)
+    and generator (``GENERATOR_ID``) may be absent."""
     doc = read_json(path)
     try:
         doc = {"benchmark_id": "", "generator": GENERATOR_ID} | doc
-        if doc["generator"] != GENERATOR_ID:
+        if checked(doc, "generator", str) != GENERATOR_ID:
             raise ValueError(f"generator: expected {GENERATOR_ID!r}, got {doc['generator']!r}")
         return Vocabulary(
-            centroids=_floats(doc, "centroids"),
-            measures=tuple(doc["measures"]),
-            normalizers=_floats(doc, "normalizers"),
-            inertia=float(_typed(doc, "inertia", int, float)),
-            k=_typed(doc, "k", int),
-            seed=_typed(doc, "seed", int),
-            benchmark_id=_typed(doc, "benchmark_id", str),
+            centroids=checked(doc, "centroids", [[float]]),
+            measures=tuple(checked(doc, "measures", [str])),
+            normalizers=checked(doc, "normalizers", [float]),
+            inertia=float(checked(doc, "inertia", (int, float))),
+            k=checked(doc, "k", int),
+            seed=checked(doc, "seed", int),
+            benchmark_id=checked(doc, "benchmark_id", str),
         )
-    except (KeyError, TypeError, ValueError, StructuralError) as exc:
+    except (TypeError, ValueError, StructuralError) as exc:
         raise FormatError(f"{path}: bad vocabulary file ({exc})") from exc
 
 

@@ -210,7 +210,7 @@ def subgraph_centrality(view, nodes=None):
         try:
             lam, v = np.linalg.eigh(b.T @ b)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails to converge
-            raise NumericalError(f"sg: biadjacency SVD failed: {exc}") from exc
+            raise NumericalError(f"sg: eigh of the Gram matrix BᵀB failed: {exc}") from exc
         half = np.sinh(np.sqrt(np.clip(lam, 0.0, None)) / 2.0)
         excess = 2.0 * half**2  # cosh σ - 1 without cancellation
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -267,9 +267,10 @@ def cmd_plot(args):
         if not args.occurrence_csv:
             raise StructuralError("hist needs --occurrence-csv")
         records = bon.read_occurrence_csv(args.occurrence_csv)
-        worst, median, top = bon.accuracy_groups(
-            [(r.network_id, r.test_acc) for r in records], args.group_size
-        )
+        try:
+            worst, median, top = bon.accuracy_groups([(r.network_id, r.test_acc) for r in records], args.group_size)
+        except StructuralError as exc:
+            raise StructuralError(f"{args.occurrence_csv}: {exc}") from None
         by_id = {r.network_id: r for r in records}
         names = ("worst", "median", "top")
         freqs = np.stack(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import json_blocks, write_json
+from .artifacts import checked, json_blocks, write_json
 from .errors import FormatError, StructuralError
 
 MODEL_FORMAT = "nnx-json/1"
@@ -21,15 +21,6 @@ MODEL_FORMAT = "nnx-json/1"
 VIEW_ORIGINAL = "original-weighted"
 VIEW_POSITIVE = "positive-weighted"
 VIEW_MODES = (VIEW_ORIGINAL, VIEW_POSITIVE)
-
-_META_REQUIRED = {
-    "seed": (int,),
-    "dataset_id": (str,),
-    "epochs": (int,),
-    "train_acc": (int, float),
-    "test_acc": (int, float),
-}
-
 
 def _freeze(a):
     a.flags.writeable = False
@@ -256,14 +247,12 @@ def load_model(path) -> LayeredNetwork:
         doc.end()
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta: must be an object")
-    for key, types in _META_REQUIRED.items():
-        if key not in meta:
-            raise FormatError(f"{path}: meta.{key}: missing")
-        if not isinstance(meta[key], types) or isinstance(meta[key], bool):
-            raise FormatError(f"{path}: meta.{key}: expected {types[0].__name__}")
-        if key in ("train_acc", "test_acc") and not 0 <= meta[key] <= 1:
-            raise FormatError(f"{path}: meta.{key}: {meta[key]} is outside [0, 1]")
     try:
+        for key, types, bounds in (("seed", int, None), ("dataset_id", str, None), ("epochs", int, None),
+                                   ("train_acc", (int, float), (0, 1)), ("test_acc", (int, float), (0, 1))):
+            checked(meta, key, types, bounds)
         return LayeredNetwork(arch=tuple(arch), weights=tuple(weights), meta=meta)
+    except ValueError as exc:
+        raise FormatError(f"{path}: meta.{exc}") from None
     except StructuralError as exc:
         raise FormatError(f"{path}: {exc}") from exc

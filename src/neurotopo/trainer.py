@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import checked, read_json, write_json
 from .errors import FormatError, NumericalError, StructuralError
 from .model import LayeredNetwork, load_model, save_model
 
@@ -365,25 +365,18 @@ def generate_population(
 
 def load_manifest(path):
     """Read a population manifest: a JSON list of objects carrying distinct
-    non-negative seeds and test_acc in [0, 1] or null."""
+    non-negative integer seeds and a test_acc in [0, 1] or null."""
     manifest = read_json(path)
-    if not isinstance(manifest, list) or not all(
-        isinstance(e, dict)
-        and type(e.get("seed")) is int
-        and type(e.get("test_acc", "")) in (int, float, type(None))
-        for e in manifest
-    ):
-        raise FormatError(
-            f"{path}: manifest must be a JSON list of objects with an integer seed "
-            "and a numeric or null test_acc"
-        )
+    if type(manifest) is not list or not all(type(e) is dict for e in manifest):
+        raise FormatError(f"{path}: manifest must be a JSON list of objects")
     seen = set()
-    for e in manifest:
-        if e["seed"] < 0:
-            raise FormatError(f"{path}: seed {e['seed']} is negative")
-        if e["seed"] in seen:
-            raise FormatError(f"{path}: seed {e['seed']} appears more than once")
-        if e.get("test_acc") is not None and not 0 <= e["test_acc"] <= 1:
-            raise FormatError(f"{path}: seed {e['seed']}: test_acc {e['test_acc']} is outside [0, 1]")
-        seen.add(e["seed"])
+    for i, e in enumerate(manifest):
+        try:
+            seed = checked(e, "seed", int, (0, math.inf))
+            checked(e, "test_acc", (int, float, type(None)), (0, 1))
+        except ValueError as exc:
+            raise FormatError(f"{path}: [{i}].{exc}") from None
+        if seed in seen:
+            raise FormatError(f"{path}: seed {seed} appears more than once")
+        seen.add(seed)
     return manifest

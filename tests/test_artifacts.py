@@ -144,13 +144,14 @@ class TestReaders:
         with pytest.raises(ValueError):
             parse_float(cell)
 
-    @pytest.mark.parametrize("value", [0, 7, -3, 1234567890123])
+    @pytest.mark.parametrize("value", [0, 7, -3, 1234567890123, 2**63 - 1, -(2**63)])
     def test_int_cells_round_trip(self, value, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["n"], [(np.int64(value),)])
         assert parse_int(read_csv_rows(path)[1][0][1][0]) == value
 
-    @pytest.mark.parametrize("cell", [" 1", "1 ", "1_0", "+1", "01", "-0", "1.0", "", "\u0661", "0x1"])
+    @pytest.mark.parametrize("cell", [" 1", "1 ", "1_0", "+1", "01", "-0", "1.0", "", "\u0661", "0x1",
+                                      str(2**63), str(-(2**63) - 1), "1" * 25])
     def test_int_cells_the_writer_never_writes(self, cell):
         with pytest.raises(ValueError, match="plain decimal"):
             parse_int(cell)

@@ -479,15 +479,18 @@ class TestVocabularyIo:
         with pytest.raises(StructuralError):
             Vocabulary(np.array(centroids), ("s", "bc"), np.array(normalizers), 0.0, 2, 0)
 
-    @pytest.mark.parametrize("measures", [["zz", "bc"], ["s", "s"]])
+    @pytest.mark.parametrize("measures", [["zz", "bc"], ["s", "s"], {"s": 1}, "s"])
     def test_bad_measure_list_rejected(self, tmp_path, measures):
-        with pytest.raises(StructuralError, match="measures"):
-            Vocabulary(np.zeros((2, 2)), tuple(measures), np.ones(2), 0.0, 2, 0)
+        # iterated, the object gives its keys and the string its characters: the valid ("s",)
+        width = len(tuple(measures))
+        if isinstance(measures, list):
+            with pytest.raises(StructuralError, match="measures"):
+                Vocabulary(np.zeros((2, width)), tuple(measures), np.ones(width), 0.0, 2, 0)
         path = tmp_path / "v.json"
-        doc = {"measures": measures, "normalizers": [1.0, 1.0], "k": 2,
-               "centroids": [[0.0, 0.0], [1.0, 1.0]], "inertia": 0.0, "seed": 0}
+        doc = {"measures": measures, "normalizers": [1.0] * width, "k": 2,
+               "centroids": [[0.0] * width, [1.0] * width], "inertia": 0.0, "seed": 0}
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="v.json: bad vocabulary file"):
+        with pytest.raises(FormatError, match="v.json: bad vocabulary file .*measures"):
             load_vocabulary(path)
 
     @staticmethod

@@ -398,13 +398,16 @@ class TestVocabCommands:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_int_cell_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("layer, neuron", [("1", "1_0"), ("100000000000000000000", "1"), ("1", str(2**63))])
+    def test_bad_int_cell_exits_3(self, tmp_path, capsys, layer, neuron):
+        # 1_0 is no plain decimal; the others are, but no int64 holds them
         path = tmp_path / "desc.csv"
-        path.write_text("network_id,layer,neuron,s,bc\na,1,0,0.25,0.5\na,1,1_0,0.5,0.25\n")
+        path.write_text(f"network_id,layer,neuron,s,bc\na,1,0,0.25,0.5\na,{layer},{neuron},0.5,0.25\n")
         code = main(["vocab", "build", "--measures-csv", str(path), "--k", "2",
                      "--out", str(tmp_path / "v.json")])
         assert code == 3
-        assert "desc.csv:3: '1_0' is not a plain decimal integer" in capsys.readouterr().err
+        cell = neuron if layer == "1" else layer
+        assert f"desc.csv:3: '{cell}' is not a plain decimal integer" in capsys.readouterr().err
 
     def test_repeated_measure_columns_exit_3(self, tmp_path, capsys):
         path = tmp_path / "desc.csv"
@@ -693,6 +696,15 @@ class TestPlotCommand:
         assert f"occ.csv:3: test_acc {acc} is outside [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
 
+    def test_hist_on_too_few_networks_exits_2_naming_the_file(self, tmp_path, capsys):
+        occ = tmp_path / "occ.csv"
+        occ.write_text("network_id,test_acc,f1,f2\nseed0,0.6,0.5,0.5\nseed1,0.7,1.0,0.0\n")
+        code = main(["plot", "--what", "hist", "--occurrence-csv", str(occ), "--group-size", "1",
+                     "--out-csv", str(tmp_path / "hist.csv")])
+        assert code == 2
+        assert "occ.csv: population of 2 cannot hold 3 disjoint groups of 1" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
+
     def test_hist_without_accuracies_exits_2(self, measures_csv, tmp_path, capsys):
         # vocab assign without --manifest writes NaN accuracies, which cannot be ranked
         vocab = tmp_path / "vocab.json"
@@ -706,6 +718,30 @@ class TestPlotCommand:
         assert code == 2
         assert "undefined test accuracy for networks ['seed0', 'seed1', 'seed2']" in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
+
+
+class TestNestedJson:
+    def test_json_nested_too_deeply_exits_3(self, trained_dir, measures_csv, tmp_path, capsys):
+        # json's decoder gives up about 1,000 levels down with a RecursionError
+        deep = "[" * 10_000 + "]" * 10_000
+        models = tmp_path / "models"
+        models.mkdir()
+        model = (trained_dir / "model_seed0.json").read_text()
+        (models / "model_seed0.json").write_text(model.replace('"meta": {', f'"meta": {{"deep": {deep}, '))
+        manifest, vocab = tmp_path / "manifest.json", tmp_path / "vocab.json"
+        manifest.write_text(f'[{{"seed": 0, "test_acc": 0.5, "deep": {deep}}}]')
+        vocab.write_text(f'{{"measures": {deep}}}')
+        runs = {
+            "model_seed0.json": ["measure", "--models", models, "--out", tmp_path / "m.csv"],
+            "manifest.json": ["plot", "--what", "scatter", "--measures-csv", measures_csv, "--measure", "s",
+                              "--manifest", manifest, "--out-csv", tmp_path / "scatter.csv"],
+            "vocab.json": ["vocab", "assign", "--vocab", vocab, "--measures-csv", measures_csv,
+                           "--out", tmp_path / "occ.csv"],
+        }
+        for name, argv in runs.items():
+            assert main([str(a) for a in argv]) == 3
+            err = capsys.readouterr().err
+            assert name in err and "a JSON document nested too deeply" in err
 
 
 class TestRunRecords:
