@@ -453,6 +453,9 @@ def load_vocabulary(path) -> Vocabulary:
     and generator (``GENERATOR_ID``) may be absent."""
     doc = read_json(path)
     try:
+        if type(doc) is not dict:
+            kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(type(doc), "number")
+            raise ValueError(f"expected a JSON object, got a JSON {kind}")
         doc = {"benchmark_id": "", "generator": GENERATOR_ID} | doc
         if checked(doc, "generator", str) != GENERATOR_ID:
             raise ValueError(f"generator: expected {GENERATOR_ID!r}, got {doc['generator']!r}")

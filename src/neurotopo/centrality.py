@@ -39,7 +39,6 @@ from .model import (
     VIEW_POSITIVE,
     LayeredNetwork,
     build_graph,
-    component_labels,
     largest_component,
     threshold_view,
 )
@@ -55,6 +54,10 @@ PIVOT_TAU = 1e-4
 # a grounded inverse whose condition number (κ₁(S) or a lower bound on κ₁(L_g)) is above
 # this raises (about 4 digits left); 500 seeded nets, 110 trained, read at most 1.6e8 (cfc) and 545 (so)
 COND_MAX = 1e12
+
+# the shortest lengths per row _minplus_gram bounds its entries by: at 784,200,100,10
+# (trained and seeded) 64 leaves 2-4 of 44,100 entries to the column loop, 48 about 150
+_GRAM_NEAR = 64
 
 log = logging.getLogger(__name__)
 
@@ -191,15 +194,15 @@ def second_order(view, nodes=None):
 def subgraph_centrality(view, nodes=None):
     """Closed-walk sum per node: the diagonal of exp(A), A the binarized adjacency.
 
-    Taken per connected component, a lone node exactly 1, so that round-off
-    in one component is never scaled by another's cosh σ_max.  With B a
-    component's biadjacency, its columns the smaller side, exp(A) has
-    diagonal blocks cosh(√(BᵀB)) and cosh(√(BBᵀ)) (Estrada &
+    Taken per connected component (``view.labels``), a lone node exactly 1,
+    so that round-off in one component is never scaled by another's
+    cosh σ_max.  With B a component's biadjacency, its columns the smaller
+    side, exp(A) has diagonal blocks cosh(√(BᵀB)) and cosh(√(BBᵀ)) (Estrada &
     Rodríguez-Velázquez 2005).  From eigh(BᵀB) = VΛVᵀ and σ = √λ, the
     columns get 1 + (V∘V)(cosh σ - 1) and the rows, as U = BV/σ,
     1 + (BV)²·r with r = 2sinh²(σ/2)/λ, which is ½ at λ = 0.
     """
-    labels, side = component_labels(view), view.layers % 2
+    labels, side = view.labels, view.layers % 2
     out = np.ones(view.node_count)
     for c in np.flatnonzero(np.bincount(labels) > 1):
         members = np.flatnonzero(labels == c)
@@ -261,14 +264,30 @@ def bipartite_clustering(view, nodes=None):
 
 
 def _minplus_gram(a):
-    """``_minplus(a, a.T)``, bit for bit: it is symmetric, as addition commutes,
-    so each column is computed from its diagonal down and mirrored."""
-    at = np.ascontiguousarray(a.T)
-    out = np.empty((a.shape[0], a.shape[0]))
-    for j, finite in enumerate(np.isfinite(a)):
-        k = np.flatnonzero(finite)
-        out[j:, j] = out[j, j:] = np.min(at[k, j:] + a[j, k, np.newaxis], axis=0, initial=np.inf)
+    """``_minplus(a, a.T)``, bit for bit, from each row's m = min(_GRAM_NEAR,
+    K - 1) shortest of its K lengths (the threshold rule of Fagin, Lotem &
+    Naor 2003): with t_i row i's next shortest, a sum a_ik + a_jk over a k
+    in neither row's shortest is at least t_i + t_j (rounding is monotone),
+    so the minimum over the k in either row's shortest is exact wherever it
+    is at most t_i + t_j.  The other entries take the column loop."""
+    at, m = np.ascontiguousarray(a.T), min(_GRAM_NEAR, a.shape[1] - 1)
+    near, i = np.argpartition(a, m, axis=1), np.arange(a.shape[0])
+    out, sums = np.full((2, a.shape[0], a.shape[0]), np.inf)
+    for k in near[:, :m].T:  # out_ij: the shortest of row i's m against row j
+        np.add(np.take(at, k, axis=0, out=sums), a[i, k, np.newaxis], out=sums)
+        np.minimum(out, sums, out=out)
+    np.minimum(out, out.T, out=out)
+    cut = a[i, near[:, m]]
+    _settle(out, out > np.add.outer(cut, cut), at, at)  # symmetric: row j is column j
     return out
+
+
+def _settle(part, unsettled, at, b):
+    """The plain column loop at the True entries of ``unsettled``: part_ji is
+    the minimum over the finite b_kj of at_ki + b_kj."""
+    for j in np.flatnonzero(unsettled.any(axis=1)):
+        k = np.flatnonzero(np.isfinite(b[:, j]))
+        part[j, unsettled[j]] = np.min(at[np.ix_(k, unsettled[j])] + b[k, j, np.newaxis], axis=0, initial=np.inf)
 
 
 def _minplus(a, b, out=None, cols=None):
@@ -294,10 +313,7 @@ def _minplus(a, b, out=None, cols=None):
         for k in near[:m]:
             np.add(np.take(at, k, axis=0, out=sums), blk[k, span, np.newaxis], out=sums)
             np.minimum(part, sums, out=part)
-        for j, rows in enumerate(part > np.add(floor, cut[:, np.newaxis], out=sums)):
-            if rows.any():
-                k = np.flatnonzero(np.isfinite(blk[:, j]))
-                part[j, rows] = np.min(at[np.ix_(k, rows)] + blk[k, j, np.newaxis], axis=0, initial=np.inf)
+        _settle(part, part > np.add(floor, cut[:, np.newaxis], out=sums), at, blk)
         out[:, cols[lo : lo + 128]] = part.T
         del part, sums  # before the next block's are made
     return out

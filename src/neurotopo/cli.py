@@ -172,10 +172,18 @@ def _load_accuracies(manifest_path):
     }
 
 
+def _naming(path, func, *args):
+    """``func(*args)``, with ``path``, the file it read, named in a StructuralError it raises."""
+    try:
+        return func(*args)
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}") from None
+
+
 def cmd_vocab_build(args):
     tables = centrality.read_measures_csv(args.measures_csv)
     measures = _parse_measures(args.measures) if args.measures else tables[0].measures
-    fm = descriptors.build_feature_matrix(tables, measures)
+    fm = _naming(args.measures_csv, descriptors.build_feature_matrix, tables, measures)
     curve_out = None
     facts = {}
     if args.elbow:
@@ -257,7 +265,7 @@ def cmd_plot(args):
             raise StructuralError("scatter needs --measures-csv and --measure")
         accs = _load_accuracies(args.manifest)
         tables = centrality.read_measures_csv(args.measures_csv, accuracies=accs)
-        points = descriptors.scatter_points(tables, args.measure)
+        points = _naming(args.measures_csv, descriptors.scatter_points, tables, args.measure)
         header, rows = ["network_id", "x", "y", "test_acc"], points
         m = args.measure
         svg = partial(
@@ -267,10 +275,8 @@ def cmd_plot(args):
         if not args.occurrence_csv:
             raise StructuralError("hist needs --occurrence-csv")
         records = bon.read_occurrence_csv(args.occurrence_csv)
-        try:
-            worst, median, top = bon.accuracy_groups([(r.network_id, r.test_acc) for r in records], args.group_size)
-        except StructuralError as exc:
-            raise StructuralError(f"{args.occurrence_csv}: {exc}") from None
+        worst, median, top = _naming(args.occurrence_csv, bon.accuracy_groups,
+                                     [(r.network_id, r.test_acc) for r in records], args.group_size)
         by_id = {r.network_id: r for r in records}
         names = ("worst", "median", "top")
         freqs = np.stack(

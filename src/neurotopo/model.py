@@ -10,6 +10,7 @@ positive subgraph.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,23 @@ class GraphView:
     def edge_count(self):
         return int(self.degrees.sum()) // 2
 
+    @cached_property
+    def labels(self):
+        """Connected-component label of each position, read-only and computed
+        once per view, by breadth-first search on the frontier's mask rows,
+        one frontier at a time.  Components are numbered in the order of
+        their smallest node."""
+        labels, count = np.full(self.node_count, -1), 0
+        for start in range(self.node_count):
+            if labels[start] < 0:
+                frontier = np.array([start])
+                while frontier.size:
+                    labels[frontier] = count
+                    reached = self.block(frontier, ALL, mask=True).any(axis=0)
+                    frontier = np.flatnonzero(reached & (labels < 0))
+                count += 1
+        return _freeze(labels)
+
     def block(self, rows, cols, mask=False):
         """The dense weights, or the edge mask, at positions rows × cols
         (slices or index arrays), read-only, assembled from the stored blocks."""
@@ -128,7 +146,7 @@ class GraphView:
 def _split(pos, n, offsets):
     """The count of positions ``pos`` (a slice or an index array) and per
     group None if none of them is in it, else (where they sit in pos, their
-    indices in the group), as slices when they run consecutively."""
+    indices in the group), as slices where they run consecutively."""
     if isinstance(pos, slice) and pos.step in (None, 1):
         start, stop, _ = pos.indices(n)
         stop = max(start, stop)
@@ -136,11 +154,18 @@ def _split(pos, n, offsets):
         pos = np.arange(n)[pos]
         if not (pos.size and pos[-1] - pos[0] == pos.size - 1 and np.all(np.diff(pos) == 1)):
             at = [np.flatnonzero((pos >= lo) & (pos < hi)) for lo, hi in zip(offsets, offsets[1:])]
-            return pos.size, [(i, pos[i] - lo) if i.size else None for i, lo in zip(at, offsets)]
+            return pos.size, [_run(i, pos[i] - lo) if i.size else None for i, lo in zip(at, offsets)]
         start, stop = int(pos[0]), int(pos[-1]) + 1
     spans = [(max(start, lo), min(stop, hi), lo) for lo, hi in zip(offsets, offsets[1:])]
     return stop - start, [
         (slice(a - start, b - start), slice(a - lo, b - lo)) if a < b else None for a, b, lo in spans]
+
+
+def _run(i, j):
+    """(i, j) as slices when both run consecutively upwards; i ascends."""
+    if i[-1] - i[0] == i.size - 1 and np.all(np.diff(j) == 1):
+        return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
+    return i, j
 
 
 def build_graph(net: LayeredNetwork) -> GraphView:
@@ -172,23 +197,6 @@ def threshold_view(view: GraphView, mode: str) -> GraphView:
     return replace(view, blocks=tuple((a, b, _freeze(np.where(m, w, 0.0)), m) for a, b, w, m in kept))
 
 
-def component_labels(view: GraphView):
-    """Connected-component label of each node of a view, by breadth-first
-    search on the frontier's mask rows, one frontier at a time.
-    Components are numbered in the order of their smallest node."""
-    labels = np.full(view.node_count, -1)
-    count = 0
-    for start in range(view.node_count):
-        if labels[start] < 0:
-            frontier = np.array([start])
-            while frontier.size:
-                labels[frontier] = count
-                reached = view.block(frontier, ALL, mask=True).any(axis=0)
-                frontier = np.flatnonzero(reached & (labels < 0))
-            count += 1
-    return labels
-
-
 def largest_component(view: GraphView):
     """The largest connected component of a view as (keep, view): its
     positions, ascending, and the view restricted to them, which is the
@@ -199,7 +207,7 @@ def largest_component(view: GraphView):
     """
     if view.node_count == 0:
         raise StructuralError("empty view")
-    labels = component_labels(view)
+    labels = view.labels
     # argmax takes the first largest label, the one holding the smallest node
     keep = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     if keep.size == view.node_count:

@@ -540,6 +540,15 @@ class TestVocabularyIo:
         with pytest.raises(FormatError, match=r"v.json: bad vocabulary file \(inertia must be finite, got inf\)"):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize("doc, kind", [([1, 2], "array"), ("v", "string"), (3.5, "number"), (None, "null"),
+                                           (True, "boolean")])
+    def test_document_that_is_no_object_rejected(self, tmp_path, doc, kind):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        want = f"v.json: bad vocabulary file \\(expected a JSON object, got a JSON {kind}\\)"
+        with pytest.raises(FormatError, match=want):
+            load_vocabulary(path)
+
     def test_id_keys_optional(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(json.dumps(self.vocabulary_doc(inertia=1)))

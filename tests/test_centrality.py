@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -700,6 +701,44 @@ class TestLayeredKernels:
         assert got.tobytes() == centrality._minplus(a, a.T).tobytes()
         assert np.isinf(got[3]).all() and np.isfinite(got).any()
 
+    @staticmethod
+    def gram_lengths(case):
+        """Quarter-valued odd×even lengths with ties.  Half the rows are short
+        on the first block of columns and inf on the second, the other half
+        the other way round, and both long on the rest: a pair of one of each
+        shares none of its shortest columns, so the bound cannot settle it."""
+        m = centrality._GRAM_NEAR
+        rng = np.random.default_rng(len(case))
+        if case == "one column":
+            return np.array([[1.0], [np.inf], [0.25], [2.5], [0.25], [np.inf], [0.75]])
+        a = np.full((30, 3 * m), np.inf)
+        a[:, 2 * m :] = rng.integers(8, 16, size=(30, m)) / 4.0
+        a[::2, :m] = rng.integers(1, 5, size=(15, m)) / 4.0
+        a[1::2, m : 2 * m] = rng.integers(1, 5, size=(15, m)) / 4.0
+        a[rng.random(a.shape) < 0.1] = np.inf
+        if case == "rows with at most m finite":
+            for row, count in ((0, m), (1, m - 1), (2, 1), (3, 0)):  # 0: the all-inf row
+                a[row] = np.inf
+                a[row, rng.choice(a.shape[1], size=count, replace=False)] = 1.0 + rng.integers(0, 3, size=count)
+        return a[:0] if case == "no rows" else a
+
+    @pytest.mark.parametrize("case", ["ties", "rows with at most m finite", "one column", "no rows"])
+    def test_pruned_gram_matches_the_column_loop(self, case, monkeypatch):
+        a = self.gram_lengths(case)
+        fallback, routine = [], centrality._settle
+
+        def spy(part, unsettled, *args):
+            fallback.append(np.argwhere(unsettled))
+            return routine(part, unsettled, *args)
+
+        monkeypatch.setattr(centrality, "_settle", spy)
+        assert centrality._minplus_gram(a).tobytes() == oracles.minplus_naive(a, a.T).tobytes()
+        (pairs,) = fallback
+        assert bool(pairs.size) == (case != "no rows")
+        # a row with at most m finite lengths holds them all among its shortest: the bound settles it
+        many = np.isfinite(a).sum(axis=1) > min(centrality._GRAM_NEAR, a.shape[1] - 1)
+        assert many[pairs].all()
+
     def test_odd_sources_skip_the_from_even_product(self, monkeypatch):
         # no source is on the even side: only the product for the distances to the even side runs
         calls = []
@@ -777,6 +816,22 @@ class TestLayeredKernels:
         monkeypatch.setattr(centrality, "threshold_view", spy)
         measure_all(init_network((12, 6, 5, 3), seed=0), measures=MEASURE_ORDER)
         assert modes == [VIEW_ORIGINAL, VIEW_POSITIVE]
+
+    def test_one_labelling_per_view(self, monkeypatch):
+        # sg and so share the positive view's labels, and cfc labels the original view
+        labelled = []
+        inner = GraphView.labels.func
+
+        def spy(v):
+            labelled.append(v)
+            return inner(v)
+
+        labels = cached_property(spy)
+        labels.__set_name__(GraphView, "labels")
+        monkeypatch.setattr(GraphView, "labels", labels)
+        measure_all(init_network((12, 6, 5, 3), seed=0), measures=MEASURE_ORDER)
+        assert len(labelled) == 2 and labelled[0] is not labelled[1]
+        assert [v.blocks[0][3].all() for v in labelled] == [True, False]  # the original view, then the positive
 
     def test_one_compute_measure_call_per_measure(self, monkeypatch):
         calls = []

@@ -705,6 +705,25 @@ class TestPlotCommand:
         assert "occ.csv: population of 2 cannot hold 3 disjoint groups of 1" in capsys.readouterr().err
         assert not (tmp_path / "hist.csv").exists()
 
+    @pytest.mark.parametrize("command, refusal", [
+        (["vocab", "build", "--k", "2", "--out", "vocab.json"], "architecture differs from the population"),
+        (["plot", "--what", "scatter", "--measure", "s", "--out-csv", "scatter.csv"],
+         "scatter needs exactly hidden layers (1, 2), got (1, 2, 3, 4)"),
+    ])
+    def test_network_rows_duplicated_exit_2_naming_the_file(self, measures_csv, tmp_path, capsys, command,
+                                                              refusal):
+        # seed1's rows again, as layers 3 and 4: the file still reads, but seed1's layout is not the others'
+        lines = measures_csv.read_text().splitlines()
+        copies = [",".join([r[0], str(int(r[1]) + 2), *r[2:]]) for r in csv.reader(lines) if r[0] == "seed1"]
+        end = max(i for i, line in enumerate(lines) if line.startswith("seed1,")) + 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:end] + copies + lines[end:]) + "\n")
+        out = tmp_path / command[-1]
+        code = main([*command[:-1], str(out), "--measures-csv", str(bad)])
+        assert code == 2
+        assert f"bad.csv: 'seed1': {refusal}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hist_without_accuracies_exits_2(self, measures_csv, tmp_path, capsys):
         # vocab assign without --manifest writes NaN accuracies, which cannot be ranked
         vocab = tmp_path / "vocab.json"

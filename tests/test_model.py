@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import layered_graph, ones_graph
 from oracles import build_graph_dense, dense_graph_view, largest_component_naive, model_file_naive, positive_part
-from neurotopo import artifacts
+from neurotopo import artifacts, model
 from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.errors import FormatError, StructuralError
 from neurotopo.model import (
@@ -22,7 +22,6 @@ from neurotopo.model import (
     GraphView,
     LayeredNetwork,
     build_graph,
-    component_labels,
     largest_component,
     load_model,
     save_model,
@@ -133,8 +132,6 @@ class TestGraphView:
         np.testing.assert_array_equal(full(comp), full(v)[:3, :3])
 
     def test_model_defines_one_graph_class(self):
-        from neurotopo import model
-
         classes = [name for name, obj in vars(model).items()
                    if dataclasses.is_dataclass(obj) and obj.__module__ == model.__name__]
         assert sorted(classes) == ["GraphView", "LayeredNetwork"]
@@ -301,7 +298,7 @@ class TestLargestComponent:
         net = self.sparse_layered(np.random.default_rng(100 + seed))
         _, mask = positive_part(*build_graph_dense(net)[:2])
         _, want = connected_components(csr_matrix(mask), directed=False)
-        np.testing.assert_array_equal(component_labels(threshold_view(build_graph(net), VIEW_POSITIVE)), want)
+        np.testing.assert_array_equal(threshold_view(build_graph(net), VIEW_POSITIVE).labels, want)
 
 
 def _block_nets():
@@ -346,6 +343,11 @@ class TestBlockStorage:
         picks = [np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False)) for _ in range(4)]
         picks += [rng.integers(0, n, size=rng.integers(1, 2 * n)) for _ in range(4)]  # unsorted, repeats
         picks += [slice(None), slice(1, n - 1), slice(n // 2, n)]
+        # runs inside one group, and runs in two groups with a gap, in and out of order: copied as slices
+        off = v.offsets
+        runs = [np.arange(off[1], off[2] - 1), np.r_[0 : off[1] - 1, off[1] + 1 : off[2]], np.r_[off[-2] : n, 0:1]]
+        assert all(isinstance(x, slice) for pos in runs for part in model._split(pos, n, off)[1] if part for x in part)
+        picks += runs
         for rows in picks:
             for cols in picks[::-1]:
                 w, m = v.block(rows, cols), v.block(rows, cols, mask=True)

@@ -19,6 +19,8 @@ numpy is the only runtime dependency: no module imports scipy, directly or
 through another import.
 The quick demos run against this checkout's ``src/``, and ``measure_all``
 meets its dense oracles at one OpenBLAS thread as well as at the default.
+On a seeded paper net, the entries and columns that hc's pruning bounds
+leave to the plain column loop are pinned as exact counts.
 README names only code that exists: every backticked ``<module>.<name>`` of
 a neurotopo module resolves, and every backticked private name is defined at
 module level somewhere in the package.
@@ -39,7 +41,7 @@ import numpy as np
 import oracles
 import pytest
 
-from neurotopo import bon
+from neurotopo import bon, centrality
 from neurotopo.artifacts import JSON_FLOATS_PER_CALL
 from neurotopo.descriptors import feature_matrix_from_values
 from neurotopo.model import load_model, save_model
@@ -284,3 +286,22 @@ def test_measure_all_matches_the_dense_oracles_at_one_blas_thread():
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-4000:]
+
+
+def test_hc_pruning_counts_at_paper_size(monkeypatch):
+    # the gram entries and the product columns that the bounds leave to the column loop, as exact
+    # counts on a seeded paper net: a weaker bound shows here as a changed count, not as a timing
+    grams, products, unsettled = [], [], []
+    gram, product, settle = centrality._minplus_gram, centrality._minplus, centrality._settle
+    monkeypatch.setattr(centrality, "_minplus_gram", lambda a: grams.append(a) or gram(a))
+    monkeypatch.setattr(centrality, "_minplus", lambda a, b, *out: products.append((a, b)) or product(a, b, *out))
+    centrality.measure_all(init_network((784, 200, 100, 10), seed=0), measures=("hc",))
+    monkeypatch.setattr(centrality, "_settle", lambda part, mask, *args: unsettled.append(mask) or settle(part, mask, *args))
+    (lengths,) = grams
+    gram(lengths)
+    counts = [(lengths.shape, np.count_nonzero(unsettled.pop()))]  # entries
+    for a, b in products:  # from the even sources, then to the even side: columns
+        product(a, b)
+        counts.append((b.shape, sum(np.count_nonzero(mask.any(axis=1)) for mask in unsettled)))
+        unsettled.clear()
+    assert counts == [((210, 884), 2), ((210, 100), 85), ((210, 884), 83)]
