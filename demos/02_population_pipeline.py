@@ -57,8 +57,8 @@ def main():
         csv_path = os.path.join(OUT, "strength_scatter.csv")
         write_csv(csv_path, ["network_id", "x", "y", "test_acc"], points)
         svg_path = os.path.join(OUT, "strength_scatter.svg")
-        write_text(svg_path, svg_scatter(points, "layer-mean strength vs accuracy",
-                                         "layer-1 mean s", "layer-2 mean s"))
+        write_text(svg_path, [svg_scatter(points, "layer-mean strength vs accuracy",
+                                          "layer-1 mean s", "layer-2 mean s")])
         print(f"\nwrote {csv_path}")
         print(f"wrote {svg_path}")
         print("higher-accuracy networks tend toward less inhibitory hidden layers;")

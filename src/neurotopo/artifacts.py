@@ -3,14 +3,16 @@
 CSV files use the csv module with minimal quoting and ``\\n`` line endings;
 float cells are the shortest round-trip ``repr`` and undefined values the
 literal ``NaN``.  JSON is strict both ways: no ``NaN`` or ``Infinity``
-tokens are written or accepted.  A 1-D array in a JSON document is written
-as the list of its values, ``JSON_FLOATS_PER_CALL`` of them per call of the
-C encoder, so neither the whole list nor the whole document is ever held as
-Python objects or text; ``JsonBlocks`` reads such a list back in bounded
-blocks, straight into a float64 array.  Every writer streams into a
-temporary file beside its target and ``os.replace``s it into place, so a
-reader never sees a partial file and a failed write leaves the previous
-file untouched.
+tokens are written or accepted.  ``write_json`` writes a document of plain
+values with one ``json.dumps``.  A model's weights are written through
+``json_floats``, ``JSON_FLOATS_PER_CALL`` of them per call of the C encoder,
+so neither a whole matrix nor the whole document is ever held as Python
+objects or text.  Every JSON file is read by ``JsonBlocks`` in bounded
+blocks: ``read_json`` takes one value and at most a newline after it, and a
+model's reader walks its layout and decodes each list of weights straight
+into a float64 array.  Every writer streams into a temporary file beside
+its target and ``os.replace``s it into place, so a reader never sees a
+partial file and a failed write leaves the previous file untouched.
 """
 
 import contextlib
@@ -96,54 +98,27 @@ def write_csv(path, header, rows):
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _holds_array(value):
-    if isinstance(value, dict):
-        value = list(value.values())
-    return isinstance(value, np.ndarray) or (isinstance(value, list) and any(map(_holds_array, value)))
-
-
-def _compact_json(value):
-    """Pieces of ``json.dumps(value, allow_nan=False)``, with each 1-D array
-    read as its ``tolist()``.  Only containers holding an array are walked
-    (their keys must be strings); any other value is one ``json.dumps``."""
-    if isinstance(value, np.ndarray):
-        yield "["
-        for start in range(0, value.size, JSON_FLOATS_PER_CALL):
-            chunk = value[start : start + JSON_FLOATS_PER_CALL].tolist()
-            yield (", " if start else "") + json.dumps(chunk, allow_nan=False)[1:-1]
-        yield "]"
-    elif not _holds_array(value):
-        yield json.dumps(value, allow_nan=False)
-    elif isinstance(value, dict):
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from _compact_json(item)
-        yield "}"
-    else:
-        yield "["
-        for i, item in enumerate(value):
-            yield ", " if i else ""
-            yield from _compact_json(item)
-        yield "]"
-
-
 def write_json(path, doc, indent=None):
-    """Write a strict JSON document (non-finite floats raise ValueError).
-
-    Without ``indent`` the text is compact and a 1-D array stands for the
-    JSON list of its values; with ``indent`` arrays are not accepted."""
+    """Write a strict JSON document of plain JSON values (non-finite floats
+    raise ValueError): compact with ``json.dumps``'s separators, or indented."""
     with _replacing(path) as fh:
-        if indent is None:
-            fh.writelines(_compact_json(doc))
-        else:
-            fh.write(json.dumps(doc, indent=indent, allow_nan=False))
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=indent, allow_nan=False) + "\n")
 
 
-def write_text(path, text):
+def json_floats(values):
+    """The writing half of ``JsonBlocks.floats``: the text after a list's ``[``
+    holding the 1-D float array ``values``, its ``]`` included, in pieces of
+    ``JSON_FLOATS_PER_CALL`` values, one call of the C encoder each."""
+    for start in range(0, values.size, JSON_FLOATS_PER_CALL):
+        chunk = values[start : start + JSON_FLOATS_PER_CALL].tolist()
+        yield (", " if start else "") + json.dumps(chunk, allow_nan=False)[1:-1]
+    yield "]"
+
+
+def write_text(path, pieces):
+    """Write an iterable of strings one after another."""
     with _replacing(path) as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 class _NonFinite(ValueError):
@@ -175,15 +150,12 @@ def _defect(exc, text):
 
 
 def read_json(path):
-    """Parse a strict JSON file; any defect is a FormatError naming file and line."""
-    with _reading(path) as fh:
-        text = fh.read()
-    try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as exc:
-        pos, message = _defect(exc, text)
-        line = text.count("\n", 0, pos) + 1
-        raise FormatError(f"{path}:{line}: {message}") from None
+    """The one JSON value of a strict JSON file, after which at most a newline
+    may follow; any defect is a FormatError naming file and line."""
+    with json_blocks(path) as doc:
+        value = doc.value()
+        doc.end()
+    return value
 
 
 def checked(doc, key, types, bounds=None):
@@ -215,11 +187,11 @@ def checked(doc, key, types, bounds=None):
 
 class JsonBlocks:
     """A strict JSON text read front to back in blocks of
-    ``5 * JSON_FLOATS_PER_CALL`` characters, the reading half of
-    ``_compact_json``.  The caller walks the layout with ``expect``; ``value``
-    parses one value whole, and ``floats`` decodes a list of floats into a
-    float64 array, one ``json`` decode per run of values up to a comma.  Any
-    defect is a FormatError naming the file and line."""
+    ``5 * JSON_FLOATS_PER_CALL`` characters.  The caller walks the layout
+    with ``expect``; ``value`` parses one value whole, and ``floats``, the
+    reading half of ``json_floats``, decodes a list of floats into a float64
+    array, one ``json`` decode per run of values up to a comma.  Any defect
+    is a FormatError naming the file and line."""
 
     def __init__(self, path, fh):
         self._path, self._fh, self._buf, self._line = path, fh, "", 1
@@ -239,7 +211,7 @@ class JsonBlocks:
 
     def _error(self, message, pos=0):
         line = self._line + self._buf.count("\n", 0, pos)
-        return FormatError(f"{self._path}: line {line}: {message}")
+        return FormatError(f"{self._path}:{line}: {message}")
 
     def _parse(self, text, shift=0):
         """``raw_decode(text)``, whose index i is unread position i + shift."""
@@ -266,7 +238,8 @@ class JsonBlocks:
             raise self._error("not the JSON layout expected: text after the document")
 
     def value(self):
-        """The next JSON value, parsed whole."""
+        """The next JSON value, parsed whole; each retry first reads as much
+        again as is buffered, so n characters take O(n) decoding in all."""
         while True:
             try:
                 value, end = self._decoder.raw_decode(self._buf)
@@ -274,7 +247,7 @@ class JsonBlocks:
                     break
             except (ValueError, RecursionError):  # it may end in the next block; a defect shows at the end of the file
                 pass
-            if not self._more():
+            if not self._more(max(len(self._buf), 5 * JSON_FLOATS_PER_CALL)):
                 value, end = self._parse(self._buf)
                 break
         self._drop(end)

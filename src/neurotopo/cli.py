@@ -214,10 +214,11 @@ def cmd_vocab_build(args):
     return EXIT_OK
 
 
-def _split_undefined(vocab, tables):
+def _split_undefined(vocab, tables, files):
     """The tables with a defined neuron; each other network is named on
-    stderr, and none left is a StructuralError."""
-    tables, failed = bon.split_undefined(vocab, tables)
+    stderr, and none left, or a vocabulary measure the tables lack, is a
+    StructuralError naming ``files``, the CSV and the vocabulary."""
+    tables, failed = _naming(files, bon.split_undefined, vocab, tables)
     if not tables:
         raise StructuralError(f"every hidden neuron is undefined in every network: {failed}")
     for nid in failed:
@@ -229,7 +230,7 @@ def cmd_vocab_assign(args):
     vocab = bon.load_vocabulary(args.vocab)
     accs = _load_accuracies(args.manifest)
     tables = centrality.read_measures_csv(args.measures_csv, accuracies=accs)
-    tables, failed = _split_undefined(vocab, tables)
+    tables, failed = _split_undefined(vocab, tables, f"{args.measures_csv}, {args.vocab}")
     records = [bon.PopulationRecord(t.network_id, t.test_acc, bon.occurrence(vocab, t)) for t in tables]
     bon.write_occurrence_csv(vocab, records, args.out)
     _write_run_record(args.out, "vocab assign", args, [args.out], {"failed": failed})
@@ -243,8 +244,9 @@ def cmd_compare(args):
     population = args.population
     if os.path.isdir(population):
         population = os.path.join(population, "measures.csv")
-    tables, failed = _split_undefined(vocab_b, centrality.read_measures_csv(population))
-    result = bon.cross_benchmark_jsd(vocab_a, vocab_b, tables)
+    tables = centrality.read_measures_csv(population)
+    tables, failed = _split_undefined(vocab_b, tables, f"{population}, {args.vocab_b}")
+    result = _naming(f"{args.vocab_a}, {args.vocab_b}", bon.cross_benchmark_jsd, vocab_a, vocab_b, tables)
     doc = {
         "vocab_a": args.vocab_a,
         "vocab_b": args.vocab_b,
@@ -260,6 +262,7 @@ def cmd_compare(args):
 
 
 def cmd_plot(args):
+    facts = None
     if args.what == "scatter":
         if not args.measures_csv or not args.measure:
             raise StructuralError("scatter needs --measures-csv and --measure")
@@ -295,15 +298,17 @@ def cmd_plot(args):
         measures = tables[0].measures
         raw = np.vstack([t.values for t in tables])
         raw = raw[~np.isnan(raw).any(axis=1)]
-        corr = descriptors.pearson_matrix(raw)
+        corr = _naming(args.measures_csv, descriptors.pearson_matrix, raw)
+        facts = {"redundancy_filter": {"threshold": descriptors.REDUNDANCY_THRESHOLD,
+                                       "kept": descriptors.redundancy_filter(corr, measures)}}
         header = ["measure", *measures]
         rows = ([m, *corr[i]] for i, m in enumerate(measures))
         svg = partial(plots.svg_heatmap, corr, measures, "measure correlation")
     write_csv(args.out_csv, header, rows)
     if args.out_svg:
-        write_text(args.out_svg, svg())
+        write_text(args.out_svg, [svg()])
     artifacts = [p for p in (args.out_csv, args.out_svg) if p]
-    _write_run_record(args.out_csv, f"plot {args.what}", args, artifacts)
+    _write_run_record(args.out_csv, f"plot {args.what}", args, artifacts, facts)
     print(f"plot data -> {args.out_csv}")
     return EXIT_OK
 

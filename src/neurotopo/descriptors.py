@@ -159,9 +159,10 @@ def pearson_matrix(values):
 
 # lower = cheaper to compute: the redundancy filter keeps the cheaper measure
 _COST_RANK = {"s": 1, "snn": 2, "bc": 3, "mc": 4, "hc": 5, "so": 6, "sg": 7, "cfc": 8}
+REDUNDANCY_THRESHOLD = 0.8
 
 
-def redundancy_filter(corr, measures, threshold=0.8):
+def redundancy_filter(corr, measures, threshold=REDUNDANCY_THRESHOLD):
     """Drop the costlier measure of every strongly correlated pair.
 
     Pairs with |rho| strictly above the threshold are visited in descending

@@ -9,12 +9,13 @@ because some measures are defined on the signed graph and the others on its
 positive subgraph.
 """
 
+import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .artifacts import checked, json_blocks, write_json
+from .artifacts import checked, json_blocks, json_floats, write_text
 from .errors import FormatError, StructuralError
 
 MODEL_FORMAT = "nnx-json/1"
@@ -128,7 +129,8 @@ class GraphView:
 
     def block(self, rows, cols, mask=False):
         """The dense weights, or the edge mask, at positions rows × cols
-        (slices or index arrays), read-only, assembled from the stored blocks."""
+        (slices or strictly ascending index arrays), read-only, assembled
+        from the stored blocks."""
         n, off = self.node_count, self.offsets
         (size_r, split_r), (size_c, split_c) = _split(rows, n, off), _split(cols, n, off)
         out = np.zeros((size_r, size_c), dtype=bool if mask else np.float64)
@@ -137,35 +139,25 @@ class GraphView:
             for p, q, x in ((a, b, x), (b, a, x.T))[: 1 + (a != b)]:
                 if split_r[p] and split_c[q]:
                     (i, ri), (j, rj) = split_r[p], split_c[q]
-                    if isinstance(i, np.ndarray) and isinstance(j, np.ndarray):  # a slice indexes as it is
-                        i, j, ri, rj = *np.ix_(i, j), *np.ix_(ri, rj)
+                    if isinstance(ri, np.ndarray) and isinstance(rj, np.ndarray):  # a slice indexes as it is
+                        ri, rj = np.ix_(ri, rj)
                     out[i, j] = x[ri, rj]
         return _freeze(out)
 
 
 def _split(pos, n, offsets):
-    """The count of positions ``pos`` (a slice or an index array) and per
-    group None if none of them is in it, else (where they sit in pos, their
-    indices in the group), as slices where they run consecutively."""
-    if isinstance(pos, slice) and pos.step in (None, 1):
-        start, stop, _ = pos.indices(n)
-        stop = max(start, stop)
-    else:
-        pos = np.arange(n)[pos]
-        if not (pos.size and pos[-1] - pos[0] == pos.size - 1 and np.all(np.diff(pos) == 1)):
-            at = [np.flatnonzero((pos >= lo) & (pos < hi)) for lo, hi in zip(offsets, offsets[1:])]
-            return pos.size, [_run(i, pos[i] - lo) if i.size else None for i, lo in zip(at, offsets)]
-        start, stop = int(pos[0]), int(pos[-1]) + 1
-    spans = [(max(start, lo), min(stop, hi), lo) for lo, hi in zip(offsets, offsets[1:])]
-    return stop - start, [
-        (slice(a - start, b - start), slice(a - lo, b - lo)) if a < b else None for a, b, lo in spans]
-
-
-def _run(i, j):
-    """(i, j) as slices when both run consecutively upwards; i ascends."""
-    if i[-1] - i[0] == i.size - 1 and np.all(np.diff(j) == 1):
-        return slice(i[0], i[-1] + 1), slice(j[0], j[-1] + 1)
-    return i, j
+    """The count of positions ``pos`` (a slice or an index array, which must
+    ascend strictly) and per group None if none of them is in it, else
+    (the slice of pos they fill, their indices in the group), the indices a
+    slice where they run consecutively."""
+    pos = np.arange(n)[pos]
+    if np.any(pos[1:] <= pos[:-1]):
+        raise StructuralError("block positions must ascend strictly")
+    cut, parts = np.searchsorted(pos, offsets).tolist(), []
+    for a, b, lo in zip(cut, cut[1:], offsets):
+        i, k = (int(pos[a]) - lo, int(pos[b - 1]) + 1 - lo) if a < b else (0, 0)
+        parts.append(None if a == b else (slice(a, b), slice(i, k) if k - i == b - a else pos[a:b] - lo))
+    return pos.size, parts
 
 
 def build_graph(net: LayeredNetwork) -> GraphView:
@@ -220,14 +212,19 @@ def largest_component(view: GraphView):
 
 
 def save_model(net: LayeredNetwork, path) -> None:
-    """Write a network in the nnx-json/1 format (full 64-bit weight precision)."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "arch": list(net.arch),
-        "weights": [w.reshape(-1) for w in net.weights],
-        "meta": dict(net.meta),
-    }
-    write_json(path, doc)
+    """Write a network in the nnx-json/1 format (full 64-bit weight precision):
+    the layout load_model reads, piece by piece, each matrix as one flat
+    row-major list of floats (``artifacts.json_floats``)."""
+    meta = json.dumps(net.meta, allow_nan=False)  # before the file is opened
+
+    def pieces():
+        yield '{"format": ' + json.dumps(MODEL_FORMAT) + ', "arch": ' + json.dumps(list(net.arch))
+        for a, w in enumerate(net.weights):
+            yield ', [' if a else ', "weights": [['
+            yield from json_floats(w.reshape(-1))
+        yield '], "meta": ' + meta + "}\n"
+
+    write_text(path, pieces())
 
 
 def load_model(path) -> LayeredNetwork:

@@ -1,13 +1,16 @@
 """The one on-disk writer path: CSV dialect, strict JSON, bytes, atomic replacement."""
 
 import errno
+import json
 import math
 
 import numpy as np
 import pytest
 
 from neurotopo.artifacts import (
+    JSON_FLOATS_PER_CALL,
     format_float,
+    json_floats,
     parse_float,
     parse_int,
     read_csv_rows,
@@ -43,21 +46,28 @@ class TestWriters:
             write_json(path, {"x": math.inf})
         assert read_json(path) == {"b": [1, 0.5], "a": None}
 
-    def test_json_arrays_are_written_as_lists(self, tmp_path):
+    def test_compact_json_takes_plain_values_only(self, tmp_path):
         path = tmp_path / "d.json"
-        doc = {"a": [np.array([0.5, -0.0]), np.array([])], "b": {"c": np.arange(3.0)}, "d": [1, "é"]}
+        doc = {"a": [[0.5, -0.0], []], "b": {"c": [0.0, 1.0]}, "d": [1, "é"]}
         write_json(path, doc)
-        assert path.read_text() == '{"a": [[0.5, -0.0], []], "b": {"c": [0.0, 1.0, 2.0]}, "d": [1, "\\u00e9"]}\n'
-        with pytest.raises(ValueError):
-            write_json(path, {"a": np.array([0.5, math.nan])})
+        assert path.read_text() == '{"a": [[0.5, -0.0], []], "b": {"c": [0.0, 1.0]}, "d": [1, "\\u00e9"]}\n'
+        assert read_json(path) == doc
         with pytest.raises(TypeError):
-            write_json(path, {"a": np.zeros(1)}, indent=1)
-        assert read_json(path) == {"a": [[0.5, -0.0], []], "b": {"c": [0.0, 1.0, 2.0]}, "d": [1, "é"]}
+            write_json(path, {"a": np.zeros(1)})
         assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+    @pytest.mark.parametrize("size", [0, 1, JSON_FLOATS_PER_CALL, 2 * JSON_FLOATS_PER_CALL + 1])
+    def test_json_floats_are_a_lists_text_after_its_bracket(self, size):
+        values = np.random.default_rng(size).normal(size=size)
+        pieces = list(json_floats(values))
+        assert "[" + "".join(pieces) == json.dumps(values.tolist())
+        assert len(pieces) == -(-size // JSON_FLOATS_PER_CALL) + 1  # one encoder call per piece, then "]"
+        with pytest.raises(ValueError):
+            list(json_floats(np.array([0.5, math.nan])))
 
     def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_text(path, "old\n")
+        write_text(path, ["old\n"])
 
         def rows():
             yield ("fine",)
@@ -84,12 +94,12 @@ class TestWriters:
 
     def test_missing_directory_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            write_text(tmp_path / "nope" / "x.svg", "<svg/>")
+            write_text(tmp_path / "nope" / "x.svg", ["<svg/>"])
 
     def test_unopenable_temporary_raises_only_its_own_error(self, tmp_path):
         # the temporary was never created, so no cleanup error hides the cause
         with pytest.raises(OSError) as info:
-            write_text(tmp_path / ("x" * 300 + ".svg"), "<svg/>")
+            write_text(tmp_path / ("x" * 300 + ".svg"), ["<svg/>"])
         assert info.value.errno == errno.ENAMETOOLONG
         assert info.value.__context__ is None
         assert list(tmp_path.iterdir()) == []
@@ -103,6 +113,9 @@ class TestReaders:
             ('{"s": "NaN Infinity",\n\n "b": [-Infinity]}', "d.json:3: non-finite number -Infinity"),
             ('{"a": 1,\n "b": }', "d.json:2: not valid JSON"),
             ("", "d.json:1: not valid JSON"),
+            (' {"a": 1}', "d.json:1: not valid JSON"),
+            ('{"a": 1}\n\n', "d.json:1: not the JSON layout expected: text after the document"),
+            ('{"a": 1}\n{"b": 2}\n', "d.json:1: not the JSON layout expected: text after the document"),
         ],
     )
     def test_json_rejections_name_file_and_line(self, tmp_path, text, where):
@@ -111,6 +124,21 @@ class TestReaders:
         with pytest.raises(FormatError) as info:
             read_json(path)
         assert where in str(info.value)
+
+    def test_long_document_decoded_in_linear_time(self, tmp_path, monkeypatch):
+        # each retry doubles what is buffered: the decodes read under 4 times the text, not a block more each time
+        path = tmp_path / "d.json"
+        doc = [{"seed": i, "test_acc": 0.5} for i in range(20_000)]
+        write_json(path, doc, indent=1)
+        decoded, raw_decode = [], json.JSONDecoder.raw_decode
+
+        def counting(self, s, idx=0):
+            decoded.append(len(s))
+            return raw_decode(self, s, idx)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+        assert read_json(path) == doc
+        assert path.stat().st_size > 20 * 5 * JSON_FLOATS_PER_CALL and sum(decoded) < 4 * path.stat().st_size
 
     def test_json_not_utf8(self, tmp_path):
         path = tmp_path / "d.json"

@@ -504,15 +504,20 @@ class TestVocabCommands:
         assert f"manifest.json: seed {manifest[0]['seed']} appears more than once" in capsys.readouterr().err
         assert not (tmp_path / "occ.csv").exists()
 
-    def test_assign_measure_mismatch_exits_2(self, measures_csv, trained_dir, tmp_path):
+    @pytest.mark.parametrize("command", ["assign", "compare"])
+    def test_measure_mismatch_exits_2_naming_csv_and_vocabulary(self, measures_csv, trained_dir, tmp_path, capsys,
+                                                                command):
         vocab = tmp_path / "vocab_full.json"
         sub = tmp_path / "sub.csv"
         assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
                      "--restarts", "3", "--out", str(vocab)]) == 0
         assert main(["measure", "--models", str(trained_dir), "--measures", "s", "--out", str(sub)]) == 0
-        code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(sub),
-                     "--out", str(tmp_path / "occ.csv")])
-        assert code == 2
+        out = tmp_path / "out"
+        argv = (["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(sub)] if command == "assign" else
+                ["compare", "--vocab-a", str(vocab), "--vocab-b", str(vocab), "--population", str(sub)])
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{sub}, {vocab}: table for 'seed0' has no column 'bc'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUndefinedNetworks:
@@ -606,6 +611,37 @@ class TestCompareCommand:
         assert not out.exists()
 
 
+class TestRefusalsNameTheirFiles:
+    @pytest.mark.parametrize("flags, refusal", [
+        (["--measures", "s,bc", "--k", "3"], "vocabularies were built on different measure lists"),
+        (["--k", "2"], "vocabularies have different k"),
+    ], ids=["measures", "k"])
+    def test_compare_on_unlike_vocabularies_exits_2_naming_both(self, measures_csv, tmp_path, capsys, flags,
+                                                                 refusal):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), *flags, "--restarts", "3",
+                     "--out", str(a)]) == 0
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3", "--restarts", "3",
+                     "--out", str(b)]) == 0
+        code = main(["compare", "--vocab-a", str(a), "--vocab-b", str(b),
+                     "--population", str(measures_csv), "--out", str(tmp_path / "cmp.json")])
+        assert code == 2
+        assert f"{a}, {b}: {refusal}" in capsys.readouterr().err
+        assert not (tmp_path / "cmp.json").exists()
+
+    def test_corr_on_fewer_than_two_defined_rows_exits_2(self, tmp_path, capsys):
+        table = measure_all(init_network((3, 4, 2, 2), seed=0), measures=("s", "bc"))
+        values = np.full_like(table.values, np.nan)
+        values[0] = table.values[0]
+        csv_path = tmp_path / "m.csv"
+        write_measures_csv([dataclasses.replace(table, values=values)], csv_path)
+        code = main(["plot", "--what", "corr", "--measures-csv", str(csv_path),
+                     "--out-csv", str(tmp_path / "corr.csv")])
+        assert code == 2
+        assert f"{csv_path}: pearson_matrix needs a 2-D array with at least 2 rows" in capsys.readouterr().err
+        assert not (tmp_path / "corr.csv").exists()
+
+
 class TestPlotCommand:
     def test_scatter(self, measures_csv, trained_dir, tmp_path):
         out_csv = tmp_path / "scatter.csv"
@@ -642,6 +678,19 @@ class TestPlotCommand:
         assert len(lines) == 4
         diag = [float(lines[i + 1].split(",")[i + 1]) for i in range(3)]
         assert diag == [1.0, 1.0, 1.0]
+
+    def test_corr_records_the_redundancy_filter(self, tmp_path):
+        # snn is an affine image of s, so the costlier snn goes; bc is uncorrelated with both and stays
+        table = measure_all(init_network((3, 4, 4, 2), seed=0), measures=("s", "snn", "bc"))
+        s = np.arange(8.0)
+        values = np.column_stack([s, 3.0 * s - 2.0, [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0]])
+        csv_path = tmp_path / "m.csv"
+        write_measures_csv([dataclasses.replace(table, values=values)], csv_path)
+        assert main(["plot", "--what", "corr", "--measures-csv", str(csv_path),
+                     "--out-csv", str(tmp_path / "corr.csv")]) == 0
+        assert np.corrcoef(values[:, 0], values[:, 2])[0, 1] == 0.0
+        record = json.loads((tmp_path / "corr.csv.run.json").read_text())
+        assert record["redundancy_filter"] == {"threshold": 0.8, "kept": ["s", "bc"]}
 
     def test_hist(self, measures_csv, trained_dir, tmp_path):
         vocab = tmp_path / "vocab.json"
@@ -761,6 +810,25 @@ class TestNestedJson:
             assert main([str(a) for a in argv]) == 3
             err = capsys.readouterr().err
             assert name in err and "a JSON document nested too deeply" in err
+
+
+class TestTextAfterTheDocument:
+    @pytest.mark.parametrize("name", ["manifest.json", "vocab.json"])
+    def test_manifest_or_vocabulary_with_text_after_it_exits_3(self, trained_dir, measures_csv, tmp_path, capsys,
+                                                               name):
+        manifest, vocab = tmp_path / "manifest.json", tmp_path / "vocab.json"
+        assert main(["vocab", "build", "--measures-csv", str(measures_csv), "--k", "3",
+                     "--restarts", "3", "--out", str(vocab)]) == 0
+        shutil.copy(trained_dir / "manifest.json", manifest)
+        bad = tmp_path / name
+        text = bad.read_text()
+        bad.write_text(text + "{}\n")
+        line = text.count("\n")  # that of the document's end, where the text after it starts
+        code = main(["vocab", "assign", "--vocab", str(vocab), "--measures-csv", str(measures_csv),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "occ.csv")])
+        assert code == 3
+        assert f"{bad}:{line}: not the JSON layout expected: text after the document" in capsys.readouterr().err
+        assert not (tmp_path / "occ.csv").exists()
 
 
 class TestRunRecords:

@@ -341,11 +341,10 @@ class TestBlockStorage:
         (_, _, weights, mask), = dense.blocks
         n = v.node_count
         picks = [np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False)) for _ in range(4)]
-        picks += [rng.integers(0, n, size=rng.integers(1, 2 * n)) for _ in range(4)]  # unsorted, repeats
         picks += [slice(None), slice(1, n - 1), slice(n // 2, n)]
-        # runs inside one group, and runs in two groups with a gap, in and out of order: copied as slices
+        # runs inside one group, and runs in two groups with a gap: copied as slices
         off = v.offsets
-        runs = [np.arange(off[1], off[2] - 1), np.r_[0 : off[1] - 1, off[1] + 1 : off[2]], np.r_[off[-2] : n, 0:1]]
+        runs = [np.arange(off[1], off[2] - 1), np.r_[0 : off[1] - 1, off[1] + 1 : off[2]]]
         assert all(isinstance(x, slice) for pos in runs for part in model._split(pos, n, off)[1] if part for x in part)
         picks += runs
         for rows in picks:
@@ -354,6 +353,11 @@ class TestBlockStorage:
                 at = np.ix_(np.arange(n)[rows], np.arange(n)[cols])
                 assert w.tobytes() == weights[at].tobytes() and m.tobytes() == mask[at].tobytes()
                 assert not w.flags.writeable and not m.flags.writeable
+        # unsorted picks, repeats, and runs out of order are refused, as rows or as columns
+        for odd in [np.roll(np.arange(n), 1), np.r_[0:n, n - 1], np.r_[off[-2] : n, 0:1], slice(None, None, -1)]:
+            for rows, cols in ((odd, ALL), (ALL, odd)):
+                with pytest.raises(StructuralError, match="block positions must ascend strictly"):
+                    v.block(rows, cols)
 
     def test_build_graph_shares_the_networks_arrays(self):
         net = init_network((784, 200, 100, 10), seed=1)
@@ -407,7 +411,7 @@ class TestSerialization:
         path = tmp_path / "m.json"
         save_model(toy_net((2, 3, 1)), path)
         path.write_text(edit(json.loads(path.read_text())))
-        with pytest.raises(FormatError, match=r"m.json: line 1: not the JSON layout expected"):
+        with pytest.raises(FormatError, match=r"m.json:1: not the JSON layout expected"):
             load_model(path)
 
     ZERO_META = '"meta": {"seed": 0, "dataset_id": "", "epochs": 0, "train_acc": 0.0, "test_acc": 0.0}}'
@@ -420,10 +424,10 @@ class TestSerialization:
          r"m.json: weights\[1\]: expected JSON floats, got \[0.5, 1.0\]"),
         ('[[' + "0.5, " * 5 + '"a], b"], [0.5, 0.5, 0.5]]', r"m.json: weights\[0\]: expected JSON floats, got 'a\], b'"),
         ('[[' + "0.5, " * 5 + 'null], [0.5, 0.5, 0.5]]', r"m.json: weights\[0\]: expected JSON floats, got None"),
-        ('[[' + "0.5, " * 6 + '], [0.5, 0.5, 0.5]]', r"m.json: line 1: not valid JSON"),
-        ('[[' + "0.5, " * 5 + '0.5]]', r"m.json: line 1: not the JSON layout expected: ', \[' expected, '\], ' found"),
-        ('[[\n' + "0.5, " * 5 + '0.5], [0.5, NaN, 0.5]]', r"m.json: line 2: non-finite number NaN"),
-        ('[[' + "0.5, " * 5 + '0.5], [0.5, 0.5, 0.5], []]', r"m.json: line 1: not the JSON layout expected: '\], \"meta\": '"),
+        ('[[' + "0.5, " * 6 + '], [0.5, 0.5, 0.5]]', r"m.json:1: not valid JSON"),
+        ('[[' + "0.5, " * 5 + '0.5]]', r"m.json:1: not the JSON layout expected: ', \[' expected, '\], ' found"),
+        ('[[\n' + "0.5, " * 5 + '0.5], [0.5, NaN, 0.5]]', r"m.json:2: non-finite number NaN"),
+        ('[[' + "0.5, " * 5 + '0.5], [0.5, 0.5, 0.5], []]', r"m.json:1: not the JSON layout expected: '\], \"meta\": '"),
     ])
     @pytest.mark.parametrize("size", [1, 4, None])
     def test_defects_named_at_any_block_size(self, tmp_path, monkeypatch, weights, message, size):
@@ -433,10 +437,10 @@ class TestSerialization:
             load_model(path)
 
     @pytest.mark.parametrize("tail, message", [
-        (', "Meta": {}}', r"m.json: line 2: not the JSON layout expected"),
-        (', "meta": {}}\n\n', r"m.json: line 2: not the JSON layout expected: text after the document"),
-        (', "meta": {}, "more": 1}', r"m.json: line 2: not the JSON layout expected"),
-        (', "meta": {"seed": NaN}}', r"m.json: line 2: non-finite number NaN"),
+        (', "Meta": {}}', r"m.json:2: not the JSON layout expected"),
+        (', "meta": {}}\n\n', r"m.json:2: not the JSON layout expected: text after the document"),
+        (', "meta": {}, "more": 1}', r"m.json:2: not the JSON layout expected"),
+        (', "meta": {"seed": NaN}}', r"m.json:2: non-finite number NaN"),
     ])
     def test_tail_defects_name_their_line(self, tmp_path, tail, message):
         path = tmp_path / "m.json"

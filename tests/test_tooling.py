@@ -207,17 +207,27 @@ def test_kmeans_matches_the_naive_oracle(d, monkeypatch):
         assert (vocab.inertia, traces, vocab.max_iter_hits) == (inertia, naive_traces, hits), tol
 
 
-def test_no_json_dump():
-    # json.dump writes token by token from Python; artifacts.write_json feeds
-    # json.dumps (the C encoder) bounded pieces instead
+def _json_uses(names):
+    """Where a module of the package names one of the ``json`` functions ``names``."""
     found = []
     for path in sorted((ROOT / "src" / "neurotopo").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "dump" and getattr(node.value, "id", None) == "json":
+            if isinstance(node, ast.Attribute) and node.attr in names and getattr(node.value, "id", None) == "json":
                 found.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.ImportFrom) and node.module == "json" and "dump" in {a.name for a in node.names}:
+            if isinstance(node, ast.ImportFrom) and node.module == "json" and names & {a.name for a in node.names}:
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_no_json_dump():
+    # json.dump writes token by token from Python; the writers call json.dumps
+    # (the C encoder), on bounded pieces of a model's weights (artifacts.json_floats)
+    assert _json_uses({"dump"}) == []
+
+
+def test_no_json_loads():
+    # every JSON file is read through artifacts.JsonBlocks: one strict decoder, one defect format
+    assert _json_uses({"load", "loads"}) == []
 
 
 def _open_mode(call):

@@ -460,7 +460,7 @@ class TestPopulation:
         # writes are atomic, so a file that does not load was put there by hand: keep it
         train_set, test_set = self.small_sets()
         (tmp_path / "model_seed0.json").write_text('{"notes": "kept by hand"}\n')
-        with pytest.raises(FormatError, match=r"model_seed0\.json: "):
+        with pytest.raises(FormatError, match=r"model_seed0\.json:1: "):
             generate_population(train_set, test_set, self.config(), [0, 1], tmp_path)
         assert (tmp_path / "model_seed0.json").read_text() == '{"notes": "kept by hand"}\n'
         assert not (tmp_path / "model_seed1.json").exists()
